@@ -23,15 +23,14 @@ import numpy as np
 from .datasets import (gen_half_moons, gen_piecewise_signal,
                        gen_two_line_regression, load_csv, load_signal_csv,
                        save_csv, save_signal_csv)
-from .graph import (DifferenceOperator, complete_graph, knn_gaussian_graph,
-                    load_edge_list, path_graph, sigma_min_DDt)
+from .graph import (complete_graph, knn_gaussian_graph, load_edge_list,
+                    path_graph, sigma_min_DDt)
 from .losses import RidgeRegression, SquaredDistance
 from .path import (Partition, adjusted_rand_index, extract_partition,
                    gamma_path, k_path, midpoint_init, partition_relation,
                    save_centroids_csv, save_path_json)
 from .solver import (DIVERGED, RhoSchedule, SolverConfig, nl_certificate,
-                     objective_convex, objective_trimmed, solve_nl, solve_ntl,
-                     stationarity_check)
+                     solve_nl, solve_ntl, stationarity_check)
 from .thresholds import (_jsonify, bound_C_clustering, bound_C_quadratic,
                          clustering_threshold, exact_penalty_threshold,
                          recovery_interval, recovery_interval_cc)
@@ -181,9 +180,13 @@ def _parse_schedule(raw):
                            raw.get("period", 100), minimum=1)}
 
 
-def _parse_solver(raw, default_rho=None, default_schedule=None):
+def _parse_solver(raw, default_rho=None, default_schedule=None,
+                  convex=False):
     _require("solver", raw, {"rho", "x_update", "smoothness", "max_iters",
                              "eps_abs", "eps_rel", "rho_schedule"})
+    if convex and raw.get("rho_schedule") is not None:
+        raise ConfigError("solver.rho_schedule only applies to the trimmed"
+                          " tasks solve-ntl, k-path and piecewise")
     rho = raw.get("rho", default_rho)
     if rho is not None:
         rho = _num("solver.rho", rho, above=0.0)
@@ -356,7 +359,8 @@ def normalize_config(raw):
         out["gamma"] = _gamma_value("gamma", raw["gamma"],
                                     allow_auto=task == "solve-ntl")
         default_rho = 1.0 if task == "solve-nl" else 1e4
-        out["solver"] = _parse_solver(raw.get("solver", {}), default_rho)
+        out["solver"] = _parse_solver(raw.get("solver", {}), default_rho,
+                                      convex=task == "solve-nl")
         if task == "solve-ntl":
             out["cardinality"] = _int("cardinality", raw["cardinality"],
                                       minimum=0)
@@ -399,7 +403,8 @@ def normalize_config(raw):
         out["stop_on_full_merge"] = _bool("stop_on_full_merge",
                                           raw.get("stop_on_full_merge",
                                                   False))
-        out["solver"] = _parse_solver(raw.get("solver", {}), 1.0)
+        out["solver"] = _parse_solver(raw.get("solver", {}), 1.0,
+                                      convex=True)
         out["merge_tol"] = _num("merge_tol", raw.get("merge_tol", 1e-6),
                                 above=0.0)
         out["seed"] = _int("seed", raw.get("seed", 0))
@@ -424,7 +429,8 @@ def normalize_config(raw):
                                           {"kind": "squared-distance"}))
         out["gamma"] = _gamma_value("gamma", raw.get("gamma", "auto"),
                                     allow_auto=True)
-        out["solver"] = _parse_solver(raw.get("solver", {}), 1.0)
+        out["solver"] = _parse_solver(raw.get("solver", {}), 1.0,
+                                      convex=True)
         out["merge_tol"] = _num("merge_tol", raw.get("merge_tol", 1e-6),
                                 above=0.0)
         out["output"] = _parse_output(raw["output"])
@@ -565,7 +571,21 @@ def _k_values(spec, num_edges):
     return values
 
 
-def _build_solver_config(spec, gamma, cardinality, graph):
+def _solver_options(spec, graph=None, stopping_only=False):
+    """Keyword options for ``SolverConfig``, ``solve_nl`` and the paths,
+    from a parsed solver section.
+
+    ``stopping_only`` keeps only the iteration cap and the tolerances:
+    the auxiliary convex solves (the nl-midpoint init and the piecewise
+    baseline) run at solve_nl's own rho and x-step.  A rho schedule is
+    only ever set for the trimmed tasks; its "auto" cap is the
+    surjectivity threshold of ``graph``.
+    """
+    keys = ["max_iters", "eps_abs", "eps_rel"]
+    if stopping_only:
+        return {key: spec[key] for key in keys}
+    options = {key: spec[key]
+               for key in keys + ["rho", "x_update", "smoothness"]}
     schedule = spec["rho_schedule"]
     if schedule is not None:
         cap = schedule["cap"]
@@ -575,36 +595,10 @@ def _build_solver_config(spec, gamma, cardinality, graph):
                 raise ConfigError("rho cap \"auto\" needs a connected graph"
                                   " with surjective differences")
             cap = 2.0 / (0.99 * sigma)
-        schedule = RhoSchedule(multiplier=schedule["multiplier"], cap=cap,
-                               period=schedule["period"])
-    try:
-        return SolverConfig(gamma=gamma, cardinality=cardinality,
-                            rho=spec["rho"], x_update=spec["x_update"],
-                            smoothness=spec["smoothness"],
-                            max_iters=spec["max_iters"],
-                            eps_abs=spec["eps_abs"],
-                            eps_rel=spec["eps_rel"], rho_schedule=schedule)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-
-
-def _solver_kwargs(spec):
-    """The subset of solver settings solve_nl takes as keywords."""
-    return {"rho": spec["rho"], "x_update": spec["x_update"],
-            "smoothness": spec["smoothness"],
-            "max_iters": spec["max_iters"], "eps_abs": spec["eps_abs"],
-            "eps_rel": spec["eps_rel"]}
-
-
-def _minimizer_init(losses):
-    rows = []
-    for i in range(losses.num_nodes):
-        xi = losses.minimizer(i)
-        if xi is None:
-            raise ConfigError(
-                "init \"minimizers\" needs losses with per-node minimizers")
-        rows.append(xi)
-    return np.asarray(rows, dtype=np.float64)
+        options["rho_schedule"] = RhoSchedule(
+            multiplier=schedule["multiplier"], cap=cap,
+            period=schedule["period"])
+    return options
 
 
 def _read_centroids_csv(path, num_nodes, dim):
@@ -629,16 +623,14 @@ def _read_centroids_csv(path, num_nodes, dim):
 def _initial_x(spec, losses, graph, solver_spec):
     kind = spec["kind"]
     if kind == "minimizers":
-        return _minimizer_init(losses)
+        return losses.all_minimizers()
     if kind == "from-file":
         return _read_centroids_csv(spec["file"], losses.num_nodes,
                                    losses.dim)
     gammas = _gamma_values(spec["grid"])
     path = gamma_path(losses, graph, gammas, warm_start=True,
                       stop_on_full_merge=True,
-                      max_iters=solver_spec["max_iters"],
-                      eps_abs=solver_spec["eps_abs"],
-                      eps_rel=solver_spec["eps_rel"])
+                      **_solver_options(solver_spec, stopping_only=True))
     try:
         return midpoint_init(path)
     except ValueError as exc:
@@ -740,9 +732,8 @@ def cmd_solve_nl(config):
     out = _out_dir(config)
     _write_config(out, config)
     data, losses, graph = _solve_common(config)
-    spec = config["solver"]
     state, reason = solve_nl(losses, graph, config["gamma"],
-                             **_solver_kwargs(spec))
+                             **_solver_options(config["solver"]))
     if reason == DIVERGED:
         raise NumericalError("solver diverged; lower rho or gamma")
     _check_finite(state.x, "solution")
@@ -760,10 +751,7 @@ def cmd_solve_nl(config):
         "merged_edges": report.merged_edges,
         "residual_tol": report.residual_tol,
         "norm_slack": report.norm_slack,
-        "objective": objective_convex(losses,
-                                      DifferenceOperator(graph, losses.dim),
-                                      state.x, config["gamma"],
-                                      graph.weights),
+        "objective": state.objectives[-1],
         "stop_reason": reason,
         "iterations": state.iterations,
         "num_clusters": part.num_clusters,
@@ -780,8 +768,9 @@ def cmd_solve_ntl(config):
                           f" edge count {graph.num_edges}")
     gamma = _resolve_gamma(config["gamma"], losses)
     spec = config["solver"]
-    solver_config = _build_solver_config(spec, gamma, config["cardinality"],
-                                         graph)
+    solver_config = SolverConfig(gamma=gamma,
+                                 cardinality=config["cardinality"],
+                                 **_solver_options(spec, graph))
     x0 = _initial_x(config["init"], losses, graph, spec)
     state, reason = solve_ntl(losses, graph, solver_config, x0=x0)
     if reason == DIVERGED:
@@ -801,10 +790,7 @@ def cmd_solve_ntl(config):
         "num_directions": report.num_directions,
         "tolerance": report.tolerance,
         "gamma": gamma,
-        "objective": objective_trimmed(losses,
-                                       DifferenceOperator(graph, losses.dim),
-                                       state.x, gamma,
-                                       config["cardinality"]),
+        "objective": state.objectives[-1],
         "stop_reason": reason,
         "iterations": state.iterations,
         "num_clusters": part.num_clusters,
@@ -828,11 +814,8 @@ def cmd_k_path(config):
     gamma = _resolve_gamma(config["gamma"], losses)
     ks = _k_values(config["k_sequence"], graph.num_edges)
     spec = config["solver"]
+    options = _solver_options(spec, graph)
     x0 = _initial_x(config["init"], losses, graph, spec)
-    options = dict(_solver_kwargs(spec))
-    if spec["rho_schedule"] is not None:
-        options["rho_schedule"] = _build_solver_config(
-            spec, gamma, ks[0], graph).rho_schedule
     path = k_path(losses, graph, gamma, ks, x0=x0,
                   merge_tol=config["merge_tol"], **options)
     _path_artifacts(out, path)
@@ -844,11 +827,11 @@ def cmd_gamma_path(config):
     _write_config(out, config)
     data, losses, graph = _solve_common(config)
     gammas = _gamma_values(config["gamma_sequence"])
-    spec = config["solver"]
     path = gamma_path(losses, graph, gammas,
                       warm_start=config["warm_start"],
                       stop_on_full_merge=config["stop_on_full_merge"],
-                      merge_tol=config["merge_tol"], **_solver_kwargs(spec))
+                      merge_tol=config["merge_tol"],
+                      **_solver_options(config["solver"]))
     _path_artifacts(out, path)
     return 0
 
@@ -905,8 +888,8 @@ def cmd_recovery_check(config):
     gamma = config["gamma"]
     if gamma == "auto":
         gamma = _midpoint_gamma(report.gamma_min, report.gamma_max)
-    spec = config["solver"]
-    state, reason = solve_nl(losses, graph, gamma, **_solver_kwargs(spec))
+    state, reason = solve_nl(losses, graph, gamma,
+                             **_solver_options(config["solver"]))
     if reason == DIVERGED:
         raise NumericalError("solver diverged; lower rho or gamma")
     _check_finite(state.x, "solution")
@@ -1025,7 +1008,8 @@ def cmd_piecewise(config):
     # surjectivity threshold when "auto")
     plain = path_graph(n)
     gamma = _resolve_gamma(config["gamma"], losses)
-    solver_config = _build_solver_config(config["solver"], gamma, K, plain)
+    solver_config = SolverConfig(gamma=gamma, cardinality=K,
+                                 **_solver_options(config["solver"], plain))
     state, reason = solve_ntl(losses, plain, solver_config,
                              x0=noisy.copy())
     if reason == DIVERGED:
@@ -1048,9 +1032,7 @@ def cmd_piecewise(config):
     for g in grid:
         nl_state, nl_reason = solve_nl(
             losses, weighted, g, x0=noisy.copy(),
-            max_iters=config["solver"]["max_iters"],
-            eps_abs=config["solver"]["eps_abs"],
-            eps_rel=config["solver"]["eps_rel"])
+            **_solver_options(config["solver"], stopping_only=True))
         if nl_reason == DIVERGED:
             raise NumericalError(f"convex baseline diverged at"
                                  f" gamma={g!r}")

@@ -18,14 +18,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .graph import DifferenceOperator
-from .solver import (
-    SolverConfig,
-    objective_convex,
-    objective_trimmed,
-    solve_nl,
-    solve_ntl,
-)
+from .solver import SolverConfig, solve_nl, solve_ntl
 
 __all__ = [
     "Partition",
@@ -215,16 +208,6 @@ class PathResult:
                 "steps": [s.to_json_dict() for s in self.steps]}
 
 
-def _forward_config(gamma, cardinality, options):
-    allowed = {"rho", "x_update", "smoothness", "max_iters", "eps_abs",
-               "eps_rel", "rho_schedule", "lyapunov_coeff",
-               "divergence_factor"}
-    unknown = set(options) - allowed
-    if unknown:
-        raise TypeError(f"unknown solver options: {sorted(unknown)}")
-    return SolverConfig(gamma=gamma, cardinality=cardinality, **options)
-
-
 def k_path(losses, graph, gamma, k_sequence, x0=None, merge_tol=1e-6,
            **solver_options):
     """Decreasing-cardinality sweep of the trimmed solver.
@@ -241,22 +224,20 @@ def k_path(losses, graph, gamma, k_sequence, x0=None, merge_tol=1e-6,
     if ks[0] > graph.num_edges or ks[-1] < 0:
         raise ValueError("cardinalities must lie in [0, num_edges]")
 
-    op = DifferenceOperator(graph, losses.dim)
     steps = []
     x = None if x0 is None else np.asarray(x0, dtype=np.float64)
     for K in ks:
-        config = _forward_config(gamma, K, solver_options)
+        config = SolverConfig(gamma=gamma, cardinality=K, **solver_options)
         state, reason = solve_ntl(losses, graph, config, x0=x)
         x = state.x
         steps.append(PathStep(
             parameter=K,
             centroids=x,
             partition=extract_partition(x, graph, merge_tol),
-            objective=objective_trimmed(losses, op, x, gamma, K),
+            objective=state.objectives[-1],
             iterations=state.iterations,
             stop_reason=reason,
-            primal_residual=(state.primal_residuals[-1]
-                            if state.primal_residuals else 0.0)))
+            primal_residual=state.primal_residuals[-1]))
     return PathResult(kind="cardinality", steps=steps, merge_tol=merge_tol)
 
 
@@ -275,7 +256,6 @@ def gamma_path(losses, graph, gamma_sequence, x0=None, warm_start=True,
     if any(b <= a for a, b in zip(gammas, gammas[1:])):
         raise ValueError("strength sequence must strictly increase")
 
-    op = DifferenceOperator(graph, losses.dim)
     steps = []
     x = None if x0 is None else np.asarray(x0, dtype=np.float64)
     for gamma in gammas:
@@ -288,12 +268,10 @@ def gamma_path(losses, graph, gamma_sequence, x0=None, warm_start=True,
             parameter=gamma,
             centroids=state.x,
             partition=part,
-            objective=objective_convex(losses, op, state.x, gamma,
-                                       graph.weights),
+            objective=state.objectives[-1],
             iterations=state.iterations,
             stop_reason=reason,
-            primal_residual=(state.primal_residuals[-1]
-                            if state.primal_residuals else 0.0)))
+            primal_residual=state.primal_residuals[-1]))
         if stop_on_full_merge and part.num_clusters == 1:
             break
     return PathResult(kind="strength", steps=steps, merge_tol=merge_tol)

@@ -83,7 +83,13 @@ class RhoSchedule:
 
 @dataclass
 class SolverConfig:
-    """Settings for the trimmed-problem solver.
+    """Settings for both solvers.
+
+    :func:`solve_ntl` takes a config directly.  :func:`solve_nl` builds
+    one from its keywords with ``cardinality=0``; it uses ``gamma``,
+    ``rho``, ``x_update``, ``smoothness``, ``max_iters``, ``eps_abs``,
+    ``eps_rel`` and ``divergence_factor``, and leaves ``rho_schedule``
+    and ``lyapunov_coeff`` at their defaults (no schedule, c = 0).
 
     Parameters
     ----------
@@ -166,6 +172,21 @@ class SolverState:
 # objectives and single update steps
 
 
+def _lagrangian(f, penalty_z, y, gap, rho):
+    """f + penalty(z) + <y, gap> + (rho/2) ||gap||^2 with gap = z - D x."""
+    return (f + penalty_z + float((y * gap).sum())
+            + 0.5 * rho * float((gap * gap).sum()))
+
+
+def _group_shrink(a, lam):
+    """Group soft threshold of each row a_e of ``a`` by ``lam[e]``."""
+    norms = np.linalg.norm(a, axis=1)
+    scale = np.zeros_like(norms)
+    big = norms > lam
+    scale[big] = 1.0 - lam[big] / norms[big]
+    return scale[:, None] * a
+
+
 def objective_trimmed(losses, op, x, gamma, K):
     """f(x) + gamma * trimmed_norm(D x, K)."""
     return losses.total_value(x) + gamma * trimmed_norm(op.apply(x), K)
@@ -179,16 +200,8 @@ def objective_convex(losses, op, x, gamma, weights):
 
 def augmented_lagrangian(x, z, y, losses, op, gamma, K, rho):
     """L_rho(x, z, y) for the trimmed problem with split z = D x."""
-    gap = z - op.apply(x)
-    return (losses.total_value(x) + gamma * trimmed_norm(z, K)
-            + float((y * gap).sum()) + 0.5 * rho * float((gap * gap).sum()))
-
-
-def _aug_lagrangian_convex(x, z, y, losses, op, gamma, weights, rho):
-    gap = z - op.apply(x)
-    pen = gamma * float(weights @ np.linalg.norm(z, axis=1))
-    return (losses.total_value(x) + pen
-            + float((y * gap).sum()) + 0.5 * rho * float((gap * gap).sum()))
+    return _lagrangian(losses.total_value(x), gamma * trimmed_norm(z, K),
+                       y, z - op.apply(x), rho)
 
 
 def z_update(x, y, rho, gamma, K, op):
@@ -202,11 +215,7 @@ def z_update_convex(x, y, rho, gamma, weights, op):
     """Exact z-step of the convex problem: per-edge group soft threshold."""
     a = op.apply(x) - y / rho
     lam = gamma * np.asarray(weights, dtype=np.float64) / rho
-    norms = np.linalg.norm(a, axis=1)
-    scale = np.zeros_like(norms)
-    big = norms > lam
-    scale[big] = 1.0 - lam[big] / norms[big]
-    return scale[:, None] * a
+    return _group_shrink(a, lam)
 
 
 class _ExactXSolver:
@@ -271,11 +280,8 @@ def x_update_linearized(x, z, y, rho, losses, op, smoothness=None,
 
     Only gradients of the losses are needed.
     """
-    L = smoothness if smoothness is not None else losses.max_smoothness()
-    if L <= 0:
-        raise ValueError("smoothness constant must be positive")
     if factor is None:
-        factor = _LinearizedXSolver(losses, op, rho, L)
+        factor = _make_x_solver("linearized", losses, op, rho, smoothness)
     return factor.step(x, z, y, rho, losses, op)
 
 
@@ -285,7 +291,7 @@ def y_update(y, z, x_new, rho, op):
 
 
 # ---------------------------------------------------------------------------
-# main loops
+# the splitting iteration
 
 
 def _resolve_mode(losses, x_update):
@@ -305,7 +311,9 @@ def _make_x_solver(mode, losses, op, rho, smoothness):
     return _LinearizedXSolver(losses, op, rho, L)
 
 
-def _init_state(losses, graph, x0, y0, rho):
+def _init_state(losses, graph, x0, y0):
+    if graph.num_nodes != losses.num_nodes:
+        raise ValueError("graph and losses disagree on the node count")
     op = DifferenceOperator(graph, losses.dim)
     if x0 is None:
         x = losses.all_minimizers()
@@ -321,6 +329,90 @@ def _init_state(losses, graph, x0, y0, rho):
         if y.shape != (m, losses.dim):
             raise ValueError("y0 has the wrong shape")
     return op, x, y
+
+
+def _step_small(config, op, x, x_new, y, rho, dx):
+    """Trimmed stopping test: the step ||x_t - x_{t-1}|| is small."""
+    n, p = x.shape
+    return dx <= math.sqrt(p * n) * config.eps_abs \
+        + config.eps_rel * np.linalg.norm(x_new)
+
+
+def _dual_small(config, op, x, x_new, y, rho, dx):
+    """Convex stopping test: the scaled dual residual
+    rho ||D (x_t - x_{t-1})|| is small against ||y||."""
+    m, p = y.shape
+    dual = rho * float(np.linalg.norm(op.apply(x_new - x)))
+    return dual <= math.sqrt(p * m) * config.eps_abs \
+        + config.eps_rel * np.linalg.norm(y)
+
+
+def _admm(losses, graph, config, x0, y0, prox, penalty, small_step):
+    """The splitting iteration both solvers run.
+
+    Three pieces are problem-specific: ``prox(a, rho)`` is the exact
+    z-step at a = D x - y / rho, ``penalty(d)`` is the penalty of an
+    edge-difference array before the factor gamma, and ``small_step``
+    is the stopping test that joins the shared primal-residual test.
+    D x_new is computed once per iteration and serves the dual update,
+    the primal residual, the objective, the augmented Lagrangian, the
+    stopping test and the next z-step.
+    """
+    op, x, y = _init_state(losses, graph, x0, y0)
+    gamma, rho, schedule = config.gamma, config.rho, config.rho_schedule
+    p, m = losses.dim, graph.num_edges
+    mode = _resolve_mode(losses, config.x_update)
+    xsolver = _make_x_solver(mode, losses, op, rho, config.smoothness)
+
+    Dx = op.apply(x)
+    state = SolverState(x=x, z=Dx, y=y, rho=rho)
+    obj0 = losses.total_value(x) + gamma * penalty(Dx)
+    guard = config.divergence_factor * max(1.0, abs(obj0))
+    reason = MAX_ITERS
+
+    for t in range(1, config.max_iters + 1):
+        if (schedule is not None and t > 1
+                and (t - 1) % schedule.period == 0):
+            new_rho = schedule.apply(rho)
+            if new_rho != rho:
+                rho = new_rho
+                xsolver = _make_x_solver(mode, losses, op, rho,
+                                         config.smoothness)
+        z = prox(Dx - y / rho, rho)
+        if mode == "exact":
+            x_new = xsolver.step(z, y, rho, op)
+        else:
+            x_new = xsolver.step(x, z, y, rho, losses, op)
+        Dx_new = op.apply(x_new)
+        gap = z - Dx_new
+        y = y + rho * gap
+
+        dx = float(np.linalg.norm(x_new - x))
+        primal = float(np.linalg.norm(gap))
+        f = losses.total_value(x_new)
+        obj = f + gamma * penalty(Dx_new)
+        aug = _lagrangian(f, gamma * penalty(z), y, gap, rho)
+        state.objectives.append(obj)
+        state.aug_lagrangians.append(aug)
+        state.primal_residuals.append(primal)
+        state.x_changes.append(dx)
+        state.lyapunov.append(aug + config.lyapunov_coeff * dx * dx)
+        state.rhos.append(rho)
+
+        x_old, x, Dx = x, x_new, Dx_new
+        state.iterations = t
+        if not np.isfinite(obj) or obj > guard:
+            reason = DIVERGED
+            break
+        primal_ok = primal <= math.sqrt(p * m) * config.eps_abs \
+            + config.eps_rel * max(np.linalg.norm(z), np.linalg.norm(Dx))
+        if primal_ok and small_step(config, op, x_old, x, y, rho, dx):
+            reason = CONVERGED
+            break
+
+    state.x, state.z, state.y, state.rho = x, z, y, rho
+    state.stop_reason = reason
+    return state, reason
 
 
 def solve_ntl(losses, graph, config, x0=None, y0=None):
@@ -347,62 +439,10 @@ def solve_ntl(losses, graph, config, x0=None, y0=None):
         the objective exceeds ``divergence_factor`` times its initial
         value (or stops being finite).
     """
-    if graph.num_nodes != losses.num_nodes:
-        raise ValueError("graph and losses disagree on the node count")
-    gamma, K, rho = config.gamma, config.cardinality, config.rho
-    op, x, y = _init_state(losses, graph, x0, y0, rho)
-    n, p, m = losses.num_nodes, losses.dim, graph.num_edges
-    mode = _resolve_mode(losses, config.x_update)
-    xsolver = _make_x_solver(mode, losses, op, rho, config.smoothness)
-
-    state = SolverState(x=x, z=op.apply(x), y=y, rho=rho)
-    obj0 = objective_trimmed(losses, op, x, gamma, K)
-    guard = config.divergence_factor * max(1.0, abs(obj0))
-    reason = MAX_ITERS
-
-    for t in range(1, config.max_iters + 1):
-        if (config.rho_schedule is not None and t > 1
-                and (t - 1) % config.rho_schedule.period == 0):
-            new_rho = config.rho_schedule.apply(rho)
-            if new_rho != rho:
-                rho = new_rho
-                xsolver = _make_x_solver(mode, losses, op, rho,
-                                         config.smoothness)
-        z = z_update(x, y, rho, gamma, K, op)
-        if mode == "exact":
-            x_new = xsolver.step(z, y, rho, op)
-        else:
-            x_new = xsolver.step(x, z, y, rho, losses, op)
-        y = y_update(y, z, x_new, rho, op)
-
-        dx = float(np.linalg.norm(x_new - x))
-        primal = float(np.linalg.norm(z - op.apply(x_new)))
-        obj = objective_trimmed(losses, op, x_new, gamma, K)
-        aug = augmented_lagrangian(x_new, z, y, losses, op, gamma, K, rho)
-        state.objectives.append(obj)
-        state.aug_lagrangians.append(aug)
-        state.primal_residuals.append(primal)
-        state.x_changes.append(dx)
-        state.lyapunov.append(aug + config.lyapunov_coeff * dx * dx)
-        state.rhos.append(rho)
-
-        x = x_new
-        state.iterations = t
-        if not np.isfinite(obj) or obj > guard:
-            reason = DIVERGED
-            break
-        primal_ok = primal <= math.sqrt(p * m) * config.eps_abs \
-            + config.eps_rel * max(np.linalg.norm(z),
-                                   np.linalg.norm(op.apply(x_new)))
-        step_ok = dx <= math.sqrt(p * n) * config.eps_abs \
-            + config.eps_rel * np.linalg.norm(x_new)
-        if primal_ok and step_ok:
-            reason = CONVERGED
-            break
-
-    state.x, state.z, state.y, state.rho = x, z, y, rho
-    state.stop_reason = reason
-    return state, reason
+    K = config.cardinality
+    return _admm(losses, graph, config, x0, y0,
+                 lambda a, rho: prox_trimmed(a, K, config.gamma / rho)[0],
+                 lambda d: trimmed_norm(d, K), _step_small)
 
 
 def solve_nl(losses, graph, gamma, x0=None, y0=None, rho=1.0,
@@ -410,65 +450,23 @@ def solve_nl(losses, graph, gamma, x0=None, y0=None, rho=1.0,
              eps_abs=1e-5, eps_rel=1e-5, divergence_factor=1e12):
     """Run the splitting iteration on the convex (weighted) problem.
 
-    Identical machinery to :func:`solve_ntl` with the per-edge weighted
+    The same iteration as :func:`solve_ntl` with the per-edge weighted
     soft-threshold z-step, default rho 1.0, and the convex stopping rule
     (primal residual plus the scaled dual residual
-    rho ||D (x_t - x_{t-1})|| tested against ||y||).
+    rho ||D (x_t - x_{t-1})|| tested against ||y||).  The keywords are
+    validated as a :class:`SolverConfig` with cardinality 0.
 
     Returns (SolverState, str).
     """
-    if graph.num_nodes != losses.num_nodes:
-        raise ValueError("graph and losses disagree on the node count")
-    if gamma < 0:
-        raise ValueError("gamma must be non-negative")
-    op, x, y = _init_state(losses, graph, x0, y0, rho)
-    n, p, m = losses.num_nodes, losses.dim, graph.num_edges
+    config = SolverConfig(gamma=gamma, cardinality=0, rho=rho,
+                          x_update=x_update, smoothness=smoothness,
+                          max_iters=max_iters, eps_abs=eps_abs,
+                          eps_rel=eps_rel,
+                          divergence_factor=divergence_factor)
     w = graph.weights
-    mode = _resolve_mode(losses, x_update)
-    xsolver = _make_x_solver(mode, losses, op, rho, smoothness)
-
-    state = SolverState(x=x, z=op.apply(x), y=y, rho=rho)
-    obj0 = objective_convex(losses, op, x, gamma, w)
-    guard = divergence_factor * max(1.0, abs(obj0))
-    reason = MAX_ITERS
-
-    for t in range(1, max_iters + 1):
-        z = z_update_convex(x, y, rho, gamma, w, op)
-        if mode == "exact":
-            x_new = xsolver.step(z, y, rho, op)
-        else:
-            x_new = xsolver.step(x, z, y, rho, losses, op)
-        y = y_update(y, z, x_new, rho, op)
-
-        dx = float(np.linalg.norm(x_new - x))
-        dual = rho * float(np.linalg.norm(op.apply(x_new - x)))
-        primal = float(np.linalg.norm(z - op.apply(x_new)))
-        obj = objective_convex(losses, op, x_new, gamma, w)
-        aug = _aug_lagrangian_convex(x_new, z, y, losses, op, gamma, w, rho)
-        state.objectives.append(obj)
-        state.aug_lagrangians.append(aug)
-        state.primal_residuals.append(primal)
-        state.x_changes.append(dx)
-        state.lyapunov.append(aug)
-        state.rhos.append(rho)
-
-        x = x_new
-        state.iterations = t
-        if not np.isfinite(obj) or obj > guard:
-            reason = DIVERGED
-            break
-        primal_ok = primal <= math.sqrt(p * m) * eps_abs \
-            + eps_rel * max(np.linalg.norm(z),
-                            np.linalg.norm(op.apply(x_new)))
-        dual_ok = dual <= math.sqrt(p * m) * eps_abs \
-            + eps_rel * np.linalg.norm(y)
-        if primal_ok and dual_ok:
-            reason = CONVERGED
-            break
-
-    state.x, state.z, state.y, state.rho = x, z, y, rho
-    state.stop_reason = reason
-    return state, reason
+    return _admm(losses, graph, config, x0, y0,
+                 lambda a, rho: _group_shrink(a, gamma * w / rho),
+                 lambda d: float(w @ np.linalg.norm(d, axis=1)), _dual_small)
 
 
 # ---------------------------------------------------------------------------

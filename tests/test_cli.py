@@ -155,6 +155,27 @@ class TestConfigHandling:
         }))
         assert main(["gamma-path", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("task, extra", [
+        ("solve-nl", {"gamma": 1.0}),
+        ("gamma-path", {"gamma_sequence": {"values": [0.5, 1.0]}}),
+        ("recovery-check", {}),
+    ])
+    def test_rho_schedule_rejected_for_convex_tasks(self, tmp_path, capsys,
+                                                    task, extra):
+        data = tmp_path / "four.csv"
+        write_points_csv(data, FOUR_POINTS, labels=[0, 0, 1, 1])
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "task": task,
+            "data": {"file": str(data), "has_labels": True},
+            "solver": {"rho_schedule": {"multiplier": 10.0}},
+            "output": {"dir": str(tmp_path / "out")},
+            **extra,
+        }))
+        assert main([task, "--config", str(cfg)]) == 2
+        assert "rho_schedule" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_increasing_k_sequence_rejected(self, tmp_path):
         data = tmp_path / "four.csv"
         write_points_csv(data, FOUR_POINTS)

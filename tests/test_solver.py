@@ -398,6 +398,60 @@ class TestSolveNl:
         assert np.isfinite(state.objectives[-1])
 
 
+    @pytest.mark.parametrize("bad", [{"x_update": "bogus"}, {"rho": 0.0},
+                                     {"max_iters": 0}])
+    def test_bad_settings_rejected(self, bad):
+        losses = SquaredDistance(np.array([0.0, 1.0, 3.0]))
+        with pytest.raises(ValueError):
+            solve_nl(losses, path_graph(3), 0.5, **bad)
+
+
+class TestOperatorProducts:
+    """Each iteration applies D to the new iterate once and its adjoint
+    once; the convex stopping test adds D (x_t - x_{t-1})."""
+
+    ITERS = 40
+
+    def count_products(self, monkeypatch, run):
+        counts = {"apply": 0, "apply_adjoint": 0}
+        for name in counts:
+            orig = getattr(DifferenceOperator, name)
+
+            def counted(op, arr, _orig=orig, _name=name):
+                counts[_name] += 1
+                return _orig(op, arr)
+
+            monkeypatch.setattr(DifferenceOperator, name, counted)
+        state, _ = run()
+        assert state.iterations == self.ITERS
+        return counts
+
+    def instance(self):
+        rng = np.random.default_rng(23)
+        return SquaredDistance(rng.normal(size=(8, 2))), complete_graph(8)
+
+    @pytest.mark.parametrize("x_update", ["exact", "linearized"])
+    def test_trimmed_solver(self, monkeypatch, x_update):
+        losses, g = self.instance()
+        config = SolverConfig(gamma=0.3, cardinality=5, rho=10.0,
+                              x_update=x_update, max_iters=self.ITERS,
+                              eps_abs=0.0, eps_rel=0.0)
+        counts = self.count_products(
+            monkeypatch, lambda: solve_ntl(losses, g, config))
+        assert counts["apply"] <= self.ITERS + 2
+        assert counts["apply_adjoint"] <= self.ITERS + 2
+
+    @pytest.mark.parametrize("x_update", ["exact", "linearized"])
+    def test_convex_solver(self, monkeypatch, x_update):
+        losses, g = self.instance()
+        counts = self.count_products(
+            monkeypatch, lambda: solve_nl(
+                losses, g, 0.3, rho=10.0, x_update=x_update,
+                max_iters=self.ITERS, eps_abs=0.0, eps_rel=0.0))
+        assert counts["apply"] <= 2 * self.ITERS + 2
+        assert counts["apply_adjoint"] <= self.ITERS + 2
+
+
 class TestConvergenceValidation:
     def test_path_exact_mode_constants(self):
         losses = SquaredDistance(np.zeros((4, 1)))
