@@ -16,16 +16,17 @@ import subprocess
 import sys
 from pathlib import Path
 
-HERE = Path(__file__).resolve().parent
-CONFIG = HERE / "configs" / "piecewise_n200.json"
-OUT = HERE / "out" / "piecewise"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG = Path("demos") / "configs" / "piecewise_n200.json"
+# the config's relative output.dir, so config.json records no local path
+OUT = ROOT / "demos" / "out" / "piecewise"
 
 
 def main():
     cmd = [sys.executable, "-m", "netlasso", "piecewise",
-           "--config", str(CONFIG), "--out-dir", str(OUT)]
+           "--config", str(CONFIG)]
     print("running:", " ".join(["python3"] + cmd[1:]))
-    proc = subprocess.run(cmd)
+    proc = subprocess.run(cmd, cwd=ROOT)
     if proc.returncode != 0:
         sys.exit(proc.returncode)
 

@@ -16,6 +16,7 @@ import csv
 import json
 import math
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -43,9 +44,6 @@ class ConfigError(Exception):
 class NumericalError(Exception):
     """Solver divergence or non-finite output (exit code 3)."""
 
-
-TASKS = ("gen-data", "solve-nl", "solve-ntl", "k-path", "gamma-path",
-         "thresholds", "recovery-check", "metrics", "piecewise")
 
 GRAPH_KINDS = ("complete", "knn", "path", "edge-list")
 LOSS_KINDS = ("squared-distance", "ridge")
@@ -317,7 +315,101 @@ def _parse_signal(raw):
 
 
 # ---------------------------------------------------------------------------
-# per-task schemas
+# config keys: parser, default, and the flags that override them
+
+
+REQUIRED = object()
+_SET_TRUE = {"action": "store_const", "const": True}
+
+
+@dataclass(frozen=True)
+class _Key:
+    """One top-level key of a task's config schema.
+
+    ``parse`` validates the raw value and fills in defaults; ``default``
+    stands in for an absent key unless it is ``REQUIRED``.  Each flag is
+    ``(option strings, entry, argparse keywords)`` and overrides
+    ``entry`` inside this key's section, or the whole value when
+    ``entry`` is None.  A task therefore offers a flag exactly when its
+    schema has the key the flag overrides.
+    """
+    parse: object
+    default: object = REQUIRED
+    flags: tuple = ()
+
+
+def _flag(*opts, entry=None, **kwargs):
+    return opts, entry, kwargs
+
+
+def _dest(opts):
+    """The argparse destination of a flag: its first, long option."""
+    return opts[0][2:].replace("-", "_")
+
+
+def _gamma_flag(text):
+    if text == "auto":
+        return "auto"
+    return float(text)
+
+
+def _int_list_flag(text):
+    return {"values": [int(t) for t in text.split(",")]}
+
+
+def _grid_flag(text):
+    parts = text.split(",")
+    if len(parts) != 3:
+        raise argparse.ArgumentTypeError("expected start,factor,count")
+    return {"start": float(parts[0]), "factor": float(parts[1]),
+            "count": int(parts[2])}
+
+
+_OUTPUT = _Key(_parse_output, flags=(_flag("--out-dir", entry="dir"),))
+_SEED = _Key(lambda v: _int("seed", v), 0, (_flag("--seed", type=int),))
+_MERGE_TOL = _Key(lambda v: _num("merge_tol", v, above=0.0), 1e-6,
+                  (_flag("--merge-tol", type=float),))
+_INIT = _Key(_parse_init, {"kind": "minimizers"}, (
+    _flag("--init", entry="kind", choices=INIT_KINDS),
+    _flag("--init-file", entry="file")))
+# data, graph and loss: the problem instance of every task that reads data
+_INSTANCE = {
+    "data": _Key(_parse_data, flags=(
+        _flag("--data-file", entry="file"),
+        _flag("--has-labels", entry="has_labels", **_SET_TRUE),
+        _flag("--has-responses", entry="has_responses", **_SET_TRUE))),
+    "graph": _Key(_parse_graph, {"kind": "complete"}, (
+        _flag("--graph", entry="kind", choices=GRAPH_KINDS),
+        _flag("--knn-k", entry="k", type=int),
+        _flag("--alpha", entry="alpha", type=float),
+        _flag("--graph-file", entry="file"))),
+    "loss": _Key(_parse_loss, {"kind": "squared-distance"}, (
+        _flag("--loss", entry="kind", choices=LOSS_KINDS),
+        _flag("--epsilon", entry="epsilon", type=float))),
+}
+
+
+def _gamma(default=REQUIRED, allow_auto=True):
+    return _Key(lambda v: _gamma_value("gamma", v, allow_auto), default,
+                (_flag("--gamma",
+                       type=_gamma_flag if allow_auto else float),))
+
+
+def _cardinality(default=REQUIRED):
+    return _Key(lambda v: _int("cardinality", v, minimum=0), default,
+                (_flag("--cardinality", "-K", type=int),))
+
+
+def _solver(default_rho, convex=False, default_schedule=None):
+    return _Key(lambda raw: _parse_solver(raw, default_rho, default_schedule,
+                                          convex), {}, (
+        _flag("--rho", entry="rho", type=float),
+        _flag("--x-update", entry="x_update",
+              choices=("auto", "exact", "linearized")),
+        _flag("--smoothness", entry="smoothness", type=float),
+        _flag("--max-iters", entry="max_iters", type=int),
+        _flag("--eps-abs", entry="eps_abs", type=float),
+        _flag("--eps-rel", entry="eps_rel", type=float)))
 
 
 def normalize_config(raw):
@@ -331,136 +423,13 @@ def normalize_config(raw):
     if "task" not in raw:
         raise ConfigError("config: missing key(s): task")
     task = _str("task", raw["task"], TASKS)
+    schema = TASKS[task].schema
+    required = {key for key, spec in schema.items()
+                if spec.default is REQUIRED}
+    _require("config", raw, {"task", *schema}, {"task", *required})
     out = {"task": task}
-
-    def common(keys, required=()):
-        _require("config", raw, set(keys) | {"task"},
-                 set(required) | {"task"})
-
-    if task == "gen-data":
-        common({"generator", "seed", "output"}, {"generator", "output"})
-        out["generator"] = _parse_generator(raw["generator"])
-        out["seed"] = _int("seed", raw.get("seed", 0))
-        out["output"] = _parse_output(raw["output"])
-        return out
-
-    if task in ("solve-nl", "solve-ntl"):
-        keys = {"data", "graph", "loss", "gamma", "solver", "merge_tol",
-                "seed", "output"}
-        req = {"data", "gamma", "output"}
-        if task == "solve-ntl":
-            keys |= {"cardinality", "init"}
-            req |= {"cardinality"}
-        common(keys, req)
-        out["data"] = _parse_data(raw["data"])
-        out["graph"] = _parse_graph(raw.get("graph", {"kind": "complete"}))
-        out["loss"] = _parse_loss(raw.get("loss",
-                                          {"kind": "squared-distance"}))
-        out["gamma"] = _gamma_value("gamma", raw["gamma"],
-                                    allow_auto=task == "solve-ntl")
-        default_rho = 1.0 if task == "solve-nl" else 1e4
-        out["solver"] = _parse_solver(raw.get("solver", {}), default_rho,
-                                      convex=task == "solve-nl")
-        if task == "solve-ntl":
-            out["cardinality"] = _int("cardinality", raw["cardinality"],
-                                      minimum=0)
-            out["init"] = _parse_init(raw.get("init", {"kind": "minimizers"}))
-        out["merge_tol"] = _num("merge_tol", raw.get("merge_tol", 1e-6),
-                                above=0.0)
-        out["seed"] = _int("seed", raw.get("seed", 0))
-        out["output"] = _parse_output(raw["output"])
-        return out
-
-    if task == "k-path":
-        common({"data", "graph", "loss", "gamma", "k_sequence", "init",
-                "solver", "merge_tol", "seed", "output"},
-               {"data", "gamma", "k_sequence", "output"})
-        out["data"] = _parse_data(raw["data"])
-        out["graph"] = _parse_graph(raw.get("graph", {"kind": "complete"}))
-        out["loss"] = _parse_loss(raw.get("loss",
-                                          {"kind": "squared-distance"}))
-        out["gamma"] = _gamma_value("gamma", raw["gamma"], allow_auto=True)
-        out["k_sequence"] = _parse_k_sequence(raw["k_sequence"])
-        out["init"] = _parse_init(raw.get("init", {"kind": "minimizers"}))
-        out["solver"] = _parse_solver(raw.get("solver", {}), 1e4)
-        out["merge_tol"] = _num("merge_tol", raw.get("merge_tol", 1e-6),
-                                above=0.0)
-        out["seed"] = _int("seed", raw.get("seed", 0))
-        out["output"] = _parse_output(raw["output"])
-        return out
-
-    if task == "gamma-path":
-        common({"data", "graph", "loss", "gamma_sequence", "warm_start",
-                "stop_on_full_merge", "solver", "merge_tol", "seed",
-                "output"},
-               {"data", "gamma_sequence", "output"})
-        out["data"] = _parse_data(raw["data"])
-        out["graph"] = _parse_graph(raw.get("graph", {"kind": "complete"}))
-        out["loss"] = _parse_loss(raw.get("loss",
-                                          {"kind": "squared-distance"}))
-        out["gamma_sequence"] = _parse_gamma_grid(raw["gamma_sequence"])
-        out["warm_start"] = _bool("warm_start", raw.get("warm_start", True))
-        out["stop_on_full_merge"] = _bool("stop_on_full_merge",
-                                          raw.get("stop_on_full_merge",
-                                                  False))
-        out["solver"] = _parse_solver(raw.get("solver", {}), 1.0,
-                                      convex=True)
-        out["merge_tol"] = _num("merge_tol", raw.get("merge_tol", 1e-6),
-                                above=0.0)
-        out["seed"] = _int("seed", raw.get("seed", 0))
-        out["output"] = _parse_output(raw["output"])
-        return out
-
-    if task == "thresholds":
-        common({"data", "graph", "loss", "output"}, {"data", "output"})
-        out["data"] = _parse_data(raw["data"])
-        out["graph"] = _parse_graph(raw.get("graph", {"kind": "complete"}))
-        out["loss"] = _parse_loss(raw.get("loss",
-                                          {"kind": "squared-distance"}))
-        out["output"] = _parse_output(raw["output"])
-        return out
-
-    if task == "recovery-check":
-        common({"data", "graph", "loss", "gamma", "solver", "merge_tol",
-                "output"}, {"data", "output"})
-        out["data"] = _parse_data(raw["data"])
-        out["graph"] = _parse_graph(raw.get("graph", {"kind": "complete"}))
-        out["loss"] = _parse_loss(raw.get("loss",
-                                          {"kind": "squared-distance"}))
-        out["gamma"] = _gamma_value("gamma", raw.get("gamma", "auto"),
-                                    allow_auto=True)
-        out["solver"] = _parse_solver(raw.get("solver", {}), 1.0,
-                                      convex=True)
-        out["merge_tol"] = _num("merge_tol", raw.get("merge_tol", 1e-6),
-                                above=0.0)
-        out["output"] = _parse_output(raw["output"])
-        return out
-
-    if task == "metrics":
-        common({"predicted", "reference", "output"},
-               {"predicted", "reference", "output"})
-        out["predicted"] = _str("predicted", raw["predicted"])
-        out["reference"] = _str("reference", raw["reference"])
-        out["output"] = _parse_output(raw["output"])
-        return out
-
-    # piecewise
-    common({"signal", "cardinality", "gamma", "alpha", "nl_grid", "solver",
-            "merge_tol", "output"}, {"signal", "output"})
-    out["signal"] = _parse_signal(raw["signal"])
-    out["cardinality"] = _int("cardinality", raw.get("cardinality", 5),
-                              minimum=0)
-    out["gamma"] = _gamma_value("gamma", raw.get("gamma", "auto"),
-                                allow_auto=True)
-    out["alpha"] = _num("alpha", raw.get("alpha", 0.5), above=0.0)
-    out["nl_grid"] = _parse_gamma_grid(raw.get("nl_grid", {}), "nl_grid")
-    out["solver"] = _parse_solver(raw.get("solver", {}), 1.0,
-                                  default_schedule={"multiplier": 10.0,
-                                                    "cap": "auto",
-                                                    "period": 100})
-    out["merge_tol"] = _num("merge_tol", raw.get("merge_tol", 1e-6),
-                            above=0.0)
-    out["output"] = _parse_output(raw["output"])
+    for key, spec in schema.items():
+        out[key] = spec.parse(raw.get(key, spec.default))
     return out
 
 
@@ -654,10 +623,6 @@ def _write_json(path, payload):
     Path(path).write_text(text)
 
 
-def _write_config(out_dir, config):
-    (out_dir / "config.json").write_text(serialize_config(config))
-
-
 def _write_centroids(path, x):
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     header = "node," + ",".join(f"dim{c}" for c in range(x.shape[1]))
@@ -684,12 +649,6 @@ def _partition_payload(x, graph, merge_tol):
                   "merge_tol": merge_tol}
 
 
-def _out_dir(config):
-    out = Path(config["output"]["dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _check_finite(x, what):
     if not np.all(np.isfinite(x)):
         raise NumericalError(f"{what} contains non-finite values")
@@ -699,9 +658,7 @@ def _check_finite(x, what):
 # commands
 
 
-def cmd_gen_data(config):
-    out = _out_dir(config)
-    _write_config(out, config)
+def cmd_gen_data(config, out):
     gen = config["generator"]
     seed = config["seed"]
     if gen["kind"] == "two-line":
@@ -718,7 +675,6 @@ def cmd_gen_data(config):
         signal = gen_piecewise_signal(sum(l for l, _ in levels), levels,
                                       noise_sd=gen["noise_sd"], seed=seed)
         save_signal_csv(signal, out / "signal.csv")
-    return 0
 
 
 def _solve_common(config):
@@ -728,9 +684,7 @@ def _solve_common(config):
     return data, losses, graph
 
 
-def cmd_solve_nl(config):
-    out = _out_dir(config)
-    _write_config(out, config)
+def cmd_solve_nl(config, out):
     data, losses, graph = _solve_common(config)
     state, reason = solve_nl(losses, graph, config["gamma"],
                              **_solver_options(config["solver"]))
@@ -756,12 +710,9 @@ def cmd_solve_nl(config):
         "iterations": state.iterations,
         "num_clusters": part.num_clusters,
     })
-    return 0
 
 
-def cmd_solve_ntl(config):
-    out = _out_dir(config)
-    _write_config(out, config)
+def cmd_solve_ntl(config, out):
     data, losses, graph = _solve_common(config)
     if config["cardinality"] > graph.num_edges:
         raise ConfigError(f"cardinality {config['cardinality']} exceeds the"
@@ -795,7 +746,6 @@ def cmd_solve_ntl(config):
         "iterations": state.iterations,
         "num_clusters": part.num_clusters,
     })
-    return 0
 
 
 def _path_artifacts(out, path):
@@ -807,9 +757,7 @@ def _path_artifacts(out, path):
         save_centroids_csv(path, fh)
 
 
-def cmd_k_path(config):
-    out = _out_dir(config)
-    _write_config(out, config)
+def cmd_k_path(config, out):
     data, losses, graph = _solve_common(config)
     gamma = _resolve_gamma(config["gamma"], losses)
     ks = _k_values(config["k_sequence"], graph.num_edges)
@@ -819,12 +767,9 @@ def cmd_k_path(config):
     path = k_path(losses, graph, gamma, ks, x0=x0,
                   merge_tol=config["merge_tol"], **options)
     _path_artifacts(out, path)
-    return 0
 
 
-def cmd_gamma_path(config):
-    out = _out_dir(config)
-    _write_config(out, config)
+def cmd_gamma_path(config, out):
     data, losses, graph = _solve_common(config)
     gammas = _gamma_values(config["gamma_sequence"])
     path = gamma_path(losses, graph, gammas,
@@ -833,12 +778,9 @@ def cmd_gamma_path(config):
                       merge_tol=config["merge_tol"],
                       **_solver_options(config["solver"]))
     _path_artifacts(out, path)
-    return 0
 
 
-def cmd_thresholds(config):
-    out = _out_dir(config)
-    _write_config(out, config)
+def cmd_thresholds(config, out):
     data, losses, graph = _solve_common(config)
     payload = {"3nC": None, "recovery": None, "cc_specialized": None}
     if isinstance(losses, SquaredDistance):
@@ -859,7 +801,6 @@ def cmd_thresholds(config):
             lo, hi = recovery_interval_cc(losses, graph, data.labels)
             payload["cc_specialized"] = {"gamma_min": lo, "gamma_max": hi}
     _write_json(out / "thresholds.json", payload)
-    return 0
 
 
 def _midpoint_gamma(lo, hi):
@@ -877,9 +818,7 @@ def _midpoint_gamma(lo, hi):
     return 1.0
 
 
-def cmd_recovery_check(config):
-    out = _out_dir(config)
-    _write_config(out, config)
+def cmd_recovery_check(config, out):
     data, losses, graph = _solve_common(config)
     if data.labels is None:
         raise ConfigError("recovery-check needs data.has_labels with a"
@@ -912,7 +851,6 @@ def cmd_recovery_check(config):
         "stop_reason": reason,
         "iterations": state.iterations,
     })
-    return 0
 
 
 def _load_labels(path):
@@ -951,9 +889,7 @@ def _load_labels(path):
         raise ConfigError(f"{path}: {exc}")
 
 
-def cmd_metrics(config):
-    out = _out_dir(config)
-    _write_config(out, config)
+def cmd_metrics(config, out):
     predicted = _load_labels(config["predicted"])
     reference = _load_labels(config["reference"])
     if predicted.num_nodes != reference.num_nodes:
@@ -966,7 +902,6 @@ def cmd_metrics(config):
         "num_clusters_predicted": predicted.num_clusters,
         "num_clusters_reference": reference.num_clusters,
     })
-    return 0
 
 
 def _jump_set(x, merge_tol):
@@ -991,9 +926,7 @@ def _signal_instance(spec):
                                 seed=spec["seed"])
 
 
-def cmd_piecewise(config):
-    out = _out_dir(config)
-    _write_config(out, config)
+def cmd_piecewise(config, out):
     signal = _signal_instance(config["signal"])
     n = signal.original.size
     noisy = signal.noisy.reshape(-1, 1)
@@ -1077,95 +1010,84 @@ def cmd_piecewise(config):
     for i, row in enumerate(columns):
         lines.append(",".join([str(i)] + [repr(float(v)) for v in row]))
     (out / "signals.csv").write_text("\n".join(lines) + "\n")
-    return 0
 
 
-COMMANDS = {
-    "gen-data": cmd_gen_data,
-    "solve-nl": cmd_solve_nl,
-    "solve-ntl": cmd_solve_ntl,
-    "k-path": cmd_k_path,
-    "gamma-path": cmd_gamma_path,
-    "thresholds": cmd_thresholds,
-    "recovery-check": cmd_recovery_check,
-    "metrics": cmd_metrics,
-    "piecewise": cmd_piecewise,
+@dataclass(frozen=True)
+class Task:
+    """One CLI task: its help line, config schema and command.
+
+    The command runs after the output directory exists and holds the
+    normalized ``config.json``.
+    """
+    help: str
+    schema: dict
+    command: object
+
+
+TASKS = {
+    "gen-data": Task("write a synthetic dataset", {
+        "generator": _Key(_parse_generator, flags=(
+            _flag("--generator", entry="kind", choices=GENERATOR_KINDS),
+            _flag("--n", entry="n", type=int),
+            _flag("--noise-sd", entry="noise_sd", type=float))),
+        "seed": _SEED, "output": _OUTPUT}, cmd_gen_data),
+    "solve-nl": Task("solve the convex weighted problem", {
+        **_INSTANCE, "gamma": _gamma(allow_auto=False),
+        "solver": _solver(1.0, convex=True), "merge_tol": _MERGE_TOL,
+        "seed": _SEED, "output": _OUTPUT}, cmd_solve_nl),
+    "solve-ntl": Task("solve the trimmed problem", {
+        **_INSTANCE, "gamma": _gamma(), "solver": _solver(1e4),
+        "cardinality": _cardinality(), "init": _INIT,
+        "merge_tol": _MERGE_TOL, "seed": _SEED, "output": _OUTPUT},
+        cmd_solve_ntl),
+    "k-path": Task("sweep the exemption budget downward", {
+        **_INSTANCE, "gamma": _gamma(),
+        "k_sequence": _Key(_parse_k_sequence, flags=(
+            _flag("--k-values", type=_int_list_flag),)),
+        "init": _INIT, "solver": _solver(1e4), "merge_tol": _MERGE_TOL,
+        "seed": _SEED, "output": _OUTPUT}, cmd_k_path),
+    "gamma-path": Task("sweep the penalty strength upward", {
+        **_INSTANCE,
+        "gamma_sequence": _Key(_parse_gamma_grid, flags=(
+            _flag("--gamma-grid", type=_grid_flag),)),
+        "warm_start": _Key(lambda v: _bool("warm_start", v), True, (
+            _flag("--no-warm-start", action="store_const", const=False),)),
+        "stop_on_full_merge": _Key(
+            lambda v: _bool("stop_on_full_merge", v), False,
+            (_flag("--stop-on-full-merge", **_SET_TRUE),)),
+        "solver": _solver(1.0, convex=True), "merge_tol": _MERGE_TOL,
+        "seed": _SEED, "output": _OUTPUT}, cmd_gamma_path),
+    "thresholds": Task("report penalty and recovery thresholds",
+                       {**_INSTANCE, "output": _OUTPUT}, cmd_thresholds),
+    "recovery-check": Task(
+        "solve at an in-interval strength and compare against labels", {
+            **_INSTANCE, "gamma": _gamma("auto"),
+            "solver": _solver(1.0, convex=True), "merge_tol": _MERGE_TOL,
+            "output": _OUTPUT}, cmd_recovery_check),
+    "metrics": Task("compare two partition files", {
+        "predicted": _Key(lambda v: _str("predicted", v),
+                          flags=(_flag("--predicted"),)),
+        "reference": _Key(lambda v: _str("reference", v),
+                          flags=(_flag("--reference"),)),
+        "output": _OUTPUT}, cmd_metrics),
+    "piecewise": Task("piecewise-constant signal experiment", {
+        "signal": _Key(_parse_signal, flags=(
+            _flag("--signal-file", entry="file"),
+            _flag("--seed", entry="seed", type=int))),
+        "cardinality": _cardinality(5), "gamma": _gamma("auto"),
+        "alpha": _Key(lambda v: _num("alpha", v, above=0.0), 0.5,
+                      (_flag("--alpha", type=float),)),
+        "nl_grid": _Key(lambda raw: _parse_gamma_grid(raw, "nl_grid"), {},
+                        (_flag("--nl-grid", type=_grid_flag),)),
+        "solver": _solver(1.0, default_schedule={"multiplier": 10.0,
+                                                 "cap": "auto",
+                                                 "period": 100}),
+        "merge_tol": _MERGE_TOL, "output": _OUTPUT}, cmd_piecewise),
 }
 
 
 # ---------------------------------------------------------------------------
 # argument parsing and flag overrides
-
-
-def _gamma_flag(text):
-    if text == "auto":
-        return "auto"
-    return float(text)
-
-
-def _int_list_flag(text):
-    return {"values": [int(t) for t in text.split(",")]}
-
-
-def _grid_flag(text):
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("expected start,factor,count")
-    return {"start": float(parts[0]), "factor": float(parts[1]),
-            "count": int(parts[2])}
-
-
-# flag destination -> path of the config entry it overrides
-_DATA_FLAGS = {
-    "data_file": ("data", "file"),
-    "has_labels": ("data", "has_labels"),
-    "has_responses": ("data", "has_responses"),
-}
-_GRAPH_FLAGS = {
-    "graph_kind": ("graph", "kind"),
-    "knn_k": ("graph", "k"),
-    "alpha": ("graph", "alpha"),
-    "graph_file": ("graph", "file"),
-}
-_LOSS_FLAGS = {
-    "loss_kind": ("loss", "kind"),
-    "epsilon": ("loss", "epsilon"),
-}
-_SOLVER_FLAGS = {
-    "rho": ("solver", "rho"),
-    "x_update": ("solver", "x_update"),
-    "smoothness": ("solver", "smoothness"),
-    "max_iters": ("solver", "max_iters"),
-    "eps_abs": ("solver", "eps_abs"),
-    "eps_rel": ("solver", "eps_rel"),
-}
-_COMMON_FLAGS = {"out_dir": ("output", "dir"), "seed": ("seed",),
-                 "merge_tol": ("merge_tol",)}
-
-
-def _add_data_flags(sub):
-    sub.add_argument("--data-file", dest="data_file")
-    sub.add_argument("--has-labels", dest="has_labels",
-                     action="store_const", const=True)
-    sub.add_argument("--has-responses", dest="has_responses",
-                     action="store_const", const=True)
-    sub.add_argument("--graph", dest="graph_kind", choices=GRAPH_KINDS)
-    sub.add_argument("--knn-k", dest="knn_k", type=int)
-    sub.add_argument("--alpha", type=float)
-    sub.add_argument("--graph-file", dest="graph_file")
-    sub.add_argument("--loss", dest="loss_kind", choices=LOSS_KINDS)
-    sub.add_argument("--epsilon", type=float)
-
-
-def _add_solver_flags(sub):
-    sub.add_argument("--rho", type=float)
-    sub.add_argument("--x-update", dest="x_update",
-                     choices=("auto", "exact", "linearized"))
-    sub.add_argument("--smoothness", type=float)
-    sub.add_argument("--max-iters", dest="max_iters", type=int)
-    sub.add_argument("--eps-abs", dest="eps_abs", type=float)
-    sub.add_argument("--eps-rel", dest="eps_rel", type=float)
-    sub.add_argument("--merge-tol", dest="merge_tol", type=float)
 
 
 def build_parser():
@@ -1174,124 +1096,29 @@ def build_parser():
         description="Graph-regularized fitting with simultaneous"
                     " clustering: solvers, paths, and threshold reports.")
     subs = parser.add_subparsers(dest="task", required=True)
-
-    def sub(name, **kwargs):
-        s = subs.add_parser(name, **kwargs)
-        s.add_argument("--config", help="JSON config document")
-        s.add_argument("--out-dir", dest="out_dir")
-        s.add_argument("--seed", type=int)
-        return s
-
-    s = sub("gen-data", help="write a synthetic dataset")
-    s.add_argument("--generator", dest="generator_kind",
-                   choices=GENERATOR_KINDS)
-    s.add_argument("--n", type=int)
-    s.add_argument("--noise-sd", dest="noise_sd", type=float)
-
-    s = sub("solve-nl", help="solve the convex weighted problem")
-    _add_data_flags(s)
-    _add_solver_flags(s)
-    s.add_argument("--gamma", type=float)
-
-    s = sub("solve-ntl", help="solve the trimmed problem")
-    _add_data_flags(s)
-    _add_solver_flags(s)
-    s.add_argument("--gamma", type=_gamma_flag)
-    s.add_argument("--cardinality", "-K", dest="cardinality", type=int)
-    s.add_argument("--init", dest="init_kind", choices=INIT_KINDS)
-    s.add_argument("--init-file", dest="init_file")
-
-    s = sub("k-path", help="sweep the exemption budget downward")
-    _add_data_flags(s)
-    _add_solver_flags(s)
-    s.add_argument("--gamma", type=_gamma_flag)
-    s.add_argument("--k-values", dest="k_sequence", type=_int_list_flag)
-    s.add_argument("--init", dest="init_kind", choices=INIT_KINDS)
-    s.add_argument("--init-file", dest="init_file")
-
-    s = sub("gamma-path", help="sweep the penalty strength upward")
-    _add_data_flags(s)
-    _add_solver_flags(s)
-    s.add_argument("--gamma-grid", dest="gamma_sequence", type=_grid_flag)
-    s.add_argument("--no-warm-start", dest="warm_start",
-                   action="store_const", const=False)
-    s.add_argument("--stop-on-full-merge", dest="stop_on_full_merge",
-                   action="store_const", const=True)
-
-    s = sub("thresholds", help="report penalty and recovery thresholds")
-    _add_data_flags(s)
-
-    s = sub("recovery-check", help="solve at an in-interval strength and"
-                                   " compare against labels")
-    _add_data_flags(s)
-    _add_solver_flags(s)
-    s.add_argument("--gamma", type=_gamma_flag)
-
-    s = sub("metrics", help="compare two partition files")
-    s.add_argument("--predicted")
-    s.add_argument("--reference")
-
-    s = sub("piecewise", help="piecewise-constant signal experiment")
-    _add_solver_flags(s)
-    s.add_argument("--signal-file", dest="signal_file")
-    s.add_argument("--cardinality", "-K", dest="cardinality", type=int)
-    s.add_argument("--gamma", type=_gamma_flag)
-    s.add_argument("--alpha", type=float)
-    s.add_argument("--nl-grid", dest="nl_grid", type=_grid_flag)
+    for name, task in TASKS.items():
+        sub = subs.add_parser(name, help=task.help)
+        sub.add_argument("--config", help="JSON config document")
+        for spec in task.schema.values():
+            for opts, _, kwargs in spec.flags:
+                sub.add_argument(*opts, dest=_dest(opts), **kwargs)
     return parser
 
 
-_TASK_FLAGS = {
-    "gen-data": {"generator_kind": ("generator", "kind"),
-                 "n": ("generator", "n"),
-                 "noise_sd": ("generator", "noise_sd"),
-                 "out_dir": ("output", "dir"), "seed": ("seed",)},
-    "solve-nl": {**_DATA_FLAGS, **_GRAPH_FLAGS, **_LOSS_FLAGS,
-                 **_SOLVER_FLAGS, **_COMMON_FLAGS, "gamma": ("gamma",)},
-    "solve-ntl": {**_DATA_FLAGS, **_GRAPH_FLAGS, **_LOSS_FLAGS,
-                  **_SOLVER_FLAGS, **_COMMON_FLAGS, "gamma": ("gamma",),
-                  "cardinality": ("cardinality",),
-                  "init_kind": ("init", "kind"),
-                  "init_file": ("init", "file")},
-    "k-path": {**_DATA_FLAGS, **_GRAPH_FLAGS, **_LOSS_FLAGS,
-               **_SOLVER_FLAGS, **_COMMON_FLAGS, "gamma": ("gamma",),
-               "k_sequence": ("k_sequence",),
-               "init_kind": ("init", "kind"),
-               "init_file": ("init", "file")},
-    "gamma-path": {**_DATA_FLAGS, **_GRAPH_FLAGS, **_LOSS_FLAGS,
-                   **_SOLVER_FLAGS, **_COMMON_FLAGS,
-                   "gamma_sequence": ("gamma_sequence",),
-                   "warm_start": ("warm_start",),
-                   "stop_on_full_merge": ("stop_on_full_merge",)},
-    "thresholds": {**_DATA_FLAGS, **_GRAPH_FLAGS, **_LOSS_FLAGS,
-                   "out_dir": ("output", "dir")},
-    "recovery-check": {**_DATA_FLAGS, **_GRAPH_FLAGS, **_LOSS_FLAGS,
-                       **_SOLVER_FLAGS, "out_dir": ("output", "dir"),
-                       "merge_tol": ("merge_tol",), "gamma": ("gamma",)},
-    "metrics": {"predicted": ("predicted",), "reference": ("reference",),
-                "out_dir": ("output", "dir")},
-    "piecewise": {**_SOLVER_FLAGS, "out_dir": ("output", "dir"),
-                  "merge_tol": ("merge_tol",),
-                  "signal_file": ("signal", "file"),
-                  "cardinality": ("cardinality",), "gamma": ("gamma",),
-                  "alpha": ("alpha",), "nl_grid": ("nl_grid",)},
-}
-
-
-def _apply_overrides(raw, args, mapping):
-    for dest, keys in mapping.items():
-        value = getattr(args, dest, None)
-        if value is None:
-            continue
-        node = raw
-        for key in keys[:-1]:
-            child = node.setdefault(key, {})
-            if not isinstance(child, dict):
-                raise ConfigError(
-                    f"config entry {key} must be an object to accept"
-                    f" the --{dest.replace('_', '-')} flag")
-            node = child
-        node[keys[-1]] = value
+def _apply_overrides(raw, args, schema):
+    for key, spec in schema.items():
+        for opts, entry, _ in spec.flags:
+            value = getattr(args, _dest(opts))
+            if value is None:
+                continue
+            if entry is None:
+                raw[key] = value
+                continue
+            section = raw.setdefault(key, {})
+            if not isinstance(section, dict):
+                raise ConfigError(f"config entry {key} must be an object to"
+                                  f" accept the {opts[0]} flag")
+            section[entry] = value
 
 
 def load_config(args):
@@ -1312,7 +1139,7 @@ def load_config(args):
             raise ConfigError(f"config file is for task {raw['task']!r},"
                               f" not {args.task!r}")
     raw["task"] = args.task
-    _apply_overrides(raw, args, _TASK_FLAGS[args.task])
+    _apply_overrides(raw, args, TASKS[args.task].schema)
     return normalize_config(raw)
 
 
@@ -1321,7 +1148,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         config = load_config(args)
-        return COMMANDS[config["task"]](config)
+        out = Path(config["output"]["dir"])
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "config.json").write_text(serialize_config(config))
+        TASKS[config["task"]].command(config, out)
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

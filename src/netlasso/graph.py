@@ -223,6 +223,8 @@ class DifferenceOperator:
         if self.block_dim < 1:
             raise ValueError("block_dim must be at least 1")
         self._E = graph.incidence()
+        # kept as CSR: ``self._E.T`` would build a new matrix every call
+        self._Et = self._E.T.tocsr()
 
     @property
     def shape(self):
@@ -242,7 +244,7 @@ class DifferenceOperator:
         z = np.asarray(z, dtype=np.float64)
         if z.shape != (self.graph.num_edges, self.block_dim):
             raise ValueError("z has wrong shape for this operator")
-        return self._E.T @ z
+        return self._Et @ z
 
     def laplacian(self):
         """Unweighted graph Laplacian E^T E as CSR, shape (n, n)."""

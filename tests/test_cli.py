@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -6,7 +7,8 @@ import numpy as np
 import pytest
 from oracles import enumerate_set_partitions
 
-from netlasso.cli import (ConfigError, main, normalize_config,
+from netlasso import cli
+from netlasso.cli import (ConfigError, build_parser, main, normalize_config,
                           serialize_config)
 from netlasso.datasets import load_signal_csv
 
@@ -62,7 +64,77 @@ def base_solve_config(data_file, out_dir):
     }
 
 
+GRID = {"start": 0.1, "factor": 2.0, "count": 5}
+# option -> (arguments, raw-config path it must set, value found there)
+FLAG_CASES = {
+    "--out-dir": (["o"], ("output", "dir"), "o"),
+    "--seed": (["7"], ("seed",), 7),
+    "--merge-tol": (["0.001"], ("merge_tol",), 0.001),
+    "--generator": (["half-moons"], ("generator", "kind"), "half-moons"),
+    "--n": (["12"], ("generator", "n"), 12),
+    "--noise-sd": (["0.1"], ("generator", "noise_sd"), 0.1),
+    "--data-file": (["d.csv"], ("data", "file"), "d.csv"),
+    "--has-labels": ([], ("data", "has_labels"), True),
+    "--has-responses": ([], ("data", "has_responses"), True),
+    "--graph": (["knn"], ("graph", "kind"), "knn"),
+    "--knn-k": (["3"], ("graph", "k"), 3),
+    "--alpha": (["0.25"], ("graph", "alpha"), 0.25),
+    "--graph-file": (["g.txt"], ("graph", "file"), "g.txt"),
+    "--loss": (["ridge"], ("loss", "kind"), "ridge"),
+    "--epsilon": (["0.5"], ("loss", "epsilon"), 0.5),
+    "--rho": (["2.5"], ("solver", "rho"), 2.5),
+    "--x-update": (["exact"], ("solver", "x_update"), "exact"),
+    "--smoothness": (["3.0"], ("solver", "smoothness"), 3.0),
+    "--max-iters": (["17"], ("solver", "max_iters"), 17),
+    "--eps-abs": (["0.0001"], ("solver", "eps_abs"), 1e-4),
+    "--eps-rel": (["0.001"], ("solver", "eps_rel"), 1e-3),
+    "--gamma": (["0.5"], ("gamma",), 0.5),
+    "--cardinality": (["2"], ("cardinality",), 2),
+    "-K": (["2"], ("cardinality",), 2),
+    "--init": (["nl-midpoint"], ("init", "kind"), "nl-midpoint"),
+    "--init-file": (["c.csv"], ("init", "file"), "c.csv"),
+    "--k-values": (["3,1"], ("k_sequence",), {"values": [3, 1]}),
+    "--gamma-grid": (["0.1,2,5"], ("gamma_sequence",), GRID),
+    "--no-warm-start": ([], ("warm_start",), False),
+    "--stop-on-full-merge": ([], ("stop_on_full_merge",), True),
+    "--predicted": (["a.json"], ("predicted",), "a.json"),
+    "--reference": (["b.csv"], ("reference",), "b.csv"),
+    "--signal-file": (["s.csv"], ("signal", "file"), "s.csv"),
+    "--nl-grid": (["0.1,2,5"], ("nl_grid",), GRID),
+}
+PIECEWISE_PATHS = {"--seed": ("signal", "seed"), "--alpha": ("alpha",)}
+
+
+def accepted_options():
+    subs = next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    return [(task, option) for task, sub in subs.choices.items()
+            for action in sub._actions for option in action.option_strings
+            if option not in ("--config", "-h", "--help")]
+
+
 class TestConfigHandling:
+    @pytest.mark.parametrize("task, option", accepted_options())
+    def test_every_flag_reaches_the_config(self, monkeypatch, task, option):
+        values, path, expected = FLAG_CASES[option]
+        if task == "piecewise":
+            path = PIECEWISE_PATHS.get(option, path)
+        captured = []
+        monkeypatch.setattr(cli, "normalize_config", captured.append)
+        cli.load_config(build_parser().parse_args([task, option, *values]))
+        node = captured[0]
+        for key in path:
+            node = node[key]
+        assert node == expected
+
+    @pytest.mark.parametrize("task", ["thresholds", "recovery-check",
+                                      "metrics"])
+    def test_seed_rejected_where_nothing_is_seeded(self, task, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([task, "--seed", "1", "--out-dir", "o"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
             normalize_config({"task": "gen-data", "bogus": 1,
@@ -553,6 +625,26 @@ class TestPiecewiseCommand:
         first = read_artifacts(out)
         assert main(["piecewise", "--config", str(cfg)]) == 0
         assert read_artifacts(out) == first
+
+
+    def test_seed_flag_sets_signal_seed(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "task": "piecewise",
+            "signal": {"levels": [[6, 0.0], [6, 2.0]], "noise_sd": 0.05},
+            "cardinality": 1,
+            "nl_grid": {"start": 0.01, "factor": 2.0, "count": 4},
+            "solver": {"max_iters": 500},
+        }))
+        signals = {}
+        for seed in ("7", "8"):
+            out = tmp_path / seed
+            assert main(["piecewise", "--config", str(cfg), "--seed", seed,
+                         "--out-dir", str(out)]) == 0
+            signals[seed] = (out / "signals.csv").read_bytes()
+        assert signals["7"] != signals["8"]
+        written = json.loads((tmp_path / "7" / "config.json").read_text())
+        assert written["signal"]["seed"] == 7
 
 
 class TestModuleEntryPoint:
