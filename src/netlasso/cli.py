@@ -25,7 +25,7 @@ from .datasets import (gen_half_moons, gen_piecewise_signal,
                        gen_two_line_regression, load_csv, load_signal_csv,
                        save_csv, save_signal_csv)
 from .graph import (complete_graph, knn_gaussian_graph, load_edge_list,
-                    path_graph, sigma_min_DDt)
+                    merged_components, path_graph, sigma_min_DDt)
 from .losses import RidgeRegression, SquaredDistance
 from .path import (Partition, adjusted_rand_index, extract_partition,
                    gamma_path, k_path, midpoint_init, partition_relation,
@@ -904,12 +904,10 @@ def cmd_metrics(config, out):
     })
 
 
-def _jump_set(x, merge_tol):
-    """Positions i with a jump between samples i-1 and i."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    gaps = np.abs(np.diff(x))
-    scale = 1.0 + float(np.abs(x).max()) if x.size else 1.0
-    return [int(i) + 1 for i in np.flatnonzero(gaps > merge_tol * scale)]
+def _jump_set(x, chain, merge_tol):
+    """Positions i with a jump between samples i-1 and i of the chain."""
+    merged, _ = merged_components(chain, x[:, None], merge_tol)
+    return [int(i) + 1 for i in np.flatnonzero(~merged)]
 
 
 def _signal_instance(spec):
@@ -952,7 +950,7 @@ def cmd_piecewise(config, out):
     ntl_result = {
         "gamma": gamma,
         "error": float(np.linalg.norm(ntl_est - signal.original)),
-        "jumps": _jump_set(ntl_est, merge_tol),
+        "jumps": _jump_set(ntl_est, plain, merge_tol),
         "iterations": state.iterations,
         "stop_reason": reason,
     }
@@ -973,7 +971,7 @@ def cmd_piecewise(config, out):
         nl_runs.append({
             "gamma": float(g),
             "error": float(np.linalg.norm(est - signal.original)),
-            "jumps": _jump_set(est, merge_tol),
+            "jumps": _jump_set(est, plain, merge_tol),
             "estimate": est,
         })
 

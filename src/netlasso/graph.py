@@ -32,6 +32,7 @@ __all__ = [
     "complete_graph",
     "knn_gaussian_graph",
     "path_graph",
+    "merged_components",
     "sigma_min_DDt",
     "save_edge_list",
     "load_edge_list",
@@ -263,8 +264,21 @@ class DifferenceOperator:
         E = self._E.toarray()
         return np.kron(E, np.eye(self.block_dim))
 
-    def sigma_min(self):
-        return sigma_min_DDt(self.graph)
+
+def merged_components(graph, x, merge_tol):
+    """Merged edges of node centroids ``x`` (n, p) and their clusters.
+
+    Edge (i, j) is merged when ``||x_i - x_j|| <= merge_tol * (1 + max_v
+    ||x_v||)``.  Returns the boolean mask over edges and, per node, the
+    id of its connected component in the merged subgraph.
+    """
+    n = graph.num_nodes
+    i, j = graph.edges[:, 0], graph.edges[:, 1]
+    scale = 1.0 + float(np.linalg.norm(x, axis=1).max())
+    merged = np.linalg.norm(x[i] - x[j], axis=1) <= merge_tol * scale
+    adj = sp.csr_matrix((np.ones(int(merged.sum())), (i[merged], j[merged])),
+                        shape=(n, n))
+    return merged, _cc(adj, directed=False)[1]
 
 
 def sigma_min_DDt(graph):

@@ -15,9 +15,8 @@ never shows up, but it is the rule used everywhere here.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
+from .graph import merged_components
 from .solver import SolverConfig, solve_nl, solve_ntl
 
 __all__ = [
@@ -85,28 +84,17 @@ class Partition:
 def extract_partition(x, graph, merge_tol=1e-6):
     """Clusters = connected components over edges with merged endpoints.
 
-    An edge counts as merged when the centroid difference norm is at
-    most ``merge_tol * (1 + max_i ||x_i||)``.
+    Which edges count as merged is decided by
+    :func:`netlasso.graph.merged_components`.
     """
     if merge_tol < 0:
         raise ValueError("merge_tol must be non-negative")
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
         x = x[:, None]
-    n = graph.num_nodes
-    if len(x) != n:
+    if len(x) != graph.num_nodes:
         raise ValueError("centroid count does not match the graph")
-    scale = 1.0 + float(np.linalg.norm(x, axis=1).max()) if n else 1.0
-    if graph.num_edges:
-        d = x[graph.edges[:, 1]] - x[graph.edges[:, 0]]
-        merged = np.linalg.norm(d, axis=1) <= merge_tol * scale
-        rows = graph.edges[merged, 0]
-        cols = graph.edges[merged, 1]
-    else:
-        rows = cols = np.empty(0, dtype=np.int64)
-    adj = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
-    _, comp = connected_components(adj, directed=False)
-    return Partition(comp)
+    return Partition(merged_components(graph, x, merge_tol)[1])
 
 
 def partition_relation(p_hat, p_true):

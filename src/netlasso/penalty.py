@@ -140,10 +140,14 @@ def prox_trimmed(a, K, lam):
     if lam < 0:
         raise ValueError("lam must be non-negative")
     norms = np.linalg.norm(a, axis=1)
-    # descending by norm, ties toward the lower index
-    order = np.lexsort((np.arange(m), -norms))
-    kept = np.sort(order[:K])
-    trimmed = np.sort(order[K:])
+    keep = np.zeros(m, dtype=bool)
+    if K:
+        kth = np.partition(norms, m - K)[m - K]  # K-th largest norm
+        keep = norms > kth
+        # ties at the K-th norm go to the lowest indices
+        keep[np.flatnonzero(norms == kth)[:K - keep.sum()]] = True
+    kept = np.flatnonzero(keep)
+    trimmed = np.flatnonzero(~keep)
     z = a.copy()
     if len(trimmed):
         sub = norms[trimmed]

@@ -31,10 +31,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components as _cc
 from scipy.sparse.linalg import splu
 
-from .graph import DifferenceOperator, sigma_min_DDt
+from .graph import DifferenceOperator, merged_components, sigma_min_DDt
 from .penalty import directional_derivative, prox_trimmed, trimmed_norm
 
 __all__ = [
@@ -693,12 +692,24 @@ class CertificateReport:
                 and self.max_subgrad_norm <= 1.0 + self.norm_slack)
 
 
+def _add_edge_terms(node_sums, edges, c):
+    """Add ``c[e]`` to node i and subtract it from node j of edge e.
+
+    Edges apply in the given order, i before j, as in a loop over them;
+    a sparse incidence product would regroup the sums.
+    """
+    p = node_sums.shape[1]
+    np.add.at(node_sums, edges.reshape(-1),
+              np.stack((c, -c), axis=1).reshape(-1, p))
+    return node_sums
+
+
 def nl_certificate(x, losses, graph, gamma, merge_tol=1e-6,
                    residual_tol=1e-4, norm_slack=1e-6, refine_iters=2000):
     """Construct an optimality certificate for the convex problem at x.
 
-    Edges with ||x_i - x_j|| above ``merge_tol * (1 + max_i ||x_i||)``
-    get the exact subgradient (x_i - x_j)/||x_i - x_j||; on the merged
+    Edges left unmerged by :func:`netlasso.graph.merged_components` get
+    the exact subgradient (x_i - x_j)/||x_i - x_j||; on the merged
     subgraph the remaining subgradients are chosen per connected
     component by least squares (followed by a projected-gradient polish
     onto the unit balls) so that every node's stationarity residual is
@@ -708,65 +719,52 @@ def nl_certificate(x, losses, graph, gamma, merge_tol=1e-6,
     x = np.asarray(x, dtype=np.float64)
     n, p, m = losses.num_nodes, losses.dim, graph.num_edges
     grad = losses.total_gradient(x)
-    d = op.apply(x)
-    dn = np.linalg.norm(d, axis=1)
-    scale = merge_tol * (1.0 + (np.linalg.norm(x, axis=1).max() if n else 0.0))
-    merged = dn <= scale
-
-    g_edges = np.zeros((m, p))
+    merged, labels = merged_components(graph, x, merge_tol)
     free = ~merged
-    g_edges[free] = d[free] / dn[free][:, None]
+    d = op.apply(x)[free]
+    g_edges = np.zeros((m, p))
+    g_edges[free] = d / np.linalg.norm(d, axis=1)[:, None]
+    gw = gamma * graph.weights
 
     # residual contribution of the fixed (unmerged) edges
-    resid = grad.copy()
-    w = graph.weights
-    for k in np.flatnonzero(free):
-        i, j = graph.edges[k]
-        resid[i] += gamma * w[k] * g_edges[k]
-        resid[j] -= gamma * w[k] * g_edges[k]
+    resid = _add_edge_terms(grad.copy(), graph.edges[free],
+                            gw[free][:, None] * g_edges[free])
 
-    if merged.any():
-        adj = sp.csr_matrix(
-            (np.ones(int(merged.sum())),
-             (graph.edges[merged, 0], graph.edges[merged, 1])),
-            shape=(n, n))
-        ncomp, labels = _cc(adj, directed=False)
-        for comp in range(ncomp):
-            nodes = np.flatnonzero(labels == comp)
-            if len(nodes) < 2:
-                continue
-            node_pos = {int(v): t for t, v in enumerate(nodes)}
-            eids = [k for k in np.flatnonzero(merged)
-                    if labels[graph.edges[k, 0]] == comp]
-            if not eids:
-                continue
-            A = np.zeros((len(nodes), len(eids)))
-            for col, k in enumerate(eids):
-                i, j = graph.edges[k]
-                A[node_pos[i], col] = gamma * w[k]
-                A[node_pos[j], col] = -gamma * w[k]
-            b = -resid[nodes]  # (len(nodes), p)
-            u = np.linalg.lstsq(A, b, rcond=None)[0]  # (len(eids), p)
-            norms = np.linalg.norm(u, axis=1)
-            if np.any(norms > 1.0):
-                # polish: projected gradient on ||A u - b||^2 over the
-                # product of unit balls
-                step = 1.0 / max(np.linalg.norm(A, 2) ** 2, 1e-30)
-                for _ in range(refine_iters):
-                    u -= step * (A.T @ (A @ u - b))
-                    norms = np.linalg.norm(u, axis=1)
-                    over = norms > 1.0
-                    if over.any():
-                        u[over] /= norms[over][:, None]
-            for col, k in enumerate(eids):
-                g_edges[k] = u[col]
+    # merged edges grouped by component, ascending within each group
+    eids = np.flatnonzero(merged)
+    ecomp = labels[graph.edges[eids, 0]]
+    eids = eids[np.argsort(ecomp, kind="stable")]
+    ncomp = int(labels.max()) + 1
+    edge_groups = np.split(
+        eids, np.cumsum(np.bincount(ecomp, minlength=ncomp))[:-1])
+    node_groups = np.split(np.argsort(labels, kind="stable"),
+                           np.cumsum(np.bincount(labels))[:-1])
+    for nodes, group in zip(node_groups, edge_groups):
+        if not len(group):
+            continue
+        # nodes ascend, so searchsorted gives each endpoint's row
+        rows = np.searchsorted(nodes, graph.edges[group])
+        cols = np.arange(len(group))
+        A = np.zeros((len(nodes), len(group)))
+        A[rows[:, 0], cols] = gw[group]
+        A[rows[:, 1], cols] = -gw[group]
+        b = -resid[nodes]  # (len(nodes), p)
+        u = np.linalg.lstsq(A, b, rcond=None)[0]  # (len(group), p)
+        norms = np.linalg.norm(u, axis=1)
+        if np.any(norms > 1.0):
+            # polish: projected gradient on ||A u - b||^2 over the
+            # product of unit balls
+            step = 1.0 / max(np.linalg.norm(A, 2) ** 2, 1e-30)
+            for _ in range(refine_iters):
+                u -= step * (A.T @ (A @ u - b))
+                norms = np.linalg.norm(u, axis=1)
+                over = norms > 1.0
+                if over.any():
+                    u[over] /= norms[over][:, None]
+        g_edges[group] = u
 
     # final residuals with every edge contribution in place
-    final = grad.copy()
-    for k in range(m):
-        i, j = graph.edges[k]
-        final[i] += gamma * w[k] * g_edges[k]
-        final[j] -= gamma * w[k] * g_edges[k]
+    final = _add_edge_terms(grad.copy(), graph.edges, gw[:, None] * g_edges)
     rel = np.linalg.norm(final, axis=1) \
         / (1.0 + np.linalg.norm(grad, axis=1))
     max_norm = float(np.linalg.norm(g_edges, axis=1).max()) if m else 0.0

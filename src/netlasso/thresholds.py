@@ -18,26 +18,24 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .losses import SquaredDistance, sum_loss_minimizer
 
 
-def _safe_ratio(num, den):
-    # division convention: a positive numerator over a vanishing (or
-    # negative, i.e. premise-violating) denominator is "no finite bound"
-    if den > 0.0:
-        return float(num) / float(den)
-    return math.inf if num > 0.0 else 0.0
+def _ratio(num, den):
+    """num / den elementwise; a positive numerator over a vanishing (or
+    negative, i.e. premise-violating) denominator is "no finite bound",
+    +inf, and a zero numerator over one is 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = np.divide(num, den)
+    return np.where(den > 0.0, q, np.where(num > 0.0, math.inf, 0.0))
 
 
-def _weight_matrix(graph):
-    n = graph.num_nodes
-    W = np.zeros((n, n))
-    if graph.num_edges:
-        i, j = graph.edges[:, 0], graph.edges[:, 1]
-        W[i, j] = graph.weights
-        W[j, i] = graph.weights
-    return W
+def _norms(d):
+    # one dot product per row: the kernel np.linalg.norm uses on a
+    # single vector, so each value equals that norm bit for bit
+    return np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0])
 
 
 def _jsonify(value):
@@ -132,6 +130,58 @@ def _clusters_from_labels(labels, n):
     return N, members
 
 
+def _cluster_weights(graph, labels, N):
+    """Symmetric weights W (CSR), node-to-cluster weights w_i^(k) (n, N),
+    cluster-pair weights w^(k,k') (N, N) and each cluster's total weight
+    to the other clusters."""
+    n = graph.num_nodes
+    i, j = graph.edges[:, 0], graph.edges[:, 1]
+    upper = sp.csr_matrix((graph.weights, (i, j)), shape=(n, n))
+    W = (upper + upper.T).tocsr()
+    M = sp.csr_matrix((np.ones(n), (np.arange(n), labels)), shape=(n, N))
+    WM = W @ M
+    cross = (M.T @ WM).toarray()
+    cross_out = cross.sum(axis=1) - np.diag(cross)
+    return W, WM.toarray(), cross, cross_out
+
+
+def _interval(W, node_cluster, cross_out, members, rows, centers, scale,
+              smoothness=None):
+    """Both ends of a recovery interval, and the terms they come from.
+
+    gamma_min is the largest ratio, over node pairs (a, b) in a cluster
+    k, of ||rows[k][a] - rows[k][b]|| to n_k w_ab - mu_ab, where mu_ab
+    sums |w_a^(l) - w_b^(l)| over the other clusters l, plus
+    (L_a + L_b) / scale_k * w_out_k if ``smoothness`` is given.
+    gamma_max is the smallest ratio, over cluster pairs, of
+    ||centers_k - centers_k'|| to w_out_k / scale_k + w_out_k' / scale_k'.
+    Also returns the mu and pair_ok matrices and the center distances
+    of the cluster pairs in ``np.triu_indices`` order.
+    """
+    mu, pair_ok, lower = [], [], []
+    for k, mem in enumerate(members):
+        nc = np.delete(node_cluster[mem], k, axis=1)
+        mu_k = np.abs(nc[:, None, :] - nc[None, :, :]).sum(axis=2)
+        if smoothness is not None:
+            Lk = smoothness[mem]
+            mu_k += (Lk[:, None] + Lk[None, :]) / scale[k] * cross_out[k]
+        np.fill_diagonal(mu_k, 0.0)
+        den = len(mem) * W[mem][:, mem].toarray() - mu_k
+        ok = den > 0.0
+        np.fill_diagonal(ok, True)
+        off = ~np.eye(len(mem), dtype=bool)
+        dist = _norms(rows[k][:, None, :] - rows[k][None, :, :])
+        lower.append(_ratio(dist[off], den[off]))
+        mu.append(mu_k)
+        pair_ok.append(ok)
+    iu, ju = np.triu_indices(len(members), k=1)
+    gaps = _norms(centers[iu] - centers[ju])
+    out = cross_out / scale
+    gamma_max = _ratio(gaps, out[iu] + out[ju]).min(initial=math.inf)
+    gamma_min = np.concatenate(lower).max(initial=0.0)
+    return float(gamma_min), float(gamma_max), mu, pair_ok, gaps
+
+
 def recovery_interval(losses, graph, labels, aggregate_curvature=None):
     """Strength interval under which the target partition is recovered.
 
@@ -172,60 +222,23 @@ def recovery_interval(losses, graph, labels, aggregate_curvature=None):
     xbar = np.stack([sum_loss_minimizer(losses, mem) for mem in members])
     grand = sum_loss_minimizer(losses, range(n))
 
-    W = _weight_matrix(graph)
-    membership = np.zeros((n, N))
-    membership[np.arange(n), np.asarray(labels, dtype=np.int64)] = 1.0
-    node_cluster = W @ membership              # w_i^(k)
-    cross = membership.T @ W @ membership      # w^(k,k')
-    cross_out = cross.sum(axis=1) - np.diag(cross)
+    W, node_cluster, cross, cross_out = _cluster_weights(graph, labels, N)
+    grads = [np.stack([losses.gradient(i, xbar[k]) for i in mem])
+             for k, mem in enumerate(members)]
+    gamma_min, gamma_max, mu, pair_ok, gaps = _interval(
+        W, node_cluster, cross_out, members, grads, xbar, np.asarray(alpha),
+        smoothness=np.asarray(L))
 
-    mu = []
-    pair_ok = []
-    gamma_min = 0.0
-    for k, mem in enumerate(members):
-        n_k = len(mem)
-        other = [l for l in range(N) if l != k]
-        nc = node_cluster[np.ix_(mem, other)]
-        mu_k = np.abs(nc[:, None, :] - nc[None, :, :]).sum(axis=2)
-        Lk = np.asarray([L[i] for i in mem])
-        mu_k = mu_k + (Lk[:, None] + Lk[None, :]) / alpha[k] * cross_out[k]
-        np.fill_diagonal(mu_k, 0.0)
-        mu.append(mu_k)
-
-        Wk = W[np.ix_(mem, mem)]
-        ok = n_k * Wk > mu_k
-        np.fill_diagonal(ok, True)
-        pair_ok.append(ok)
-
-        grads = np.stack([np.asarray(losses.gradient(i, xbar[k]))
-                          for i in mem])
-        for a_idx in range(n_k):
-            for b_idx in range(n_k):
-                if a_idx == b_idx:
-                    continue
-                num = float(np.linalg.norm(grads[b_idx] - grads[a_idx]))
-                den = n_k * Wk[a_idx, b_idx] - mu_k[a_idx, b_idx]
-                gamma_min = max(gamma_min, _safe_ratio(num, den))
-
+    iu, ju = np.triu_indices(N, k=1)
+    norms = _norms(xbar)
     separated = np.ones((N, N), dtype=bool)
-    gamma_max = math.inf
-    for k in range(N):
-        for kp in range(k + 1, N):
-            num = float(np.linalg.norm(xbar[k] - xbar[kp]))
-            scale = 1.0 + float(np.linalg.norm(xbar[k])) \
-                + float(np.linalg.norm(xbar[kp]))
-            if num <= 1e-9 * scale:
-                separated[k, kp] = separated[kp, k] = False
-            den = cross_out[k] / alpha[k] + cross_out[kp] / alpha[kp]
-            gamma_max = min(gamma_max, _safe_ratio(num, den))
+    separated[iu, ju] = separated[ju, iu] = \
+        gaps > 1e-9 * (1.0 + norms[iu] + norms[ju])
 
-    coarsening = 0.0
-    for k, mem in enumerate(members):
-        grad = np.sum([np.asarray(losses.gradient(i, grand)) for i in mem],
-                      axis=0)
-        coarsening = max(coarsening,
-                         _safe_ratio(float(np.linalg.norm(grad)),
-                                     cross_out[k]))
+    at_grand = np.stack([losses.gradient(i, grand) for i in range(n)])
+    pull = _norms(np.stack([np.sum(at_grand[mem], axis=0)
+                            for mem in members]))
+    coarsening = _ratio(pull, cross_out).max(initial=0.0)
 
     return RecoveryReport(
         num_clusters=N,
@@ -240,8 +253,8 @@ def recovery_interval(losses, graph, labels, aggregate_curvature=None):
         pair_ok=pair_ok,
         separated_ok=separated,
         curvature_assumed=curvature_assumed,
-        gamma_min=float(gamma_min),
-        gamma_max=float(gamma_max),
+        gamma_min=gamma_min,
+        gamma_max=gamma_max,
         coarsening_bound=float(coarsening))
 
 
@@ -267,39 +280,11 @@ def recovery_interval_cc(points, graph, labels):
         raise ValueError("graph and data disagree on the node count")
     N, members = _clusters_from_labels(labels, n)
 
-    W = _weight_matrix(graph)
-    membership = np.zeros((n, N))
-    membership[np.arange(n), np.asarray(labels, dtype=np.int64)] = 1.0
-    node_cluster = W @ membership
-    cross = membership.T @ W @ membership
-    cross_out = cross.sum(axis=1) - np.diag(cross)
-
-    gamma_min = 0.0
-    for k, mem in enumerate(members):
-        n_k = len(mem)
-        other = [l for l in range(N) if l != k]
-        nc = node_cluster[np.ix_(mem, other)]
-        spread = np.abs(nc[:, None, :] - nc[None, :, :]).sum(axis=2)
-        Wk = W[np.ix_(mem, mem)]
-        for a_idx in range(n_k):
-            for b_idx in range(n_k):
-                if a_idx == b_idx:
-                    continue
-                num = float(np.linalg.norm(points[mem[a_idx]]
-                                           - points[mem[b_idx]]))
-                den = n_k * Wk[a_idx, b_idx] - spread[a_idx, b_idx]
-                gamma_min = max(gamma_min, _safe_ratio(num, den))
-
+    W, node_cluster, _, cross_out = _cluster_weights(graph, labels, N)
     means = np.stack([points[mem].mean(axis=0) for mem in members])
-    gamma_max = math.inf
-    for k in range(N):
-        for kp in range(k + 1, N):
-            num = float(np.linalg.norm(means[k] - means[kp]))
-            den = cross_out[k] / len(members[k]) \
-                + cross_out[kp] / len(members[kp])
-            gamma_max = min(gamma_max, _safe_ratio(num, den))
-
-    return float(gamma_min), float(gamma_max)
+    sizes = np.array([len(mem) for mem in members])
+    return _interval(W, node_cluster, cross_out, members,
+                     [points[mem] for mem in members], means, sizes)[:2]
 
 
 @dataclass

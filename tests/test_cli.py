@@ -1,7 +1,9 @@
 import argparse
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from oracles import enumerate_set_partitions
 from netlasso import cli
 from netlasso.cli import (ConfigError, build_parser, main, normalize_config,
                           serialize_config)
-from netlasso.datasets import load_signal_csv
+from netlasso.datasets import gen_half_moons, load_signal_csv, save_csv
 
 FOUR_POINTS = [0.0, 0.1, 5.0, 5.1]
 PATH_EDGES_4 = [(0, 1), (1, 2), (2, 3)]
@@ -548,6 +550,25 @@ class TestThresholdCommands:
         doc = json.loads((out / "metrics.json").read_text())
         assert doc["ari"] == 1.0
         assert doc["relation"] == "perfect"
+
+    def test_thresholds_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        data = tmp_path / "moons.csv"
+        save_csv(gen_half_moons(1500, noise_sd=0.08, seed=7), data)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        written = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           [src, os.environ.get("PYTHONPATH", "")]))
+            proc = subprocess.run(
+                [sys.executable, "-m", "netlasso", "thresholds",
+                 "--data-file", str(data), "--has-labels", "--graph", "knn",
+                 "--knn-k", "10", "--alpha", "15", "--out-dir", str(out)],
+                env=env, capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            written.append((out / "thresholds.json").read_bytes())
+        assert written[0] == written[1]
 
     def test_metrics_size_mismatch_is_config_error(self, tmp_path, capsys):
         a = tmp_path / "a.json"

@@ -177,6 +177,23 @@ class TestProxTrimmed:
         trimmed_norms = np.linalg.norm(a[sel.trimmed], axis=1)
         assert kept_norms.min() >= trimmed_norms.max() - 1e-12
 
+    def test_tie_group_straddling_k_goes_to_lowest_indices(self):
+        rng = np.random.default_rng(21)
+        checked = 0
+        for _ in range(100):
+            m = int(rng.integers(6, 15))
+            a = make_tied_instance(rng, m, int(rng.integers(1, 4)), 0)
+            norms = np.linalg.norm(a, axis=1)
+            order = sorted(range(m), key=lambda k: (-norms[k], k))
+            for K in range(1, m):
+                if norms[order[K - 1]] != norms[order[K]]:
+                    continue  # no tie group straddles position K
+                _, sel = prox_trimmed(a, K, 0.3)
+                assert sel.kept.tolist() == sorted(order[:K])
+                assert sel.trimmed.tolist() == sorted(order[K:])
+                checked += 1
+        assert checked >= 100
+
     def test_lam_zero_is_identity(self):
         rng = np.random.default_rng(8)
         a = rng.normal(size=(4, 2))

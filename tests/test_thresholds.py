@@ -1,11 +1,13 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from oracles import cc_thresholds_slow, recovery_thresholds_slow
 
-from netlasso.graph import WeightedGraph, complete_graph
+from netlasso.graph import (WeightedGraph, complete_graph, knn_gaussian_graph,
+                            path_graph)
 from netlasso.losses import CustomLoss, Quadratic, RidgeRegression, SquaredDistance
 from netlasso.thresholds import (
     bound_C_clustering,
@@ -84,6 +86,55 @@ class TestRecoveryInterval:
                                                  rel=1e-7)
         np.testing.assert_allclose(report.cluster_minimizers,
                                    np.stack(oracle["xbar"]), atol=1e-7)
+
+    def test_slow_oracle_on_four_cluster_knn_instance(self):
+        rng = np.random.default_rng(2)
+        sizes = [4, 5, 6, 7]
+        centers = 4.0 * rng.normal(size=(4, 3))
+        pts = np.vstack([c + 0.5 * rng.normal(size=(s, 3))
+                         for c, s in zip(centers, sizes)])
+        labels = np.repeat(np.arange(4), sizes)
+        graph = knn_gaussian_graph(pts, 6, alpha=0.1)
+        clusters = [np.flatnonzero(labels == k).tolist() for k in range(4)]
+        wd = {(int(i), int(j)): float(w)
+              for (i, j), w in zip(graph.edges, graph.weights)}
+        losses = SquaredDistance(pts)
+        report = recovery_interval(losses, graph, labels)
+        oracle = recovery_thresholds_slow(losses, wd, clusters)
+        assert report.premise_ok
+        for key in ("gamma_min", "gamma_max", "coarsening_bound"):
+            assert math.isfinite(oracle[key])
+            assert getattr(report, key) == pytest.approx(oracle[key],
+                                                         rel=1e-9)
+        for k, mem in enumerate(clusters):
+            for a, i in enumerate(mem):
+                for b, j in enumerate(mem):
+                    if i != j:
+                        assert report.mu[k][a, b] == pytest.approx(
+                            oracle["mu"][(k, i, j)], rel=1e-9)
+        lo, hi = recovery_interval_cc(losses, graph, labels)
+        lo_o, hi_o = cc_thresholds_slow(pts, wd, clusters)
+        assert lo == pytest.approx(lo_o, rel=1e-9)
+        assert hi == pytest.approx(hi_o, rel=1e-9)
+
+    def test_no_dense_node_by_node_memory(self):
+        # 300 clusters of 10 on a 3,000-node chain: a dense n x n weight
+        # matrix alone would take n^2 * 8 bytes
+        n = 3000
+        rng = np.random.default_rng(4)
+        pts = rng.normal(size=(n, 2))
+        labels = np.repeat(np.arange(300), 10)
+        graph = path_graph(n)
+        for run in (lambda: recovery_interval(SquaredDistance(pts), graph,
+                                              labels),
+                    lambda: recovery_interval_cc(pts, graph, labels)):
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < n * n * 8 / 2
 
     def test_zero_inter_weight_gives_infinite_upper_end(self):
         losses, graph, labels, _ = two_pair_instance(0.0)
