@@ -610,36 +610,29 @@ def _initial_x(spec, losses, graph, solver_spec):
 # artifact writers
 
 
-def _to_plain(value):
-    if isinstance(value, dict):
-        return {k: _to_plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_to_plain(v) for v in value]
-    return _jsonify(value)
-
-
 def _write_json(path, payload):
-    text = json.dumps(_to_plain(payload), sort_keys=True, indent=2) + "\n"
+    text = json.dumps(_jsonify(payload), sort_keys=True, indent=2) + "\n"
     Path(path).write_text(text)
 
 
-def _write_centroids(path, x):
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    header = "node," + ",".join(f"dim{c}" for c in range(x.shape[1]))
+def _write_csv(path, header, rows, start=0):
+    """``header``, then per row its index (counted from ``start``) and
+    its values as ``repr`` floats."""
     lines = [header]
-    for i, row in enumerate(x):
+    for i, row in enumerate(rows, start=start):
         lines.append(",".join([str(i)] + [repr(float(v)) for v in row]))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _write_trace(path, state):
-    lines = ["iter,objective,augmented_lagrangian,primal_residual,"
-             "x_change,rho"]
-    histories = zip(state.objectives, state.aug_lagrangians,
-                    state.primal_residuals, state.x_changes, state.rhos)
-    for t, row in enumerate(histories, start=1):
-        lines.append(",".join([str(t)] + [repr(float(v)) for v in row]))
-    Path(path).write_text("\n".join(lines) + "\n")
+def _write_state(out, state):
+    """centroids.csv and trace.csv of one solver run."""
+    dims = ",".join(f"dim{c}" for c in range(state.x.shape[1]))
+    _write_csv(out / "centroids.csv", "node," + dims, state.x)
+    _write_csv(out / "trace.csv", "iter,objective,augmented_lagrangian,"
+               "primal_residual,x_change,rho",
+               zip(state.objectives, state.aug_lagrangians,
+                   state.primal_residuals, state.x_changes, state.rhos),
+               start=1)
 
 
 def _partition_payload(x, graph, merge_tol):
@@ -691,8 +684,7 @@ def cmd_solve_nl(config, out):
     if reason == DIVERGED:
         raise NumericalError("solver diverged; lower rho or gamma")
     _check_finite(state.x, "solution")
-    _write_centroids(out / "centroids.csv", state.x)
-    _write_trace(out / "trace.csv", state)
+    _write_state(out, state)
     part, payload = _partition_payload(state.x, graph, config["merge_tol"])
     _write_json(out / "partition.json", payload)
     report = nl_certificate(state.x, losses, graph, config["gamma"],
@@ -727,8 +719,7 @@ def cmd_solve_ntl(config, out):
     if reason == DIVERGED:
         raise NumericalError("solver diverged; lower rho or gamma")
     _check_finite(state.x, "solution")
-    _write_centroids(out / "centroids.csv", state.x)
-    _write_trace(out / "trace.csv", state)
+    _write_state(out, state)
     part, payload = _partition_payload(state.x, graph, config["merge_tol"])
     _write_json(out / "partition.json", payload)
     report = stationarity_check(state.x, losses, graph, gamma,
@@ -1002,12 +993,10 @@ def cmd_piecewise(config, out):
 
     bc = best_cardinality["estimate"] if best_cardinality \
         else np.full(n, math.nan)
-    lines = ["index,original,noisy,ntl,nl_best_quality,nl_best_cardinality"]
-    columns = zip(signal.original, signal.noisy, ntl_est,
-                  best_quality["estimate"], bc)
-    for i, row in enumerate(columns):
-        lines.append(",".join([str(i)] + [repr(float(v)) for v in row]))
-    (out / "signals.csv").write_text("\n".join(lines) + "\n")
+    _write_csv(out / "signals.csv",
+               "index,original,noisy,ntl,nl_best_quality,nl_best_cardinality",
+               zip(signal.original, signal.noisy, ntl_est,
+                   best_quality["estimate"], bc))
 
 
 @dataclass(frozen=True)

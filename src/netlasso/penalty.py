@@ -33,6 +33,7 @@ __all__ = [
     "trimmed_norm",
     "prox_trimmed",
     "prox_group_l2",
+    "group_shrink",
     "phi_envelope",
     "directional_derivative",
 ]
@@ -97,6 +98,17 @@ def prox_group_l2(a, lam):
     return (1.0 - lam / nrm) * a
 
 
+def group_shrink(a, lam):
+    """Group soft threshold of each row a_e of ``a`` by ``lam``, a
+    scalar or one level per row: (1 - lam_e / ||a_e||)_+ a_e."""
+    norms = np.linalg.norm(a, axis=1)
+    lam = np.asarray(lam)
+    scale = np.zeros_like(norms)
+    big = norms > lam
+    scale[big] = 1.0 - (lam[big] if lam.ndim else lam) / norms[big]
+    return scale[:, None] * a
+
+
 def phi_envelope(t, lam):
     """Scalar value function min_s [lam * s + 0.5 (s - t)^2] for s >= 0.
 
@@ -149,12 +161,7 @@ def prox_trimmed(a, K, lam):
     kept = np.flatnonzero(keep)
     trimmed = np.flatnonzero(~keep)
     z = a.copy()
-    if len(trimmed):
-        sub = norms[trimmed]
-        scale = np.zeros_like(sub)
-        big = sub > lam
-        scale[big] = 1.0 - lam / sub[big]
-        z[trimmed] = scale[:, None] * a[trimmed]
+    z[trimmed] = group_shrink(a[trimmed], lam)
     return z, TrimSelection(kept=kept, trimmed=trimmed)
 
 

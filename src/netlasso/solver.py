@@ -34,7 +34,8 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .graph import DifferenceOperator, merged_components, sigma_min_DDt
-from .penalty import directional_derivative, prox_trimmed, trimmed_norm
+from .penalty import (directional_derivative, group_shrink, prox_trimmed,
+                      trimmed_norm)
 
 __all__ = [
     "SolverConfig",
@@ -177,15 +178,6 @@ def _lagrangian(f, penalty_z, y, gap, rho):
             + 0.5 * rho * float((gap * gap).sum()))
 
 
-def _group_shrink(a, lam):
-    """Group soft threshold of each row a_e of ``a`` by ``lam[e]``."""
-    norms = np.linalg.norm(a, axis=1)
-    scale = np.zeros_like(norms)
-    big = norms > lam
-    scale[big] = 1.0 - lam[big] / norms[big]
-    return scale[:, None] * a
-
-
 def objective_trimmed(losses, op, x, gamma, K):
     """f(x) + gamma * trimmed_norm(D x, K)."""
     return losses.total_value(x) + gamma * trimmed_norm(op.apply(x), K)
@@ -214,74 +206,55 @@ def z_update_convex(x, y, rho, gamma, weights, op):
     """Exact z-step of the convex problem: per-edge group soft threshold."""
     a = op.apply(x) - y / rho
     lam = gamma * np.asarray(weights, dtype=np.float64) / rho
-    return _group_shrink(a, lam)
+    return group_shrink(a, lam)
 
 
-class _ExactXSolver:
-    """Cached factorization of blockdiag(H) + rho * (Laplacian kron I_p)."""
+def _x_step(mode, losses, op, rho, smoothness=None):
+    """Factorize the x-subproblem of ``mode`` once and return the step
+    as a function of (x, z, y).
 
-    def __init__(self, losses, op, rho):
+    "exact" solves (blockdiag(H) + rho * Laplacian kron I_p) x
+    = g + D^T (y + rho z); "linearized" solves (I + (rho/L) Laplacian) x
+    = x - grad f(x)/L + D^T (y + rho z)/L with L = ``smoothness``, by
+    default the largest per-node smoothness constant.
+    """
+    n, p = losses.num_nodes, losses.dim
+    if mode == "exact":
         terms = losses.quadratic_terms()
         if terms is None:
             raise ValueError("exact x-update needs quadratic losses")
         H, g = terms
-        p = losses.dim
-        lap = op.laplacian()
-        P = sp.block_diag([sp.csc_matrix(H[i]) for i in range(len(H))],
-                          format="csc")
-        P = P + rho * sp.kron(lap, sp.eye(p), format="csc")
-        self._lu = splu(P.tocsc())
-        self._g = g
-        self._shape = g.shape
-
-    def solve(self, rhs):
-        out = self._lu.solve(rhs.reshape(-1))
-        return out.reshape(self._shape)
-
-    def step(self, z, y, rho, op):
-        rhs = self._g + op.apply_adjoint(y + rho * z)
-        return self.solve(rhs)
+        # block row i holds H[i] at block column i: no per-node loop
+        blocks = sp.bsr_matrix((H, np.arange(n), np.arange(n + 1)),
+                               shape=(n * p, n * p))
+        lu = splu(blocks.tocsc()
+                  + rho * sp.kron(op.laplacian(), sp.eye(p), format="csc"))
+        return lambda x, z, y: lu.solve(
+            (g + op.apply_adjoint(y + rho * z)).reshape(-1)).reshape(g.shape)
+    L = smoothness if smoothness is not None else losses.max_smoothness()
+    if L <= 0:
+        raise ValueError("smoothness constant must be positive")
+    lu = splu(sp.eye(n, format="csc") + (rho / L) * op.laplacian().tocsc())
+    return lambda x, z, y: lu.solve(
+        x - losses.total_gradient(x) / L + op.apply_adjoint(y + rho * z) / L)
 
 
-class _LinearizedXSolver:
-    """Cached factorization of I_n + (rho / L) * Laplacian."""
-
-    def __init__(self, losses, op, rho, L):
-        n = losses.num_nodes
-        M = sp.eye(n, format="csc") + (rho / L) * op.laplacian().tocsc()
-        self._lu = splu(M)
-        self._L = L
-
-    def step(self, x, z, y, rho, losses, op):
-        L = self._L
-        rhs = x - losses.total_gradient(x) / L \
-            + op.apply_adjoint(y + rho * z) / L
-        return self._lu.solve(rhs)
-
-
-def x_update_exact(z, y, rho, losses, op, factor=None):
+def x_update_exact(z, y, rho, losses, op):
     """Exact x-step: solve (H + rho D^T D) x = g + D^T (y + rho z).
 
-    With no edges this reduces to the per-node minimizers.  A
-    pre-factorized ``_ExactXSolver`` may be passed to amortize the
-    factorization across iterations; it must match (losses, op, rho).
+    With no edges this reduces to the per-node minimizers.
     """
-    if factor is None:
-        factor = _ExactXSolver(losses, op, rho)
-    return factor.step(z, y, rho, op)
+    return _x_step("exact", losses, op, rho)(None, z, y)
 
 
-def x_update_linearized(x, z, y, rho, losses, op, smoothness=None,
-                        factor=None):
+def x_update_linearized(x, z, y, rho, losses, op, smoothness=None):
     """Linearized x-step (Bregman variant with phi = (L/2)||.||^2 - f):
 
         x+ = (I + (rho/L) D^T D)^{-1} (x - grad f(x)/L + D^T(y + rho z)/L)
 
     Only gradients of the losses are needed.
     """
-    if factor is None:
-        factor = _make_x_solver("linearized", losses, op, rho, smoothness)
-    return factor.step(x, z, y, rho, losses, op)
+    return _x_step("linearized", losses, op, rho, smoothness)(x, z, y)
 
 
 def y_update(y, z, x_new, rho, op):
@@ -299,15 +272,6 @@ def _resolve_mode(losses, x_update):
     if x_update == "exact" and losses.quadratic_terms() is None:
         raise ValueError("exact x-update requires quadratic losses")
     return x_update
-
-
-def _make_x_solver(mode, losses, op, rho, smoothness):
-    if mode == "exact":
-        return _ExactXSolver(losses, op, rho)
-    L = smoothness if smoothness is not None else losses.max_smoothness()
-    if L <= 0:
-        raise ValueError("smoothness constant must be positive")
-    return _LinearizedXSolver(losses, op, rho, L)
 
 
 def _init_state(losses, graph, x0, y0):
@@ -361,7 +325,7 @@ def _admm(losses, graph, config, x0, y0, prox, penalty, small_step):
     gamma, rho, schedule = config.gamma, config.rho, config.rho_schedule
     p, m = losses.dim, graph.num_edges
     mode = _resolve_mode(losses, config.x_update)
-    xsolver = _make_x_solver(mode, losses, op, rho, config.smoothness)
+    xstep = _x_step(mode, losses, op, rho, config.smoothness)
 
     Dx = op.apply(x)
     state = SolverState(x=x, z=Dx, y=y, rho=rho)
@@ -375,13 +339,9 @@ def _admm(losses, graph, config, x0, y0, prox, penalty, small_step):
             new_rho = schedule.apply(rho)
             if new_rho != rho:
                 rho = new_rho
-                xsolver = _make_x_solver(mode, losses, op, rho,
-                                         config.smoothness)
+                xstep = _x_step(mode, losses, op, rho, config.smoothness)
         z = prox(Dx - y / rho, rho)
-        if mode == "exact":
-            x_new = xsolver.step(z, y, rho, op)
-        else:
-            x_new = xsolver.step(x, z, y, rho, losses, op)
+        x_new = xstep(x, z, y)
         Dx_new = op.apply(x_new)
         gap = z - Dx_new
         y = y + rho * gap
@@ -464,7 +424,7 @@ def solve_nl(losses, graph, gamma, x0=None, y0=None, rho=1.0,
                           divergence_factor=divergence_factor)
     w = graph.weights
     return _admm(losses, graph, config, x0, y0,
-                 lambda a, rho: _group_shrink(a, gamma * w / rho),
+                 lambda a, rho: group_shrink(a, gamma * w / rho),
                  lambda d: float(w @ np.linalg.norm(d, axis=1)), _dual_small)
 
 

@@ -39,7 +39,8 @@ def _norms(d):
 
 
 def _jsonify(value):
-    """Make a report field JSON-friendly; infinities become strings."""
+    """Make a value JSON-friendly, containers included; infinities
+    become strings."""
     if isinstance(value, float):
         if math.isinf(value):
             return "inf" if value > 0 else "-inf"
@@ -48,6 +49,8 @@ def _jsonify(value):
         return [_jsonify(v) for v in value.tolist()]
     if isinstance(value, (list, tuple)):
         return [_jsonify(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _jsonify(v) for k, v in value.items()}
     if isinstance(value, (np.floating, np.integer)):
         return _jsonify(float(value)) if isinstance(value, np.floating) \
             else int(value)

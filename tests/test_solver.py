@@ -1,16 +1,20 @@
 import math
+import time
 
 import numpy as np
 import pytest
+import scipy.linalg
 from oracles import brute_force_prox_trimmed, enumerate_set_partitions
 
 from netlasso.graph import (
     DifferenceOperator,
     WeightedGraph,
     complete_graph,
+    knn_gaussian_graph,
     path_graph,
 )
-from netlasso.losses import CustomLoss, SquaredDistance, RidgeRegression
+from netlasso.losses import (CustomLoss, Quadratic, RidgeRegression,
+                             SquaredDistance)
 from netlasso.penalty import prox_group_l2, trimmed_norm
 from netlasso.solver import (
     CONVERGED,
@@ -175,6 +179,33 @@ class TestXUpdates:
         grad = losses.total_gradient(x) \
             - op.apply_adjoint(y + rho * (z - op.apply(x)))
         assert np.abs(grad).max() <= 1e-9
+
+    @pytest.mark.parametrize("case", ["ridge-zero-input", "quadratic-knn"])
+    def test_exact_non_identity_blocks_match_dense_solve(self, case):
+        rng = np.random.default_rng(13)
+        if case == "ridge-zero-input":
+            a = rng.normal(size=7)
+            a[2] = 0.0  # its Hessian block has exact zeros off the diagonal
+            losses = RidgeRegression(a, rng.normal(size=7), epsilon=0.3)
+            graph = complete_graph(7)
+        else:
+            A = rng.normal(size=(20, 3, 3))
+            A = A @ A.transpose(0, 2, 1) + 0.5 * np.eye(3)
+            losses = Quadratic(A, rng.normal(size=(20, 3)))
+            graph = knn_gaussian_graph(rng.normal(size=(20, 2)), k=4)
+        p = losses.dim
+        op = DifferenceOperator(graph, p)
+        z = rng.normal(size=(graph.num_edges, p))
+        y = rng.normal(size=(graph.num_edges, p))
+        rho = 1.9
+        x = x_update_exact(z, y, rho, losses, op)
+        H, g = losses.quadratic_terms()
+        D = op.to_dense()
+        M = scipy.linalg.block_diag(*H) + rho * D.T @ D
+        rhs = g.reshape(-1) + D.T @ (y + rho * z).reshape(-1)
+        expected = np.linalg.solve(M, rhs).reshape(g.shape)
+        assert np.linalg.norm(x - expected) \
+            <= 1e-10 * np.linalg.norm(expected)
 
     def test_exact_requires_quadratic(self):
         losses = CustomLoss(2, 1, lambda i, x: float(x @ x),
@@ -397,6 +428,15 @@ class TestSolveNl:
         assert reason == CONVERGED
         assert np.isfinite(state.objectives[-1])
 
+
+    def test_exact_set_up_scales_to_many_nodes(self):
+        # the x-step system is assembled without a per-node loop
+        rng = np.random.default_rng(22)
+        losses = SquaredDistance(rng.normal(size=(20000, 1)))
+        graph = path_graph(20000)
+        start = time.perf_counter()
+        solve_nl(losses, graph, 0.5, max_iters=1)
+        assert time.perf_counter() - start < 1.5
 
     @pytest.mark.parametrize("bad", [{"x_update": "bogus"}, {"rho": 0.0},
                                      {"max_iters": 0}])
