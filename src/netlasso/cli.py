@@ -16,7 +16,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,7 @@ from .datasets import (gen_half_moons, gen_piecewise_signal,
                        gen_two_line_regression, load_csv, load_signal_csv,
                        save_csv, save_signal_csv)
 from .graph import (complete_graph, knn_gaussian_graph, load_edge_list,
-                    merged_components, path_graph, sigma_min_DDt)
+                    path_graph, sigma_min_DDt)
 from .losses import RidgeRegression, SquaredDistance
 from .path import (Partition, adjusted_rand_index, extract_partition,
                    gamma_path, k_path, midpoint_init, partition_relation,
@@ -45,14 +45,9 @@ class NumericalError(Exception):
     """Solver divergence or non-finite output (exit code 3)."""
 
 
-GRAPH_KINDS = ("complete", "knn", "path", "edge-list")
-LOSS_KINDS = ("squared-distance", "ridge")
-INIT_KINDS = ("minimizers", "from-file", "nl-midpoint")
-GENERATOR_KINDS = ("two-line", "half-moons", "piecewise")
-
-
 # ---------------------------------------------------------------------------
-# typed config getters
+# value checks: each factory returns ``check(where, value)``, which
+# validates one raw value and returns it normalized
 
 
 def _require(where, raw, allowed, required=()):
@@ -66,34 +61,42 @@ def _require(where, raw, allowed, required=()):
         raise ConfigError(f"{where}: missing key(s): {', '.join(missing)}")
 
 
-def _num(where, value, minimum=None, above=None):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where} must be a number")
-    v = float(value)
-    if not math.isfinite(v):
-        raise ConfigError(f"{where} must be finite")
-    if minimum is not None and v < minimum:
-        raise ConfigError(f"{where} must be >= {minimum}")
-    if above is not None and v <= above:
-        raise ConfigError(f"{where} must be > {above}")
-    return v
+def _num(minimum=None, above=None):
+    def check(where, value):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"{where} must be a number")
+        v = float(value)
+        if not math.isfinite(v):
+            raise ConfigError(f"{where} must be finite")
+        if minimum is not None and v < minimum:
+            raise ConfigError(f"{where} must be >= {minimum}")
+        if above is not None and v <= above:
+            raise ConfigError(f"{where} must be > {above}")
+        return v
+    return check
 
 
-def _int(where, value, minimum=None):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where} must be an integer")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{where} must be >= {minimum}")
-    return value
+def _int(minimum=None, maximum=None):
+    def check(where, value):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{where} must be an integer")
+        if minimum is not None and value < minimum:
+            raise ConfigError(f"{where} must be >= {minimum}")
+        if maximum is not None and value > maximum:
+            raise ConfigError(f"{where} must be <= {maximum}")
+        return value
+    return check
 
 
-def _str(where, value, choices=None):
-    if not isinstance(value, str):
-        raise ConfigError(f"{where} must be a string")
-    if choices is not None and value not in choices:
-        raise ConfigError(
-            f"{where} must be one of: {', '.join(choices)} (got {value!r})")
-    return value
+def _str(choices=None):
+    def check(where, value):
+        if not isinstance(value, str):
+            raise ConfigError(f"{where} must be a string")
+        if choices is not None and value not in choices:
+            raise ConfigError(f"{where} must be one of: {', '.join(choices)}"
+                              f" (got {value!r})")
+        return value
+    return check
 
 
 def _bool(where, value):
@@ -102,220 +105,43 @@ def _bool(where, value):
     return value
 
 
-def _gamma_value(where, value, allow_auto):
-    if value == "auto":
-        if not allow_auto:
+def _optional(check):
+    """``check``, letting null through."""
+    return lambda where, value: None if value is None else check(where, value)
+
+
+def _auto(check, allowed=True):
+    """``check``, letting the string "auto" through where ``allowed``."""
+    def checked(where, value):
+        if value != "auto":
+            return check(where, value)
+        if not allowed:
             raise ConfigError(f"{where} does not accept \"auto\" here")
         return "auto"
-    return _num(where, value, minimum=0.0)
+    return checked
+
+
+def _list(item):
+    """A non-empty list, each entry checked by ``item``."""
+    def check(where, value):
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{where} must be a non-empty list")
+        return [item(f"{where}[{i}]", v) for i, v in enumerate(value)]
+    return check
+
+
+def _tuple(*items):
+    """A list with exactly one entry per check in ``items``."""
+    def check(where, value):
+        if not isinstance(value, list) or len(value) != len(items):
+            raise ConfigError(f"{where} must be a {len(items)}-element list")
+        return [item(f"{where}[{i}]", v)
+                for i, (item, v) in enumerate(zip(items, value))]
+    return check
 
 
 # ---------------------------------------------------------------------------
-# section parsers (raw -> normalized dict with defaults filled)
-
-
-def _parse_output(raw):
-    _require("output", raw, {"dir"}, ("dir",))
-    return {"dir": _str("output.dir", raw["dir"])}
-
-
-def _parse_data(raw):
-    _require("data", raw, {"file", "has_labels", "has_responses"}, ("file",))
-    return {"file": _str("data.file", raw["file"]),
-            "has_labels": _bool("data.has_labels",
-                                raw.get("has_labels", False)),
-            "has_responses": _bool("data.has_responses",
-                                   raw.get("has_responses", False))}
-
-
-def _parse_graph(raw):
-    _require("graph", raw, {"kind", "k", "alpha", "file"}, ("kind",))
-    kind = _str("graph.kind", raw["kind"], GRAPH_KINDS)
-    out = {"kind": kind}
-    if kind == "edge-list":
-        _require("graph", raw, {"kind", "file"}, ("file",))
-        out["file"] = _str("graph.file", raw["file"])
-        return out
-    if "file" in raw:
-        raise ConfigError("graph.file only applies to kind \"edge-list\"")
-    if kind == "knn":
-        _require("graph", raw, {"kind", "k", "alpha"}, ("k",))
-        out["k"] = _int("graph.k", raw["k"], minimum=1)
-        out["alpha"] = _num("graph.alpha", raw.get("alpha", 0.5), above=0.0)
-        return out
-    if "k" in raw:
-        raise ConfigError("graph.k only applies to kind \"knn\"")
-    # complete / path: alpha null means uniform unit weights
-    alpha = raw.get("alpha")
-    out["alpha"] = None if alpha is None \
-        else _num("graph.alpha", alpha, above=0.0)
-    return out
-
-
-def _parse_loss(raw):
-    _require("loss", raw, {"kind", "epsilon"}, ("kind",))
-    kind = _str("loss.kind", raw["kind"], LOSS_KINDS)
-    if kind == "squared-distance":
-        if "epsilon" in raw:
-            raise ConfigError("loss.epsilon only applies to kind \"ridge\"")
-        return {"kind": kind}
-    return {"kind": kind,
-            "epsilon": _num("loss.epsilon", raw.get("epsilon", 1e-2),
-                            above=0.0)}
-
-
-def _parse_schedule(raw):
-    if raw is None:
-        return None
-    _require("solver.rho_schedule", raw, {"multiplier", "cap", "period"})
-    cap = raw.get("cap", "auto")
-    if cap != "auto":
-        cap = _num("solver.rho_schedule.cap", cap, above=0.0)
-    return {"multiplier": _num("solver.rho_schedule.multiplier",
-                               raw.get("multiplier", 10.0), above=1.0),
-            "cap": cap,
-            "period": _int("solver.rho_schedule.period",
-                           raw.get("period", 100), minimum=1)}
-
-
-def _parse_solver(raw, default_rho=None, default_schedule=None,
-                  convex=False):
-    _require("solver", raw, {"rho", "x_update", "smoothness", "max_iters",
-                             "eps_abs", "eps_rel", "rho_schedule"})
-    if convex and raw.get("rho_schedule") is not None:
-        raise ConfigError("solver.rho_schedule only applies to the trimmed"
-                          " tasks solve-ntl, k-path and piecewise")
-    rho = raw.get("rho", default_rho)
-    if rho is not None:
-        rho = _num("solver.rho", rho, above=0.0)
-    smoothness = raw.get("smoothness")
-    if smoothness is not None:
-        smoothness = _num("solver.smoothness", smoothness, above=0.0)
-    schedule = _parse_schedule(raw.get("rho_schedule", default_schedule))
-    return {"rho": rho,
-            "x_update": _str("solver.x_update", raw.get("x_update", "auto"),
-                             ("auto", "exact", "linearized")),
-            "smoothness": smoothness,
-            "max_iters": _int("solver.max_iters", raw.get("max_iters", 1000),
-                              minimum=1),
-            "eps_abs": _num("solver.eps_abs", raw.get("eps_abs", 1e-5),
-                            above=0.0),
-            "eps_rel": _num("solver.eps_rel", raw.get("eps_rel", 1e-5),
-                            above=0.0),
-            "rho_schedule": schedule}
-
-
-def _parse_init(raw):
-    _require("init", raw, {"kind", "file", "grid"}, ("kind",))
-    kind = _str("init.kind", raw["kind"], INIT_KINDS)
-    if kind == "from-file":
-        _require("init", raw, {"kind", "file"}, ("file",))
-        return {"kind": kind, "file": _str("init.file", raw["file"])}
-    if "file" in raw:
-        raise ConfigError("init.file only applies to kind \"from-file\"")
-    if kind == "nl-midpoint":
-        _require("init", raw, {"kind", "grid"})
-        return {"kind": kind,
-                "grid": _parse_gamma_grid(raw.get("grid", {}),
-                                          "init.grid")}
-    if "grid" in raw:
-        raise ConfigError("init.grid only applies to kind \"nl-midpoint\"")
-    return {"kind": kind}
-
-
-def _parse_gamma_grid(raw, where="gamma_sequence"):
-    _require(where, raw, {"values", "start", "factor", "count"})
-    if "values" in raw:
-        _require(where, raw, {"values"})
-        values = raw["values"]
-        if not isinstance(values, list) or not values:
-            raise ConfigError(f"{where}.values must be a non-empty list")
-        return {"values": [_num(f"{where}.values[{i}]", v, above=0.0)
-                           for i, v in enumerate(values)]}
-    return {"start": _num(f"{where}.start", raw.get("start", 1e-3),
-                          above=0.0),
-            "factor": _num(f"{where}.factor", raw.get("factor", 1.2),
-                           above=1.0),
-            "count": _int(f"{where}.count", raw.get("count", 100),
-                          minimum=1)}
-
-
-def _parse_k_sequence(raw):
-    _require("k_sequence", raw, {"values", "start", "stop", "step"})
-    if "values" in raw:
-        _require("k_sequence", raw, {"values"})
-        values = raw["values"]
-        if not isinstance(values, list) or not values:
-            raise ConfigError("k_sequence.values must be a non-empty list")
-        return {"values": [_int(f"k_sequence.values[{i}]", v, minimum=0)
-                           for i, v in enumerate(values)]}
-    out = {"start": _int("k_sequence.start", raw.get("start", 0), minimum=0),
-           "stop": _int("k_sequence.stop", raw.get("stop", 0), minimum=0),
-           "step": _int("k_sequence.step", raw.get("step", -1))}
-    if "start" not in raw:
-        raise ConfigError("k_sequence needs either values or start")
-    if out["step"] >= 0:
-        raise ConfigError("k_sequence.step must be negative")
-    return out
-
-
-def _parse_generator(raw):
-    _require("generator", raw,
-             {"kind", "n", "slopes", "intercepts", "x_range", "noise_sd",
-              "levels"}, ("kind",))
-    kind = _str("generator.kind", raw["kind"], GENERATOR_KINDS)
-    noise = _num("generator.noise_sd", raw.get("noise_sd", 0.0), minimum=0.0)
-    if kind == "two-line":
-        _require("generator", raw, {"kind", "n", "slopes", "intercepts",
-                                    "x_range", "noise_sd"}, ("n",))
-        out = {"kind": kind, "n": _int("generator.n", raw["n"], minimum=2),
-               "noise_sd": noise}
-        for key, default in (("slopes", [1.0, -1.0]),
-                             ("intercepts", [0.0, 0.0]),
-                             ("x_range", [-1.0, 1.0])):
-            pair = raw.get(key, default)
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise ConfigError(f"generator.{key} must be a 2-element list")
-            out[key] = [_num(f"generator.{key}[{i}]", v)
-                        for i, v in enumerate(pair)]
-        return out
-    if kind == "half-moons":
-        _require("generator", raw, {"kind", "n", "noise_sd"}, ("n",))
-        return {"kind": kind, "n": _int("generator.n", raw["n"], minimum=2),
-                "noise_sd": noise}
-    _require("generator", raw, {"kind", "levels", "noise_sd"}, ("levels",))
-    return {"kind": kind, "levels": _parse_levels(raw["levels"]),
-            "noise_sd": noise}
-
-
-def _parse_levels(raw):
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError("levels must be a non-empty list of"
-                          " [length, value] pairs")
-    out = []
-    for i, pair in enumerate(raw):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ConfigError(f"levels[{i}] must be a [length, value] pair")
-        out.append([_int(f"levels[{i}] length", pair[0], minimum=1),
-                    _num(f"levels[{i}] value", pair[1])])
-    return out
-
-
-def _parse_signal(raw):
-    _require("signal", raw, {"file", "levels", "noise_sd", "seed"})
-    if "file" in raw:
-        _require("signal", raw, {"file"})
-        return {"file": _str("signal.file", raw["file"])}
-    if "levels" not in raw:
-        raise ConfigError("signal needs either file or levels")
-    return {"levels": _parse_levels(raw["levels"]),
-            "noise_sd": _num("signal.noise_sd", raw.get("noise_sd", 0.2),
-                             minimum=0.0),
-            "seed": _int("signal.seed", raw.get("seed", 0))}
-
-
-# ---------------------------------------------------------------------------
-# config keys: parser, default, and the flags that override them
+# config objects: tables of fields, each with its check, default and flags
 
 
 REQUIRED = object()
@@ -323,28 +149,80 @@ _SET_TRUE = {"action": "store_const", "const": True}
 
 
 @dataclass(frozen=True)
-class _Key:
-    """One top-level key of a task's config schema.
+class _Field:
+    """One entry of a config object.
 
-    ``parse`` validates the raw value and fills in defaults; ``default``
-    stands in for an absent key unless it is ``REQUIRED``.  Each flag is
-    ``(option strings, entry, argparse keywords)`` and overrides
-    ``entry`` inside this key's section, or the whole value when
-    ``entry`` is None.  A task therefore offers a flag exactly when its
-    schema has the key the flag overrides.
+    ``check(where, value)`` validates the raw value and fills in
+    defaults; ``default`` stands in for an absent entry unless it is
+    ``REQUIRED``.  Each flag is ``(option strings, argparse keywords)``
+    and sets this entry, so a task offers a flag exactly when its schema
+    has the entry the flag sets.
     """
-    parse: object
+    check: object
     default: object = REQUIRED
     flags: tuple = ()
 
 
-def _flag(*opts, entry=None, **kwargs):
-    return opts, entry, kwargs
+def _flagged(check, default, *opts, **kwargs):
+    """A field set by one flag."""
+    return _Field(check, default, ((opts, kwargs),))
 
 
-def _dest(opts):
-    """The argparse destination of a flag: its first, long option."""
-    return opts[0][2:].replace("-", "_")
+def _walk(where, raw, fields, prefix):
+    """Check a raw object against a table of fields: no unknown or
+    missing keys, and every field checked, an absent one at its
+    default.  The whole config and every section go through here."""
+    _require(where, raw, fields, [key for key, field in fields.items()
+                                  if field.default is REQUIRED])
+    return {key: field.check(prefix + key, raw.get(key, field.default))
+            for key, field in fields.items()}
+
+
+class _Section:
+    """A config object with one table of fields."""
+
+    def __init__(self, fields):
+        self.fields = fields
+
+    def __call__(self, where, raw):
+        return _walk(where, raw, self.fields, where + ".")
+
+
+class _Kinded(_Section):
+    """A config object whose ``kind`` picks the table of its other
+    fields; ``fields`` is the union of the tables."""
+
+    def __init__(self, flag, tables):
+        kinds = tuple(tables)
+        kind = _flagged(_str(kinds), REQUIRED, flag, choices=kinds)
+        self.tables = {name: {"kind": kind, **table}
+                       for name, table in tables.items()}
+        super().__init__({key: field for table in self.tables.values()
+                          for key, field in table.items()})
+
+    def __call__(self, where, raw):
+        _require(where, raw, self.fields, ("kind",))
+        table = self.tables[self.fields["kind"].check(f"{where}.kind",
+                                                      raw["kind"])]
+        stray = sorted(set(raw) - set(table))
+        if stray:
+            kinds = " or ".join(f"\"{name}\"" for name, other
+                                in self.tables.items() if stray[0] in other)
+            raise ConfigError(f"{where}.{stray[0]} only applies to kind"
+                              f" {kinds}")
+        return _walk(where, raw, table, where + ".")
+
+
+class _Either(_Section):
+    """A config object that holds either its first field alone or the
+    other fields: a list of values or a range, a file or levels."""
+
+    def __call__(self, where, raw):
+        first, *keys = self.fields
+        if isinstance(raw, dict) and first in raw:
+            keys = [first]
+        return _walk(where, raw, {key: self.fields[key] for key in keys},
+                     where + ".")
 
 
 def _gamma_flag(text):
@@ -365,51 +243,79 @@ def _grid_flag(text):
             "count": int(parts[2])}
 
 
-_OUTPUT = _Key(_parse_output, flags=(_flag("--out-dir", entry="dir"),))
-_SEED = _Key(lambda v: _int("seed", v), 0, (_flag("--seed", type=int),))
-_MERGE_TOL = _Key(lambda v: _num("merge_tol", v, above=0.0), 1e-6,
-                  (_flag("--merge-tol", type=float),))
-_INIT = _Key(_parse_init, {"kind": "minimizers"}, (
-    _flag("--init", entry="kind", choices=INIT_KINDS),
-    _flag("--init-file", entry="file")))
+def _convex_schedule(where, value):
+    if value is not None:
+        raise ConfigError(f"{where} only applies to the trimmed tasks"
+                          " solve-ntl, k-path and piecewise")
+
+
+_LEVELS = _list(_tuple(_int(minimum=1), _num()))
+_PAIR = _tuple(_num(), _num())
+_GRID = _Either({"values": _Field(_list(_num(above=0.0))),
+                 "start": _Field(_num(above=0.0), 1e-3),
+                 "factor": _Field(_num(above=1.0), 1.2),
+                 "count": _Field(_int(minimum=1), 100)})
+_SCHEDULE = _optional(_Section({
+    "multiplier": _Field(_num(above=1.0), 10.0),
+    "cap": _Field(_auto(_num(above=0.0)), "auto"),
+    "period": _Field(_int(minimum=1), 100)}))
+
+_OUTPUT = _Field(_Section({"dir": _flagged(_str(), REQUIRED, "--out-dir")}))
+_SEED = _flagged(_int(), 0, "--seed", type=int)
+_MERGE_TOL = _flagged(_num(above=0.0), 1e-6, "--merge-tol", type=float)
+_INIT = _Field(_Kinded("--init", {
+    "minimizers": {},
+    "from-file": {"file": _flagged(_str(), REQUIRED, "--init-file")},
+    "nl-midpoint": {"grid": _Field(_GRID, {})}}), {"kind": "minimizers"})
+# complete / path: alpha null means uniform unit weights
+_PLAIN_ALPHA = {"alpha": _flagged(_optional(_num(above=0.0)), None,
+                                  "--alpha", type=float)}
 # data, graph and loss: the problem instance of every task that reads data
 _INSTANCE = {
-    "data": _Key(_parse_data, flags=(
-        _flag("--data-file", entry="file"),
-        _flag("--has-labels", entry="has_labels", **_SET_TRUE),
-        _flag("--has-responses", entry="has_responses", **_SET_TRUE))),
-    "graph": _Key(_parse_graph, {"kind": "complete"}, (
-        _flag("--graph", entry="kind", choices=GRAPH_KINDS),
-        _flag("--knn-k", entry="k", type=int),
-        _flag("--alpha", entry="alpha", type=float),
-        _flag("--graph-file", entry="file"))),
-    "loss": _Key(_parse_loss, {"kind": "squared-distance"}, (
-        _flag("--loss", entry="kind", choices=LOSS_KINDS),
-        _flag("--epsilon", entry="epsilon", type=float))),
+    "data": _Field(_Section({
+        "file": _flagged(_str(), REQUIRED, "--data-file"),
+        "has_labels": _flagged(_bool, False, "--has-labels", **_SET_TRUE),
+        "has_responses": _flagged(_bool, False, "--has-responses",
+                                  **_SET_TRUE)})),
+    "graph": _Field(_Kinded("--graph", {
+        "complete": _PLAIN_ALPHA,
+        "knn": {"k": _flagged(_int(minimum=1), REQUIRED, "--knn-k", type=int),
+                "alpha": _flagged(_num(above=0.0), 0.5, "--alpha",
+                                  type=float)},
+        "path": _PLAIN_ALPHA,
+        "edge-list": {"file": _flagged(_str(), REQUIRED, "--graph-file")},
+    }), {"kind": "complete"}),
+    "loss": _Field(_Kinded("--loss", {
+        "squared-distance": {},
+        "ridge": {"epsilon": _flagged(_num(above=0.0), 1e-2, "--epsilon",
+                                      type=float)},
+    }), {"kind": "squared-distance"}),
 }
 
 
 def _gamma(default=REQUIRED, allow_auto=True):
-    return _Key(lambda v: _gamma_value("gamma", v, allow_auto), default,
-                (_flag("--gamma",
-                       type=_gamma_flag if allow_auto else float),))
+    return _flagged(_auto(_num(minimum=0.0), allow_auto), default, "--gamma",
+                    type=_gamma_flag if allow_auto else float)
 
 
-def _cardinality(default=REQUIRED):
-    return _Key(lambda v: _int("cardinality", v, minimum=0), default,
-                (_flag("--cardinality", "-K", type=int),))
+def _solver(default_rho, schedule, default_schedule=None):
+    """The solver section: its rho default and its rho_schedule check."""
+    updates = ("auto", "exact", "linearized")
+    return _Field(_Section({
+        "rho": _flagged(_num(above=0.0), default_rho, "--rho", type=float),
+        "x_update": _flagged(_str(updates), "auto", "--x-update",
+                             choices=updates),
+        "smoothness": _flagged(_optional(_num(above=0.0)), None,
+                               "--smoothness", type=float),
+        "max_iters": _flagged(_int(minimum=1), 1000, "--max-iters", type=int),
+        "eps_abs": _flagged(_num(above=0.0), 1e-5, "--eps-abs", type=float),
+        "eps_rel": _flagged(_num(above=0.0), 1e-5, "--eps-rel", type=float),
+        "rho_schedule": _Field(schedule, default_schedule)}), {})
 
 
-def _solver(default_rho, convex=False, default_schedule=None):
-    return _Key(lambda raw: _parse_solver(raw, default_rho, default_schedule,
-                                          convex), {}, (
-        _flag("--rho", entry="rho", type=float),
-        _flag("--x-update", entry="x_update",
-              choices=("auto", "exact", "linearized")),
-        _flag("--smoothness", entry="smoothness", type=float),
-        _flag("--max-iters", entry="max_iters", type=int),
-        _flag("--eps-abs", entry="eps_abs", type=float),
-        _flag("--eps-rel", entry="eps_rel", type=float)))
+_CONVEX_SOLVER = _solver(1.0, _convex_schedule)
+_GEN_N = _flagged(_int(minimum=2), REQUIRED, "--n", type=int)
+_GEN_NOISE = _flagged(_num(minimum=0.0), 0.0, "--noise-sd", type=float)
 
 
 def normalize_config(raw):
@@ -422,15 +328,9 @@ def normalize_config(raw):
         raise ConfigError("config must be a JSON object")
     if "task" not in raw:
         raise ConfigError("config: missing key(s): task")
-    task = _str("task", raw["task"], TASKS)
-    schema = TASKS[task].schema
-    required = {key for key, spec in schema.items()
-                if spec.default is REQUIRED}
-    _require("config", raw, {"task", *schema}, {"task", *required})
-    out = {"task": task}
-    for key, spec in schema.items():
-        out[key] = spec.parse(raw.get(key, spec.default))
-    return out
+    task = _str(TASKS)("task", raw["task"])
+    return _walk("config", raw,
+                 {"task": _Field(_str()), **TASKS[task].schema}, "")
 
 
 def serialize_config(config):
@@ -442,44 +342,35 @@ def serialize_config(config):
 # builders: config sections -> package objects
 
 
-def _load_data(spec):
+def _read(what, load, path, **kwargs):
+    """``load(path, **kwargs)``, with an unreadable or malformed file
+    as a config error."""
     try:
-        return load_csv(spec["file"], has_labels=spec["has_labels"],
-                        has_responses=spec["has_responses"])
+        return load(path, **kwargs)
     except OSError as exc:
-        raise ConfigError(f"cannot read data file: {exc}")
+        raise ConfigError(f"cannot read {what} file: {exc}")
     except ValueError as exc:
-        raise ConfigError(f"bad data file {spec['file']}: {exc}")
-
-
-def _graph_points(data):
-    # Gaussian edge weights see the full observed vector per node: the
-    # regression response is stacked next to the inputs when present.
-    if data.responses is not None:
-        return np.column_stack([data.points, data.responses])
-    return data.points
+        raise ConfigError(f"bad {what} file {path}: {exc}")
 
 
 def _build_graph(spec, data):
     n = data.num_points
     kind = spec["kind"]
     if kind == "edge-list":
-        try:
-            graph = load_edge_list(spec["file"])
-        except OSError as exc:
-            raise ConfigError(f"cannot read graph file: {exc}")
-        except ValueError as exc:
-            raise ConfigError(f"bad graph file {spec['file']}: {exc}")
+        graph = _read("graph", load_edge_list, spec["file"])
         if graph.num_nodes != n:
             raise ConfigError(
                 f"graph file has {graph.num_nodes} nodes, data has {n}")
         return graph
-    points = _graph_points(data)
+    # Gaussian edge weights see the full observed vector per node: the
+    # regression response is stacked next to the inputs when present.
+    points = data.points
+    if data.responses is not None:
+        points = np.column_stack([data.points, data.responses])
     if kind == "knn":
-        k = spec["k"]
-        if k >= n:
+        if spec["k"] >= n:
             raise ConfigError(f"graph.k must be < number of nodes ({n})")
-        return knn_gaussian_graph(points, k, spec["alpha"])
+        return knn_gaussian_graph(points, spec["k"], spec["alpha"])
     alpha = spec["alpha"]
     builder = complete_graph if kind == "complete" else path_graph
     if alpha is None:
@@ -498,27 +389,54 @@ def _build_loss(spec, data):
                            spec["epsilon"])
 
 
+def _instance(config):
+    spec = config["data"]
+    data = _read("data", load_csv, spec["file"],
+                 has_labels=spec["has_labels"],
+                 has_responses=spec["has_responses"])
+    losses = _build_loss(config["loss"], data)
+    graph = _build_graph(config["graph"], data)
+    return data, losses, graph
+
+
+def _truth(data):
+    """The label column as a partition (None without one), checked
+    before any threshold or solve work reads it."""
+    if data.labels is None:
+        return None
+    try:
+        return Partition(np.asarray(data.labels))
+    except ValueError as exc:
+        raise ConfigError(f"bad label column: {exc}")
+
+
+def _exact_penalty(losses):
+    """The exact-penalty threshold, with the bound of the loss family;
+    every loss kind of the config is quadratic."""
+    if isinstance(losses, SquaredDistance):
+        return exact_penalty_threshold(losses, bound_C_clustering(losses),
+                                       method="clustering")
+    return exact_penalty_threshold(losses, bound_C_quadratic(losses),
+                                   method="quadratic")
+
+
 def _resolve_gamma(gamma, losses):
     """Turn "auto" into the exact-penalty preset for the given losses."""
     if gamma != "auto":
         return float(gamma)
-    if isinstance(losses, SquaredDistance):
-        bound = bound_C_clustering(losses)
-    elif losses.quadratic_terms() is not None:
-        bound = bound_C_quadratic(losses)
-    else:
-        raise ConfigError("gamma \"auto\" needs a quadratic loss")
-    return exact_penalty_threshold(losses, bound).gamma_star * 1.001
+    return _exact_penalty(losses).gamma_star * 1.001
+
+
+def _check_cardinality(K, num_edges):
+    if K > num_edges:
+        raise ConfigError(f"cardinality {K} exceeds the edge count"
+                          f" {num_edges}")
 
 
 def _gamma_values(spec):
-    if "values" in spec:
-        values = list(spec["values"])
-    else:
-        values = [spec["start"] * spec["factor"] ** t
-                  for t in range(spec["count"])]
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.size > 1 and not np.all(np.diff(arr) > 0):
+    values = spec["values"] if "values" in spec else [
+        spec["start"] * spec["factor"] ** t for t in range(spec["count"])]
+    if any(b <= a for a, b in zip(values, values[1:])):
         raise ConfigError("gamma sequence must be strictly increasing")
     return values
 
@@ -528,13 +446,14 @@ def _k_values(spec, num_edges):
         values = list(spec["values"])
     else:
         start = spec["start"] if spec["start"] > 0 else num_edges
+        if start < spec["stop"]:
+            raise ConfigError(f"k_sequence.start ({start}) is below"
+                              f" k_sequence.stop ({spec['stop']})")
         values = list(range(start, spec["stop"] - 1, spec["step"]))
-        if not values or values[-1] != spec["stop"]:
+        if values[-1] != spec["stop"]:
             values.append(spec["stop"])
     for v in values:
-        if v > num_edges:
-            raise ConfigError(
-                f"cardinality {v} exceeds the edge count {num_edges}")
+        _check_cardinality(v, num_edges)
     if any(b >= a for a, b in zip(values, values[1:])):
         raise ConfigError("k sequence must be strictly decreasing")
     return values
@@ -570,23 +489,12 @@ def _solver_options(spec, graph=None, stopping_only=False):
     return options
 
 
-def _read_centroids_csv(path, num_nodes, dim):
-    try:
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise ConfigError(f"cannot read init file: {exc}")
-    if len(rows) != num_nodes + 1:
-        raise ConfigError(f"init file {path} has {len(rows) - 1} rows,"
-                          f" expected {num_nodes}")
-    try:
-        x0 = np.asarray([[float(c) for c in row[1:]] for row in rows[1:]])
-    except ValueError:
-        raise ConfigError(f"init file {path} has a non-numeric cell")
-    if x0.shape != (num_nodes, dim):
-        raise ConfigError(f"init file {path} has shape {x0.shape},"
-                          f" expected ({num_nodes}, {dim})")
-    return x0
+def _load_centroids_csv(path):
+    """The values of a centroids.csv: a header, then per node its index
+    and its coordinates."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    return np.asarray([[float(c) for c in row[1:]] for row in rows[1:]])
 
 
 def _initial_x(spec, losses, graph, solver_spec):
@@ -594,11 +502,14 @@ def _initial_x(spec, losses, graph, solver_spec):
     if kind == "minimizers":
         return losses.all_minimizers()
     if kind == "from-file":
-        return _read_centroids_csv(spec["file"], losses.num_nodes,
-                                   losses.dim)
-    gammas = _gamma_values(spec["grid"])
-    path = gamma_path(losses, graph, gammas, warm_start=True,
-                      stop_on_full_merge=True,
+        x0 = _read("init", _load_centroids_csv, spec["file"])
+        if x0.shape != (losses.num_nodes, losses.dim):
+            raise ConfigError(f"init file {spec['file']} has shape"
+                              f" {x0.shape}, expected"
+                              f" ({losses.num_nodes}, {losses.dim})")
+        return x0
+    path = gamma_path(losses, graph, _gamma_values(spec["grid"]),
+                      warm_start=True, stop_on_full_merge=True,
                       **_solver_options(solver_spec, stopping_only=True))
     try:
         return midpoint_init(path)
@@ -606,8 +517,30 @@ def _initial_x(spec, losses, graph, solver_spec):
         raise NumericalError(f"nl-midpoint init failed: {exc}")
 
 
+def _piecewise_signal(levels, noise_sd, seed):
+    """``gen_piecewise_signal`` over normalized ``[length, value]`` levels."""
+    return gen_piecewise_signal(sum(l for l, _ in levels), levels,
+                                noise_sd=noise_sd, seed=seed)
+
+
 # ---------------------------------------------------------------------------
-# artifact writers
+# solving and artifact writing
+
+
+def _solve(solve, losses, graph, strength, merge_tol, **options):
+    """One run of ``solve_nl`` or ``solve_ntl`` that must neither diverge
+    nor leave non-finite values: its state, stop reason and partition."""
+    state, reason = solve(losses, graph, strength, **options)
+    if reason == DIVERGED:
+        raise NumericalError("solver diverged; lower rho or gamma")
+    if not np.all(np.isfinite(state.x)):
+        raise NumericalError("solution contains non-finite values")
+    return state, reason, extract_partition(state.x, graph, merge_tol)
+
+
+def _check_path(path):
+    if any(step.stop_reason == DIVERGED for step in path.steps):
+        raise NumericalError("a path step diverged; lower rho or gamma")
 
 
 def _write_json(path, payload):
@@ -624,8 +557,9 @@ def _write_csv(path, header, rows, start=0):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _write_state(out, state):
-    """centroids.csv and trace.csv of one solver run."""
+def _write_solve(out, state, reason, part, merge_tol, optimality):
+    """centroids.csv, trace.csv, partition.json and optimality.json of one
+    solver run; ``optimality`` holds the check that fits the problem."""
     dims = ",".join(f"dim{c}" for c in range(state.x.shape[1]))
     _write_csv(out / "centroids.csv", "node," + dims, state.x)
     _write_csv(out / "trace.csv", "iter,objective,augmented_lagrangian,"
@@ -633,18 +567,20 @@ def _write_state(out, state):
                zip(state.objectives, state.aug_lagrangians,
                    state.primal_residuals, state.x_changes, state.rhos),
                start=1)
+    _write_json(out / "partition.json", {
+        "labels": [int(v) for v in part.labels],
+        "num_clusters": part.num_clusters, "merge_tol": merge_tol})
+    _write_json(out / "optimality.json", dict(
+        optimality, objective=state.objectives[-1], stop_reason=reason,
+        iterations=state.iterations, num_clusters=part.num_clusters))
 
 
-def _partition_payload(x, graph, merge_tol):
-    part = extract_partition(x, graph, merge_tol=merge_tol)
-    return part, {"labels": [int(v) for v in part.labels],
-                  "num_clusters": part.num_clusters,
-                  "merge_tol": merge_tol}
-
-
-def _check_finite(x, what):
-    if not np.all(np.isfinite(x)):
-        raise NumericalError(f"{what} contains non-finite values")
+def _path_artifacts(out, path):
+    _check_path(path)
+    with open(out / "path.json", "w") as fh:
+        save_path_json(path, fh)
+    with open(out / "path_centroids.csv", "w") as fh:
+        save_centroids_csv(path, fh)
 
 
 # ---------------------------------------------------------------------------
@@ -654,116 +590,64 @@ def _check_finite(x, what):
 def cmd_gen_data(config, out):
     gen = config["generator"]
     seed = config["seed"]
+    if gen["kind"] == "piecewise":
+        signal = _piecewise_signal(gen["levels"], gen["noise_sd"], seed)
+        save_signal_csv(signal, out / "signal.csv")
+        return
     if gen["kind"] == "two-line":
         data = gen_two_line_regression(gen["n"], slopes=tuple(gen["slopes"]),
                                        intercepts=tuple(gen["intercepts"]),
                                        x_range=tuple(gen["x_range"]),
                                        noise_sd=gen["noise_sd"], seed=seed)
-        save_csv(data, out / "data.csv")
-    elif gen["kind"] == "half-moons":
-        data = gen_half_moons(gen["n"], noise_sd=gen["noise_sd"], seed=seed)
-        save_csv(data, out / "data.csv")
     else:
-        levels = [(int(l), float(v)) for l, v in gen["levels"]]
-        signal = gen_piecewise_signal(sum(l for l, _ in levels), levels,
-                                      noise_sd=gen["noise_sd"], seed=seed)
-        save_signal_csv(signal, out / "signal.csv")
-
-
-def _solve_common(config):
-    data = _load_data(config["data"])
-    losses = _build_loss(config["loss"], data)
-    graph = _build_graph(config["graph"], data)
-    return data, losses, graph
+        data = gen_half_moons(gen["n"], noise_sd=gen["noise_sd"], seed=seed)
+    save_csv(data, out / "data.csv")
 
 
 def cmd_solve_nl(config, out):
-    data, losses, graph = _solve_common(config)
-    state, reason = solve_nl(losses, graph, config["gamma"],
-                             **_solver_options(config["solver"]))
-    if reason == DIVERGED:
-        raise NumericalError("solver diverged; lower rho or gamma")
-    _check_finite(state.x, "solution")
-    _write_state(out, state)
-    part, payload = _partition_payload(state.x, graph, config["merge_tol"])
-    _write_json(out / "partition.json", payload)
+    data, losses, graph = _instance(config)
+    merge_tol = config["merge_tol"]
+    state, reason, part = _solve(solve_nl, losses, graph, config["gamma"],
+                                 merge_tol,
+                                 **_solver_options(config["solver"]))
     report = nl_certificate(state.x, losses, graph, config["gamma"],
-                            merge_tol=config["merge_tol"])
-    _write_json(out / "optimality.json", {
-        "kind": "subgradient-certificate",
-        "passed": report.passed,
-        "max_rel_residual": report.max_rel_residual,
-        "max_subgrad_norm": report.max_subgrad_norm,
-        "merged_edges": report.merged_edges,
-        "residual_tol": report.residual_tol,
-        "norm_slack": report.norm_slack,
-        "objective": state.objectives[-1],
-        "stop_reason": reason,
-        "iterations": state.iterations,
-        "num_clusters": part.num_clusters,
-    })
+                            merge_tol=merge_tol)
+    _write_solve(out, state, reason, part, merge_tol, {
+        "kind": "subgradient-certificate", "passed": report.passed,
+        **asdict(report)})
 
 
 def cmd_solve_ntl(config, out):
-    data, losses, graph = _solve_common(config)
-    if config["cardinality"] > graph.num_edges:
-        raise ConfigError(f"cardinality {config['cardinality']} exceeds the"
-                          f" edge count {graph.num_edges}")
+    data, losses, graph = _instance(config)
+    K = config["cardinality"]
+    _check_cardinality(K, graph.num_edges)
     gamma = _resolve_gamma(config["gamma"], losses)
-    spec = config["solver"]
-    solver_config = SolverConfig(gamma=gamma,
-                                 cardinality=config["cardinality"],
-                                 **_solver_options(spec, graph))
-    x0 = _initial_x(config["init"], losses, graph, spec)
-    state, reason = solve_ntl(losses, graph, solver_config, x0=x0)
-    if reason == DIVERGED:
-        raise NumericalError("solver diverged; lower rho or gamma")
-    _check_finite(state.x, "solution")
-    _write_state(out, state)
-    part, payload = _partition_payload(state.x, graph, config["merge_tol"])
-    _write_json(out / "partition.json", payload)
-    report = stationarity_check(state.x, losses, graph, gamma,
-                                config["cardinality"], seed=config["seed"])
-    _write_json(out / "optimality.json", {
-        "kind": "directional-stationarity",
-        "passed": report.passed,
-        "min_value": report.min_value,
-        "worst_kind": report.worst_kind,
-        "num_directions": report.num_directions,
-        "tolerance": report.tolerance,
-        "gamma": gamma,
-        "objective": state.objectives[-1],
-        "stop_reason": reason,
-        "iterations": state.iterations,
-        "num_clusters": part.num_clusters,
-    })
-
-
-def _path_artifacts(out, path):
-    if any(step.stop_reason == DIVERGED for step in path.steps):
-        raise NumericalError("a path step diverged; lower rho or gamma")
-    with open(out / "path.json", "w") as fh:
-        save_path_json(path, fh)
-    with open(out / "path_centroids.csv", "w") as fh:
-        save_centroids_csv(path, fh)
+    solver_config = SolverConfig(gamma=gamma, cardinality=K,
+                                 **_solver_options(config["solver"], graph))
+    x0 = _initial_x(config["init"], losses, graph, config["solver"])
+    state, reason, part = _solve(solve_ntl, losses, graph, solver_config,
+                                 config["merge_tol"], x0=x0)
+    report = stationarity_check(state.x, losses, graph, gamma, K,
+                                seed=config["seed"])
+    _write_solve(out, state, reason, part, config["merge_tol"], {
+        "kind": "directional-stationarity", "passed": report.passed,
+        "gamma": gamma, **asdict(report)})
 
 
 def cmd_k_path(config, out):
-    data, losses, graph = _solve_common(config)
+    data, losses, graph = _instance(config)
     gamma = _resolve_gamma(config["gamma"], losses)
     ks = _k_values(config["k_sequence"], graph.num_edges)
-    spec = config["solver"]
-    options = _solver_options(spec, graph)
-    x0 = _initial_x(config["init"], losses, graph, spec)
+    x0 = _initial_x(config["init"], losses, graph, config["solver"])
     path = k_path(losses, graph, gamma, ks, x0=x0,
-                  merge_tol=config["merge_tol"], **options)
+                  merge_tol=config["merge_tol"],
+                  **_solver_options(config["solver"], graph))
     _path_artifacts(out, path)
 
 
 def cmd_gamma_path(config, out):
-    data, losses, graph = _solve_common(config)
-    gammas = _gamma_values(config["gamma_sequence"])
-    path = gamma_path(losses, graph, gammas,
+    data, losses, graph = _instance(config)
+    path = gamma_path(losses, graph, _gamma_values(config["gamma_sequence"]),
                       warm_start=config["warm_start"],
                       stop_on_full_merge=config["stop_on_full_merge"],
                       merge_tol=config["merge_tol"],
@@ -772,20 +656,13 @@ def cmd_gamma_path(config, out):
 
 
 def cmd_thresholds(config, out):
-    data, losses, graph = _solve_common(config)
-    payload = {"3nC": None, "recovery": None, "cc_specialized": None}
+    data, losses, graph = _instance(config)
+    truth = _truth(data)
+    payload = {"3nC": None, "recovery": None, "cc_specialized": None,
+               "exact_penalty": _exact_penalty(losses).to_json_dict()}
     if isinstance(losses, SquaredDistance):
-        bound = bound_C_clustering(losses)
         payload["3nC"] = clustering_threshold(losses.points)
-        method = "clustering"
-    elif losses.quadratic_terms() is not None:
-        bound = bound_C_quadratic(losses)
-        method = "quadratic"
-    else:
-        raise ConfigError("thresholds need a quadratic loss")
-    threshold = exact_penalty_threshold(losses, bound, method=method)
-    payload["exact_penalty"] = threshold.to_json_dict()
-    if data.labels is not None:
+    if truth is not None:
         report = recovery_interval(losses, graph, data.labels)
         payload["recovery"] = report.to_json_dict()
         if isinstance(losses, SquaredDistance):
@@ -810,24 +687,18 @@ def _midpoint_gamma(lo, hi):
 
 
 def cmd_recovery_check(config, out):
-    data, losses, graph = _solve_common(config)
-    if data.labels is None:
+    data, losses, graph = _instance(config)
+    truth = _truth(data)
+    if truth is None:
         raise ConfigError("recovery-check needs data.has_labels with a"
                           " label column")
     report = recovery_interval(losses, graph, data.labels)
     gamma = config["gamma"]
     if gamma == "auto":
         gamma = _midpoint_gamma(report.gamma_min, report.gamma_max)
-    state, reason = solve_nl(losses, graph, gamma,
-                             **_solver_options(config["solver"]))
-    if reason == DIVERGED:
-        raise NumericalError("solver diverged; lower rho or gamma")
-    _check_finite(state.x, "solution")
-    part, _ = _partition_payload(state.x, graph, config["merge_tol"])
-    try:
-        truth = Partition(np.asarray(data.labels))
-    except ValueError as exc:
-        raise ConfigError(f"bad label column: {exc}")
+    state, reason, part = _solve(solve_nl, losses, graph, gamma,
+                                 config["merge_tol"],
+                                 **_solver_options(config["solver"]))
     _write_json(out / "recovery.json", {
         "gamma_min": report.gamma_min,
         "gamma_max": report.gamma_max,
@@ -845,44 +716,28 @@ def cmd_recovery_check(config, out):
 
 
 def _load_labels(path):
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read labels from {path}: {exc}")
-    if path.suffix == ".json":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"bad JSON in {path}: {exc}")
+    """A partition from a JSON labels list (alone or under "labels"),
+    or from the last column of a CSV."""
+    text = Path(path).read_text()
+    if Path(path).suffix == ".json":
+        doc = json.loads(text)
         labels = doc.get("labels") if isinstance(doc, dict) else doc
         if not isinstance(labels, list):
-            raise ConfigError(f"{path} holds no labels list")
+            raise ValueError("no labels list")
     else:
-        labels = []
-        for ln, line in enumerate(text.splitlines(), start=1):
-            if not line.strip():
-                continue
-            cell = line.split(",")[-1].strip()
-            try:
-                value = float(cell)
-            except ValueError:
-                raise ConfigError(f"{path} line {ln}: non-numeric label")
-            labels.append(value)
-    arr = np.asarray(labels)
+        labels = [float(line.split(",")[-1])
+                  for line in text.splitlines() if line.strip()]
+    arr = np.asarray(labels, dtype=np.float64)
     if arr.size == 0:
-        raise ConfigError(f"{path} holds no labels")
+        raise ValueError("no labels")
     if not np.all(arr == np.round(arr)):
-        raise ConfigError(f"{path} labels must be integral")
-    try:
-        return Partition(arr.astype(np.int64))
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}")
+        raise ValueError("labels must be integral")
+    return Partition(arr.astype(np.int64))
 
 
 def cmd_metrics(config, out):
-    predicted = _load_labels(config["predicted"])
-    reference = _load_labels(config["reference"])
+    predicted = _read("labels", _load_labels, config["predicted"])
+    reference = _read("labels", _load_labels, config["reference"])
     if predicted.num_nodes != reference.num_nodes:
         raise ConfigError(
             f"label files disagree on size: {predicted.num_nodes}"
@@ -895,34 +750,30 @@ def cmd_metrics(config, out):
     })
 
 
-def _jump_set(x, chain, merge_tol):
-    """Positions i with a jump between samples i-1 and i of the chain."""
-    merged, _ = merged_components(chain, x[:, None], merge_tol)
-    return [int(i) + 1 for i in np.flatnonzero(~merged)]
+def _fit(gamma, x, part, signal):
+    """One estimate of the signal: its strength, error and jump set.
 
-
-def _signal_instance(spec):
-    if "file" in spec:
-        try:
-            return load_signal_csv(spec["file"])
-        except OSError as exc:
-            raise ConfigError(f"cannot read signal file: {exc}")
-        except ValueError as exc:
-            raise ConfigError(f"bad signal file {spec['file']}: {exc}")
-    levels = [(int(l), float(v)) for l, v in spec["levels"]]
-    n = sum(l for l, _ in levels)
-    return gen_piecewise_signal(n, levels, noise_sd=spec["noise_sd"],
-                                seed=spec["seed"])
+    On the chain every cluster is a run of samples, so the jumps are
+    where the partition labels change."""
+    estimate = x[:, 0]
+    jumps = [int(i) + 1 for i in np.flatnonzero(np.diff(part.labels))]
+    return {"gamma": float(gamma),
+            "error": float(np.linalg.norm(estimate - signal.original)),
+            "jumps": jumps, "num_jumps": len(jumps), "estimate": estimate}
 
 
 def cmd_piecewise(config, out):
-    signal = _signal_instance(config["signal"])
+    spec = config["signal"]
+    if "file" in spec:
+        signal = _read("signal", load_signal_csv, spec["file"])
+    else:
+        signal = _piecewise_signal(spec["levels"], spec["noise_sd"],
+                                   spec["seed"])
     n = signal.original.size
     noisy = signal.noisy.reshape(-1, 1)
     losses = SquaredDistance(noisy)
     K = config["cardinality"]
-    if K > n - 1:
-        raise ConfigError(f"cardinality {K} exceeds the edge count {n - 1}")
+    _check_cardinality(K, n - 1)
     merge_tol = config["merge_tol"]
 
     # trimmed run: plain path graph, strength from the exact-penalty
@@ -932,70 +783,49 @@ def cmd_piecewise(config, out):
     gamma = _resolve_gamma(config["gamma"], losses)
     solver_config = SolverConfig(gamma=gamma, cardinality=K,
                                  **_solver_options(config["solver"], plain))
-    state, reason = solve_ntl(losses, plain, solver_config,
-                             x0=noisy.copy())
-    if reason == DIVERGED:
-        raise NumericalError("trimmed solver diverged")
-    _check_finite(state.x, "trimmed solution")
-    ntl_est = state.x[:, 0]
-    ntl_result = {
-        "gamma": gamma,
-        "error": float(np.linalg.norm(ntl_est - signal.original)),
-        "jumps": _jump_set(ntl_est, plain, merge_tol),
-        "iterations": state.iterations,
-        "stop_reason": reason,
-    }
+    state, reason, part = _solve(solve_ntl, losses, plain, solver_config,
+                                 merge_tol, x0=noisy)
+    ntl = _fit(gamma, state.x, part, signal)
 
     # convex baseline: Gaussian-weighted path graph, one cold-started
     # run per strength on the grid
-    weighted = path_graph(n, points=noisy, alpha=config["alpha"])
-    grid = _gamma_values(config["nl_grid"])
-    nl_runs = []
-    for g in grid:
-        nl_state, nl_reason = solve_nl(
-            losses, weighted, g, x0=noisy.copy(),
-            **_solver_options(config["solver"], stopping_only=True))
-        if nl_reason == DIVERGED:
-            raise NumericalError(f"convex baseline diverged at"
-                                 f" gamma={g!r}")
-        est = nl_state.x[:, 0]
-        nl_runs.append({
-            "gamma": float(g),
-            "error": float(np.linalg.norm(est - signal.original)),
-            "jumps": _jump_set(est, plain, merge_tol),
-            "estimate": est,
-        })
+    path = gamma_path(losses, path_graph(n, points=noisy,
+                                         alpha=config["alpha"]),
+                      _gamma_values(config["nl_grid"]), x0=noisy,
+                      warm_start=False, merge_tol=merge_tol,
+                      **_solver_options(config["solver"], stopping_only=True))
+    _check_path(path)
+    nl_runs = [_fit(step.parameter, step.centroids, step.partition, signal)
+               for step in path.steps]
 
-    def public(run):
-        return {"gamma": run["gamma"], "error": run["error"],
-                "jumps": run["jumps"], "num_jumps": len(run["jumps"])}
+    def public(run, keys=("gamma", "error", "jumps", "num_jumps")):
+        return {key: run[key] for key in keys}
 
     best_quality = min(nl_runs, key=lambda r: r["error"])
-    sparse_enough = [r for r in nl_runs if len(r["jumps"]) <= K]
+    sparse_enough = [r for r in nl_runs if r["num_jumps"] <= K]
     best_cardinality = sparse_enough[0] if sparse_enough else None
-
-    payload = {
+    true_jumps = [int(j) for j in signal.jumps]
+    _write_json(out / "piecewise.json", {
         "n": n,
         "noise_sd": signal.noise_sd,
         "cardinality": K,
-        "true_jumps": [int(j) for j in signal.jumps],
-        "ntl": dict(ntl_result, num_jumps=len(ntl_result["jumps"])),
+        "true_jumps": true_jumps,
+        "ntl": dict(public(ntl), iterations=state.iterations,
+                    stop_reason=reason),
         "nl_best_quality": public(best_quality),
         "nl_best_cardinality":
             public(best_cardinality) if best_cardinality else None,
-        "nl_grid": [{"gamma": r["gamma"], "error": r["error"],
-                     "num_jumps": len(r["jumps"])} for r in nl_runs],
-        "ntl_beats_best_nl": ntl_result["error"] <= best_quality["error"],
-        "ntl_jumps_exact": ntl_result["jumps"]
-            == [int(j) for j in signal.jumps],
-    }
-    _write_json(out / "piecewise.json", payload)
+        "nl_grid": [public(r, ("gamma", "error", "num_jumps"))
+                    for r in nl_runs],
+        "ntl_beats_best_nl": ntl["error"] <= best_quality["error"],
+        "ntl_jumps_exact": ntl["jumps"] == true_jumps,
+    })
 
     bc = best_cardinality["estimate"] if best_cardinality \
         else np.full(n, math.nan)
     _write_csv(out / "signals.csv",
                "index,original,noisy,ntl,nl_best_quality,nl_best_cardinality",
-               zip(signal.original, signal.noisy, ntl_est,
+               zip(signal.original, signal.noisy, ntl["estimate"],
                    best_quality["estimate"], bc))
 
 
@@ -1013,68 +843,88 @@ class Task:
 
 TASKS = {
     "gen-data": Task("write a synthetic dataset", {
-        "generator": _Key(_parse_generator, flags=(
-            _flag("--generator", entry="kind", choices=GENERATOR_KINDS),
-            _flag("--n", entry="n", type=int),
-            _flag("--noise-sd", entry="noise_sd", type=float))),
+        "generator": _Field(_Kinded("--generator", {
+            "two-line": {"n": _GEN_N, "slopes": _Field(_PAIR, [1.0, -1.0]),
+                         "intercepts": _Field(_PAIR, [0.0, 0.0]),
+                         "x_range": _Field(_PAIR, [-1.0, 1.0]),
+                         "noise_sd": _GEN_NOISE},
+            "half-moons": {"n": _GEN_N, "noise_sd": _GEN_NOISE},
+            "piecewise": {"levels": _Field(_LEVELS),
+                          "noise_sd": _GEN_NOISE}})),
         "seed": _SEED, "output": _OUTPUT}, cmd_gen_data),
     "solve-nl": Task("solve the convex weighted problem", {
         **_INSTANCE, "gamma": _gamma(allow_auto=False),
-        "solver": _solver(1.0, convex=True), "merge_tol": _MERGE_TOL,
+        "solver": _CONVEX_SOLVER, "merge_tol": _MERGE_TOL,
         "seed": _SEED, "output": _OUTPUT}, cmd_solve_nl),
     "solve-ntl": Task("solve the trimmed problem", {
-        **_INSTANCE, "gamma": _gamma(), "solver": _solver(1e4),
-        "cardinality": _cardinality(), "init": _INIT,
+        **_INSTANCE, "gamma": _gamma(), "solver": _solver(1e4, _SCHEDULE),
+        "cardinality": _flagged(_int(minimum=0), REQUIRED, "--cardinality",
+                                "-K", type=int),
+        "init": _INIT,
         "merge_tol": _MERGE_TOL, "seed": _SEED, "output": _OUTPUT},
         cmd_solve_ntl),
     "k-path": Task("sweep the exemption budget downward", {
         **_INSTANCE, "gamma": _gamma(),
-        "k_sequence": _Key(_parse_k_sequence, flags=(
-            _flag("--k-values", type=_int_list_flag),)),
-        "init": _INIT, "solver": _solver(1e4), "merge_tol": _MERGE_TOL,
-        "seed": _SEED, "output": _OUTPUT}, cmd_k_path),
+        "k_sequence": _flagged(_Either({
+            "values": _Field(_list(_int(minimum=0))),
+            "start": _Field(_int(minimum=0)),
+            "stop": _Field(_int(minimum=0), 0),
+            "step": _Field(_int(maximum=-1), -1)}), REQUIRED,
+            "--k-values", type=_int_list_flag),
+        "init": _INIT, "solver": _solver(1e4, _SCHEDULE),
+        "merge_tol": _MERGE_TOL, "seed": _SEED, "output": _OUTPUT},
+        cmd_k_path),
     "gamma-path": Task("sweep the penalty strength upward", {
         **_INSTANCE,
-        "gamma_sequence": _Key(_parse_gamma_grid, flags=(
-            _flag("--gamma-grid", type=_grid_flag),)),
-        "warm_start": _Key(lambda v: _bool("warm_start", v), True, (
-            _flag("--no-warm-start", action="store_const", const=False),)),
-        "stop_on_full_merge": _Key(
-            lambda v: _bool("stop_on_full_merge", v), False,
-            (_flag("--stop-on-full-merge", **_SET_TRUE),)),
-        "solver": _solver(1.0, convex=True), "merge_tol": _MERGE_TOL,
+        "gamma_sequence": _flagged(_GRID, REQUIRED, "--gamma-grid",
+                                   type=_grid_flag),
+        "warm_start": _flagged(_bool, True, "--no-warm-start",
+                               action="store_const", const=False),
+        "stop_on_full_merge": _flagged(_bool, False, "--stop-on-full-merge",
+                                       **_SET_TRUE),
+        "solver": _CONVEX_SOLVER, "merge_tol": _MERGE_TOL,
         "seed": _SEED, "output": _OUTPUT}, cmd_gamma_path),
     "thresholds": Task("report penalty and recovery thresholds",
                        {**_INSTANCE, "output": _OUTPUT}, cmd_thresholds),
     "recovery-check": Task(
         "solve at an in-interval strength and compare against labels", {
             **_INSTANCE, "gamma": _gamma("auto"),
-            "solver": _solver(1.0, convex=True), "merge_tol": _MERGE_TOL,
+            "solver": _CONVEX_SOLVER, "merge_tol": _MERGE_TOL,
             "output": _OUTPUT}, cmd_recovery_check),
     "metrics": Task("compare two partition files", {
-        "predicted": _Key(lambda v: _str("predicted", v),
-                          flags=(_flag("--predicted"),)),
-        "reference": _Key(lambda v: _str("reference", v),
-                          flags=(_flag("--reference"),)),
+        "predicted": _flagged(_str(), REQUIRED, "--predicted"),
+        "reference": _flagged(_str(), REQUIRED, "--reference"),
         "output": _OUTPUT}, cmd_metrics),
     "piecewise": Task("piecewise-constant signal experiment", {
-        "signal": _Key(_parse_signal, flags=(
-            _flag("--signal-file", entry="file"),
-            _flag("--seed", entry="seed", type=int))),
-        "cardinality": _cardinality(5), "gamma": _gamma("auto"),
-        "alpha": _Key(lambda v: _num("alpha", v, above=0.0), 0.5,
-                      (_flag("--alpha", type=float),)),
-        "nl_grid": _Key(lambda raw: _parse_gamma_grid(raw, "nl_grid"), {},
-                        (_flag("--nl-grid", type=_grid_flag),)),
-        "solver": _solver(1.0, default_schedule={"multiplier": 10.0,
-                                                 "cap": "auto",
-                                                 "period": 100}),
+        "signal": _Field(_Either({
+            "file": _flagged(_str(), REQUIRED, "--signal-file"),
+            "levels": _Field(_LEVELS),
+            "noise_sd": _Field(_num(minimum=0.0), 0.2),
+            "seed": _flagged(_int(), 0, "--seed", type=int)})),
+        "cardinality": _flagged(_int(minimum=0), 5, "--cardinality", "-K",
+                                type=int),
+        "gamma": _gamma("auto"),
+        "alpha": _flagged(_num(above=0.0), 0.5, "--alpha", type=float),
+        "nl_grid": _flagged(_GRID, {}, "--nl-grid", type=_grid_flag),
+        "solver": _solver(1.0, _SCHEDULE, {}),
         "merge_tol": _MERGE_TOL, "output": _OUTPUT}, cmd_piecewise),
 }
 
 
 # ---------------------------------------------------------------------------
 # argument parsing and flag overrides
+
+
+def _flags(schema):
+    """Every flag of a task's schema: its option strings, the config path
+    it sets (a top-level key, or a key and an entry of its section) and
+    its argparse keywords."""
+    for key, field in schema.items():
+        for opts, kwargs in field.flags:
+            yield opts, (key,), kwargs
+        for entry, inner in getattr(field.check, "fields", {}).items():
+            for opts, kwargs in inner.flags:
+                yield opts, (key, entry), kwargs
 
 
 def build_parser():
@@ -1086,26 +936,24 @@ def build_parser():
     for name, task in TASKS.items():
         sub = subs.add_parser(name, help=task.help)
         sub.add_argument("--config", help="JSON config document")
-        for spec in task.schema.values():
-            for opts, _, kwargs in spec.flags:
-                sub.add_argument(*opts, dest=_dest(opts), **kwargs)
+        for opts, _, kwargs in _flags(task.schema):
+            sub.add_argument(*opts, **kwargs)
     return parser
 
 
 def _apply_overrides(raw, args, schema):
-    for key, spec in schema.items():
-        for opts, entry, _ in spec.flags:
-            value = getattr(args, _dest(opts))
-            if value is None:
-                continue
-            if entry is None:
-                raw[key] = value
-                continue
-            section = raw.setdefault(key, {})
-            if not isinstance(section, dict):
+    for opts, path, _ in _flags(schema):
+        # argparse names a flag's value after its first, long option
+        value = getattr(args, opts[0][2:].replace("-", "_"))
+        if value is None:
+            continue
+        node = raw
+        for key in path[:-1]:
+            node = node.setdefault(key, {})
+            if not isinstance(node, dict):
                 raise ConfigError(f"config entry {key} must be an object to"
                                   f" accept the {opts[0]} flag")
-            section[entry] = value
+        node[path[-1]] = value
 
 
 def load_config(args):

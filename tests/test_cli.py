@@ -683,3 +683,285 @@ class TestModuleEntryPoint:
             [sys.executable, "-m", "netlasso", "no-such-command"],
             capture_output=True, text=True)
         assert proc.returncode == 2
+
+
+MINIMAL = {
+    "gen-data": {"generator": {"kind": "half-moons", "n": 4}},
+    "solve-nl": {"data": {"file": "d.csv"}, "gamma": 1.0},
+    "solve-ntl": {"data": {"file": "d.csv"}, "gamma": 1.0,
+                  "cardinality": 1},
+    "k-path": {"data": {"file": "d.csv"}, "gamma": 1.0,
+               "k_sequence": {"values": [1, 0]}},
+    "gamma-path": {"data": {"file": "d.csv"},
+                   "gamma_sequence": {"values": [0.5, 1.0]}},
+    "thresholds": {"data": {"file": "d.csv"}},
+    "recovery-check": {"data": {"file": "d.csv"}},
+    "metrics": {"predicted": "a.json", "reference": "b.csv"},
+    "piecewise": {"signal": {"levels": [[5, 0.0], [5, 1.0]]}},
+}
+
+
+def minimal_config(task, **entries):
+    return {"task": task, **MINIMAL[task], "output": {"dir": "o"}, **entries}
+
+
+# (task, top-level entries replacing the minimal config's, pattern the
+# error message must match).  Per section: an unknown key, a missing
+# required key, a wrong type, an out-of-range value and, for the kinded
+# sections, a key of another kind.
+REJECTED = [
+    ("gen-data", {"output": {"dir": "o", "path": "p"}}, "output.*path"),
+    ("gen-data", {"output": {}}, "output.*dir"),
+    ("gen-data", {"output": {"dir": 3}}, "output.dir"),
+    ("gen-data", {"output": "o"}, "output"),
+    ("solve-nl", {"data": {"file": "d.csv", "sep": ","}}, "data.*sep"),
+    ("solve-nl", {"data": {"has_labels": True}}, "data.*file"),
+    ("solve-nl", {"data": {"file": "d.csv", "has_labels": "yes"}},
+     "data.has_labels"),
+    ("solve-nl", {"data": ["d.csv"]}, "data"),
+    ("solve-nl", {"graph": {"kind": "path", "radius": 1}}, "graph.*radius"),
+    ("solve-nl", {"graph": {"alpha": 0.5}}, "graph.*kind"),
+    ("solve-nl", {"graph": {"kind": "star"}}, "graph.kind"),
+    ("solve-nl", {"graph": {"kind": "knn"}}, "graph.*k"),
+    ("solve-nl", {"graph": {"kind": "edge-list"}}, "graph.*file"),
+    ("solve-nl", {"graph": {"kind": "knn", "k": "3"}}, "graph.k"),
+    ("solve-nl", {"graph": {"kind": "knn", "k": 0}}, "graph.k"),
+    ("solve-nl", {"graph": {"kind": "knn", "k": 2, "alpha": 0.0}},
+     "graph.alpha"),
+    ("solve-nl", {"graph": {"kind": "path", "alpha": -1.0}}, "graph.alpha"),
+    ("solve-nl", {"graph": {"kind": "path", "k": 3}}, "graph.k"),
+    ("solve-nl", {"graph": {"kind": "complete", "file": "g.txt"}},
+     "graph.file"),
+    ("solve-nl", {"graph": {"kind": "knn", "k": 2, "file": "g.txt"}},
+     "graph.file"),
+    ("solve-nl", {"graph": {"kind": "edge-list", "file": "g.txt",
+                            "alpha": 1.0}}, "graph.*alpha"),
+    ("solve-nl", {"loss": {"kind": "ridge", "lambda": 1.0}}, "loss.*lambda"),
+    ("solve-nl", {"loss": {"epsilon": 0.1}}, "loss.*kind"),
+    ("solve-nl", {"loss": {"kind": "huber"}}, "loss.kind"),
+    ("solve-nl", {"loss": {"kind": "ridge", "epsilon": "small"}},
+     "loss.epsilon"),
+    ("solve-nl", {"loss": {"kind": "ridge", "epsilon": 0.0}},
+     "loss.epsilon"),
+    ("solve-nl", {"loss": {"kind": "squared-distance", "epsilon": 0.1}},
+     "loss.epsilon"),
+    ("solve-nl", {"solver": {"momentum": 0.9}}, "solver.*momentum"),
+    ("solve-nl", {"solver": {"max_iters": 1.5}}, "solver.max_iters"),
+    ("solve-nl", {"solver": {"max_iters": 0}}, "solver.max_iters"),
+    ("solve-nl", {"solver": {"rho": 0.0}}, "solver.rho"),
+    ("solve-nl", {"solver": {"rho": True}}, "solver.rho"),
+    ("solve-nl", {"solver": {"eps_abs": -1e-5}}, "solver.eps_abs"),
+    ("solve-nl", {"solver": {"eps_rel": "tight"}}, "solver.eps_rel"),
+    ("solve-nl", {"solver": {"smoothness": 0.0}}, "solver.smoothness"),
+    ("solve-nl", {"solver": {"x_update": "newton"}}, "solver.x_update"),
+    ("solve-nl", {"solver": {"rho_schedule": {}}}, "rho_schedule"),
+    ("solve-nl", {"solver": 1.0}, "solver"),
+    ("solve-ntl", {"solver": {"rho_schedule": {"growth": 2}}},
+     "rho_schedule.*growth"),
+    ("solve-ntl", {"solver": {"rho_schedule": {"multiplier": 1.0}}},
+     "rho_schedule.multiplier"),
+    ("solve-ntl", {"solver": {"rho_schedule": {"period": 0}}},
+     "rho_schedule.period"),
+    ("solve-ntl", {"solver": {"rho_schedule": {"period": 2.5}}},
+     "rho_schedule.period"),
+    ("solve-ntl", {"solver": {"rho_schedule": {"cap": "high"}}},
+     "rho_schedule.cap"),
+    ("solve-ntl", {"solver": {"rho_schedule": {"cap": 0.0}}},
+     "rho_schedule.cap"),
+    ("solve-ntl", {"solver": {"rho_schedule": [10.0]}}, "rho_schedule"),
+    ("solve-ntl", {"init": {"kind": "minimizers", "seed": 1}},
+     "init.*seed"),
+    ("solve-ntl", {"init": {"file": "c.csv"}}, "init.*kind"),
+    ("solve-ntl", {"init": {"kind": "from-file"}}, "init.*file"),
+    ("solve-ntl", {"init": {"kind": "random"}}, "init.kind"),
+    ("solve-ntl", {"init": {"kind": "from-file", "file": 3}}, "init.file"),
+    ("solve-ntl", {"init": {"kind": "minimizers", "file": "c.csv"}},
+     "init.file"),
+    ("solve-ntl", {"init": {"kind": "minimizers", "grid": {}}},
+     "init.grid"),
+    ("solve-ntl", {"init": {"kind": "nl-midpoint", "file": "c.csv"}},
+     "init.file"),
+    ("solve-ntl", {"init": {"kind": "from-file", "file": "c.csv",
+                            "grid": {}}}, "init.*grid"),
+    ("solve-ntl", {"init": {"kind": "nl-midpoint",
+                            "grid": {"count": 5, "step": 2}}},
+     "init.grid.*step"),
+    ("solve-ntl", {"init": {"kind": "nl-midpoint",
+                            "grid": {"values": []}}}, "init.grid.values"),
+    ("solve-ntl", {"init": {"kind": "nl-midpoint",
+                            "grid": {"factor": 1.0}}}, "init.grid.factor"),
+    ("solve-ntl", {"init": {"kind": "nl-midpoint",
+                            "grid": {"values": [1.0], "count": 3}}},
+     "init.grid.*count"),
+    ("solve-ntl", {"cardinality": -1}, "cardinality"),
+    ("solve-ntl", {"cardinality": "all"}, "cardinality"),
+    ("solve-ntl", {"gamma": -1.0}, "gamma"),
+    ("solve-ntl", {"gamma": "high"}, "gamma"),
+    ("solve-ntl", {"seed": 2.5}, "seed"),
+    ("solve-ntl", {"merge_tol": 0.0}, "merge_tol"),
+    ("solve-ntl", {"merge_tol": "tight"}, "merge_tol"),
+    ("solve-nl", {"gamma": "auto"}, "gamma.*auto"),
+    ("k-path", {"k_sequence": {"values": [2, 1], "stop": 0}},
+     "k_sequence.*stop"),
+    ("k-path", {"k_sequence": {"values": [2], "span": 1}},
+     "k_sequence.*span"),
+    ("k-path", {"k_sequence": {"stop": 0}}, "k_sequence"),
+    ("k-path", {"k_sequence": {"values": 3}}, "k_sequence.values"),
+    ("k-path", {"k_sequence": {"values": []}}, "k_sequence.values"),
+    ("k-path", {"k_sequence": {"values": [2, -1]}}, r"k_sequence.values\[1\]"),
+    ("k-path", {"k_sequence": {"values": [2.0, 1.0]}},
+     r"k_sequence.values\[0\]"),
+    ("k-path", {"k_sequence": {"start": "all"}}, "k_sequence.start"),
+    ("k-path", {"k_sequence": {"start": 5, "stop": -1}}, "k_sequence.stop"),
+    ("k-path", {"k_sequence": {"start": 5, "step": 1}}, "k_sequence.step"),
+    ("k-path", {"k_sequence": {"start": 5, "step": 0}}, "k_sequence.step"),
+    ("gamma-path", {"gamma_sequence": {"start": 0.1, "stop": 1.0}},
+     "gamma_sequence.*stop"),
+    ("gamma-path", {"gamma_sequence": {"values": [1.0], "factor": 2.0}},
+     "gamma_sequence.*factor"),
+    ("gamma-path", {"gamma_sequence": {"values": "1,2"}},
+     "gamma_sequence.values"),
+    ("gamma-path", {"gamma_sequence": {"values": [1.0, 0.0]}},
+     r"gamma_sequence.values\[1\]"),
+    ("gamma-path", {"gamma_sequence": {"start": 0.0}},
+     "gamma_sequence.start"),
+    ("gamma-path", {"gamma_sequence": {"factor": 0.5}},
+     "gamma_sequence.factor"),
+    ("gamma-path", {"gamma_sequence": {"count": 0}},
+     "gamma_sequence.count"),
+    ("gamma-path", {"gamma_sequence": {"count": 2.0}},
+     "gamma_sequence.count"),
+    ("gamma-path", {"gamma_sequence": []}, "gamma_sequence"),
+    ("gamma-path", {"warm_start": "yes"}, "warm_start"),
+    ("gamma-path", {"stop_on_full_merge": 1}, "stop_on_full_merge"),
+    ("gen-data", {"generator": {"kind": "half-moons", "n": 4, "dim": 2}},
+     "generator.*dim"),
+    ("gen-data", {"generator": {"n": 4}}, "generator.*kind"),
+    ("gen-data", {"generator": {"kind": "two-line"}}, "generator.*n"),
+    ("gen-data", {"generator": {"kind": "piecewise"}}, "generator.*levels"),
+    ("gen-data", {"generator": {"kind": "spiral", "n": 4}},
+     "generator.kind"),
+    ("gen-data", {"generator": {"kind": "half-moons", "n": "4"}},
+     "generator.n"),
+    ("gen-data", {"generator": {"kind": "half-moons", "n": 1}},
+     "generator.n"),
+    ("gen-data", {"generator": {"kind": "half-moons", "n": 4,
+                                "noise_sd": -0.1}}, "generator.noise_sd"),
+    ("gen-data", {"generator": {"kind": "two-line", "n": 4,
+                                "slopes": [1.0, 2.0, 3.0]}},
+     "generator.slopes"),
+    ("gen-data", {"generator": {"kind": "two-line", "n": 4,
+                                "x_range": [0.0, "1"]}},
+     r"generator.x_range\[1\]"),
+    ("gen-data", {"generator": {"kind": "half-moons", "n": 4,
+                                "slopes": [1.0, -1.0]}}, "generator.*slopes"),
+    ("gen-data", {"generator": {"kind": "two-line", "n": 4,
+                                "levels": [[2, 0.0]]}}, "generator.*levels"),
+    ("gen-data", {"generator": {"kind": "piecewise", "n": 4,
+                                "levels": [[2, 0.0]]}}, "generator.*n"),
+    ("gen-data", {"generator": {"kind": "piecewise", "levels": []}},
+     "levels"),
+    ("gen-data", {"generator": {"kind": "piecewise",
+                                "levels": [[0, 1.0]]}}, r"levels\[0\]"),
+    ("gen-data", {"generator": {"kind": "piecewise",
+                                "levels": [[2, 1.0, 3.0]]}}, r"levels\[0\]"),
+    ("piecewise", {"signal": {"levels": [[5, 0.0]], "shift": 1}},
+     "signal.*shift"),
+    ("piecewise", {"signal": {"noise_sd": 0.1}}, "signal.*levels"),
+    ("piecewise", {"signal": {"file": "s.csv", "seed": 1}},
+     "signal.*seed"),
+    ("piecewise", {"signal": {"file": 3}}, "signal.file"),
+    ("piecewise", {"signal": {"levels": [[5, "high"]]}}, r"levels\[0\]"),
+    ("piecewise", {"signal": {"levels": [[5, 0.0]], "noise_sd": -1.0}},
+     "signal.noise_sd"),
+    ("piecewise", {"signal": {"levels": [[5, 0.0]], "seed": 1.5}},
+     "signal.seed"),
+    ("piecewise", {"alpha": 0.0}, "alpha"),
+    ("piecewise", {"nl_grid": {"start": 0.1, "ratio": 2.0}},
+     "nl_grid.*ratio"),
+    ("piecewise", {"nl_grid": {"values": [0.1, "x"]}},
+     r"nl_grid.values\[1\]"),
+    ("piecewise", {"nl_grid": {"count": -3}}, "nl_grid.count"),
+    ("piecewise", {"cardinality": 1.5}, "cardinality"),
+    ("metrics", {"predicted": 3}, "predicted"),
+    ("metrics", {"reference": ["b.csv"]}, "reference"),
+    ("thresholds", {"gamma": 1.0}, "gamma"),
+]
+
+
+class TestConfigRejection:
+    @pytest.mark.parametrize("task, entries, pattern", REJECTED)
+    def test_malformed_config_rejected(self, task, entries, pattern):
+        with pytest.raises(ConfigError, match=pattern):
+            normalize_config(minimal_config(task, **entries))
+
+    @pytest.mark.parametrize("task", sorted(MINIMAL))
+    def test_minimal_config_accepted(self, task):
+        assert normalize_config(minimal_config(task))["task"] == task
+
+    @pytest.mark.parametrize("task, key", [
+        (task, key) for task in sorted(MINIMAL) for key in MINIMAL[task]])
+    def test_missing_required_entry_rejected(self, task, key):
+        raw = minimal_config(task)
+        del raw[key]
+        with pytest.raises(ConfigError, match=f"missing key.*{key}"):
+            normalize_config(raw)
+
+    def test_missing_or_unknown_task_rejected(self):
+        with pytest.raises(ConfigError, match="task"):
+            normalize_config({"output": {"dir": "o"}})
+        with pytest.raises(ConfigError, match="task"):
+            normalize_config({"task": "fit", "output": {"dir": "o"}})
+        with pytest.raises(ConfigError, match="object"):
+            normalize_config(["solve-nl"])
+
+
+class TestRunTimeChecks:
+    @pytest.mark.parametrize("task", ["thresholds", "recovery-check"])
+    def test_non_dense_label_ids_are_config_error(self, tmp_path, capsys,
+                                                  task):
+        data = tmp_path / "gap.csv"
+        write_points_csv(data, FOUR_POINTS, labels=[0, 0, 2, 2])
+        assert main([task, "--data-file", str(data), "--has-labels",
+                     "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "label column" in err
+
+    def test_rising_k_range_rejected(self, tmp_path, capsys):
+        # the complete graph on four nodes has six edges, so start 0
+        # stands for 6: a range down to 4 is valid, one from 2 up to 4
+        # is not
+        data = tmp_path / "four.csv"
+        write_points_csv(data, FOUR_POINTS)
+        runs = {}
+        for start in (0, 2):
+            cfg = tmp_path / f"run{start}.json"
+            out = tmp_path / f"out{start}"
+            cfg.write_text(json.dumps({
+                "task": "k-path", "data": {"file": str(data)},
+                "gamma": 1.0, "k_sequence": {"start": start, "stop": 4},
+                "solver": {"max_iters": 50}, "output": {"dir": str(out)}}))
+            runs[start] = main(["k-path", "--config", str(cfg)])
+        assert runs[0] == 0
+        doc = json.loads((tmp_path / "out0" / "path.json").read_text())
+        assert [s["parameter"] for s in doc["steps"]] == [6.0, 5.0, 4.0]
+        assert runs[2] == 2
+        assert "k_sequence" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("labels", [["a", "b"], [[0], [1, 0]]])
+    def test_malformed_json_labels_are_config_error(self, tmp_path, capsys,
+                                                    labels):
+        a = tmp_path / "a.json"
+        a.write_text(json.dumps({"labels": [0, 1]}))
+        b = tmp_path / "b.json"
+        b.write_text(json.dumps({"labels": labels}))
+        assert main(["metrics", "--predicted", str(a), "--reference",
+                     str(b), "--out-dir", str(tmp_path / "out")]) == 2
+        assert "b.json" in capsys.readouterr().err
+
+    def test_null_rho_rejected(self):
+        # null used to pass the check and crash SolverConfig with a
+        # TypeError traceback
+        with pytest.raises(ConfigError, match="solver.rho"):
+            normalize_config(minimal_config("solve-nl",
+                                            solver={"rho": None}))
