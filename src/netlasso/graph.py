@@ -40,6 +40,8 @@ __all__ = [
 
 # Dense eigensolves are used below this edge count; iterative above.
 _DENSE_EIG_LIMIT = 1500
+# Rows of the distance matrix that knn_gaussian_graph holds at once.
+_KNN_BLOCK = 32
 
 
 class WeightedGraph:
@@ -114,12 +116,6 @@ class WeightedGraph:
                 f"num_edges={self.num_edges})")
 
 
-def _pairwise_sq_dists(points, i):
-    """Squared Euclidean distances from row i to every row."""
-    diff = points - points[i]
-    return np.einsum("ij,ij->i", diff, diff)
-
-
 def complete_graph(num_nodes, points=None, alpha=0.5):
     """Complete graph on ``num_nodes`` nodes.
 
@@ -169,18 +165,24 @@ def knn_gaussian_graph(points, k, alpha=0.5):
         return WeightedGraph(n, np.empty((0, 2), dtype=np.int64))
     if k >= n - 1:
         return complete_graph(n, points=points, alpha=alpha)
-    pairs = set()
-    for i in range(n):
-        d2 = _pairwise_sq_dists(points, i)
-        d2[i] = np.inf
-        # stable ordering: distance first, then node index
-        order = np.lexsort((np.arange(n), d2))
-        for j in order[:k]:
-            pairs.add((min(i, j), max(i, j)))
-    edges = np.array(sorted(pairs), dtype=np.int64)
-    d2 = np.einsum("ij,ij->i",
-                   points[edges[:, 0]] - points[edges[:, 1]],
-                   points[edges[:, 0]] - points[edges[:, 1]])
+    picks = []
+    for lo in range(0, n, _KNN_BLOCK):
+        rows = np.arange(lo, min(lo + _KNN_BLOCK, n))
+        diff = points[None, :, :] - points[rows, None, :]
+        d2 = np.einsum("bij,bij->bi", diff, diff)
+        d2[np.arange(len(rows)), rows] = np.inf
+        # every node strictly nearer than the k-th distance, then the
+        # lowest-index ties at that distance up to k
+        kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
+        near, tie = d2 < kth, d2 == kth
+        need = k - near.sum(axis=1, keepdims=True)
+        r, j = np.nonzero(near | (tie & (np.cumsum(tie, axis=1) <= need)))
+        picks.append(np.column_stack((rows[r], j)))
+    picks = np.sort(np.concatenate(picks), axis=1)
+    key = np.unique(picks[:, 0] * n + picks[:, 1])
+    edges = np.column_stack((key // n, key % n))
+    diff = points[edges[:, 0]] - points[edges[:, 1]]
+    d2 = np.einsum("ij,ij->i", diff, diff)
     return WeightedGraph(n, edges, np.exp(-alpha * d2))
 
 

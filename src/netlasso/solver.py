@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import eigsh, factorized, splu
 
 from .graph import DifferenceOperator, merged_components, sigma_min_DDt
 from .penalty import (directional_derivative, group_shrink, prox_trimmed,
@@ -652,6 +652,21 @@ class CertificateReport:
                 and self.max_subgrad_norm <= 1.0 + self.norm_slack)
 
 
+def _lambda_max(lap):
+    """Largest eigenvalue of a symmetric sparse matrix, bit-reproducible."""
+    if lap.shape[0] <= 64:  # cheaper dense; ARPACK also needs n > 1
+        return float(np.linalg.eigvalsh(lap.toarray())[-1])
+    v0 = np.random.default_rng(0).random(lap.shape[0])
+    return float(eigsh(lap, k=1, which="LA", v0=v0,
+                       return_eigenvectors=False)[0])
+
+
+def _members(labels):
+    """Sparse (labels.max() + 1, len(labels)) 0/1 matrix of the labels."""
+    return sp.csr_matrix((np.ones(len(labels)),
+                          (labels, np.arange(len(labels)))))
+
+
 def _add_edge_terms(node_sums, edges, c):
     """Add ``c[e]`` to node i and subtract it from node j of edge e.
 
@@ -669,11 +684,15 @@ def nl_certificate(x, losses, graph, gamma, merge_tol=1e-6,
     """Construct an optimality certificate for the convex problem at x.
 
     Edges left unmerged by :func:`netlasso.graph.merged_components` get
-    the exact subgradient (x_i - x_j)/||x_i - x_j||; on the merged
-    subgraph the remaining subgradients are chosen per connected
-    component by least squares (followed by a projected-gradient polish
-    onto the unit balls) so that every node's stationarity residual is
-    as small as possible.
+    the exact subgradient (x_i - x_j)/||x_i - x_j||.  The merged edges'
+    u minimize ||A u - b||, A (n, k) sparse with ``gamma w_e`` at node i
+    and ``-gamma w_e`` at node j of merged edge e, b minus the residual
+    of the unmerged edges.  The start is the minimum-norm solution
+    u = A^T v, v from sparse solves of grounded Laplacians A A^T, one per
+    band of weights.  Merged components where some ||u_e|| > 1 are then
+    polished together by projected-gradient steps of 1/||A_c||_2^2 onto
+    the unit balls, ``refine_iters`` of them counting the projection of
+    the start.
     """
     op = DifferenceOperator(graph, losses.dim)
     x = np.asarray(x, dtype=np.float64)
@@ -687,41 +706,70 @@ def nl_certificate(x, losses, graph, gamma, merge_tol=1e-6,
     gw = gamma * graph.weights
 
     # residual contribution of the fixed (unmerged) edges
-    resid = _add_edge_terms(grad.copy(), graph.edges[free],
-                            gw[free][:, None] * g_edges[free])
+    b = -_add_edge_terms(grad.copy(), graph.edges[free],
+                         gw[free][:, None] * g_edges[free])
 
-    # merged edges grouped by component, ascending within each group
     eids = np.flatnonzero(merged)
     ecomp = labels[graph.edges[eids, 0]]
-    eids = eids[np.argsort(ecomp, kind="stable")]
-    ncomp = int(labels.max()) + 1
-    edge_groups = np.split(
-        eids, np.cumsum(np.bincount(ecomp, minlength=ncomp))[:-1])
-    node_groups = np.split(np.argsort(labels, kind="stable"),
-                           np.cumsum(np.bincount(labels))[:-1])
-    for nodes, group in zip(node_groups, edge_groups):
-        if not len(group):
-            continue
-        # nodes ascend, so searchsorted gives each endpoint's row
-        rows = np.searchsorted(nodes, graph.edges[group])
-        cols = np.arange(len(group))
-        A = np.zeros((len(nodes), len(group)))
-        A[rows[:, 0], cols] = gw[group]
-        A[rows[:, 1], cols] = -gw[group]
-        b = -resid[nodes]  # (len(nodes), p)
-        u = np.linalg.lstsq(A, b, rcond=None)[0]  # (len(group), p)
-        norms = np.linalg.norm(u, axis=1)
-        if np.any(norms > 1.0):
-            # polish: projected gradient on ||A u - b||^2 over the
-            # product of unit balls
-            step = 1.0 / max(np.linalg.norm(A, 2) ** 2, 1e-30)
-            for _ in range(refine_iters):
-                u -= step * (A.T @ (A @ u - b))
-                norms = np.linalg.norm(u, axis=1)
-                over = norms > 1.0
-                if over.any():
-                    u[over] /= norms[over][:, None]
-        g_edges[group] = u
+    w = gw[eids]
+    inc = graph.incidence()[eids].T.tocsr()  # (n, k)
+    A = (inc @ sp.diags(w)).tocsr()
+    # Positive merged edges fall in bands 2^20 (about 1e6) apart below
+    # their component's strongest.  Weakest band first, each band's u is
+    # the minimum-norm least-squares start over the groups of nodes that
+    # the stronger bands join, for b less the weaker bands' flows; the
+    # stronger bands then spread those flows in the groups.
+    top = np.zeros(n)
+    np.maximum.at(top, ecomp, w)
+    band = (np.frexp(top[ecomp])[1] - np.frexp(w)[1]) // 20
+    pos, rest = w > 0, b.copy()
+    u, over = np.zeros((len(eids), p)), np.zeros(len(eids), dtype=bool)
+    for level in np.unique(band[pos])[::-1]:
+        joined = inc[:, pos & (band < level)]
+        group = sp.csgraph.connected_components(joined @ joined.T,
+                                                directed=False)[1]
+        P, cols = _members(group), np.flatnonzero(pos & (band == level))
+        # w / s is in (2^-21, 2), so A_s A_s^T holds no square below 2^-42
+        s = np.ldexp(top[ecomp[cols]], -20 * band[cols])
+        A_s = P @ inc[:, cols] @ sp.diags(w[cols] / s)
+        lap = (A_s @ A_s.T).tocsr()
+        piece = sp.csgraph.connected_components(lap, directed=False)[1]
+        # rest less its node mean over each piece sums to 0 over each, so
+        # a unit added to the diagonal at one group of each piece grounds
+        # it there: v = 0 at that group
+        M = _members(piece[group])
+        r = P @ (rest - M.T @ ((M @ rest) / M.sum(axis=1).A))
+        ground = np.zeros(len(piece))
+        ground[np.unique(piece, return_index=True)[1]] = 1.0
+        solve = factorized((lap + sp.diags(ground)).tocsc())
+        u_s = np.zeros((len(cols), p))
+        for _ in range(3):  # the solve, then two refinement steps
+            u_s += A_s.T @ solve(r - A_s @ u_s)
+        norm_s = np.sqrt(np.einsum("ij,ij->i", u_s, u_s))
+        over[cols] = norm_s > s
+        u[cols] = u_s / np.maximum(norm_s, s)[:, None]  # u_s / s on the balls
+        rest -= A[:, cols] @ u[cols]
+
+    hot = np.isin(ecomp, ecomp[over])
+    if hot.any():
+        # each component scaled by a power of two near its top, which
+        # keeps A A^T finite and leaves every lambda_max bit for bit
+        e = np.frexp(top)[1]
+        A_e = inc @ sp.diags(np.ldexp(w, -e[ecomp]))
+        gram = (A_e @ A_e.T).tocsr()
+        lam = {c: np.ldexp(_lambda_max(gram[labels == c][:, labels == c]),
+                           2 * e[c]) for c in np.unique(ecomp[hot])}
+        step = np.array([1.0 / max(lam[c], 1e-30) for c in ecomp[hot]])
+        A_hot, u_hot = A[:, hot], u[hot]
+        At_hot = A_hot.T.tocsr()
+        # The start is on the balls already: from a least-squares start,
+        # where A^T (A u - b) = 0, the first step only projects.
+        for _ in range(refine_iters - 1):
+            u_hot -= step[:, None] * (At_hot @ (A_hot @ u_hot - b))
+            u_hot /= np.maximum(
+                np.sqrt(np.einsum("ij,ij->i", u_hot, u_hot)), 1.0)[:, None]
+        u[hot] = u_hot
+    g_edges[eids] = u
 
     # final residuals with every edge contribution in place
     final = _add_edge_terms(grad.copy(), graph.edges, gw[:, None] * g_edges)

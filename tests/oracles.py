@@ -221,3 +221,94 @@ def cc_thresholds_slow(points, weights, clusters):
                 + sum(w_cross(kp, l) for l in range(N) if l != kp) / len(clusters[kp])
             gamma_max = min(gamma_max, ratio(num, den))
     return gamma_min, gamma_max
+
+
+def knn_pairs_slow(points, k, alpha):
+    """Per-node sorted loop over the kNN "or" rule: edges and weights.
+
+    Node i's neighbours are the first k of every other node ordered by
+    (squared distance, index); edge {i, j} exists when either end picks
+    the other.  Weights are exp(-alpha * ||a_i - a_j||^2).
+    """
+    points = np.asarray(points, dtype=np.float64)
+    if points.ndim == 1:
+        points = points[:, None]
+    n = len(points)
+    pairs = set()
+    for i in range(n):
+        diff = points - points[i]
+        d2 = np.einsum("ij,ij->i", diff, diff)
+        d2[i] = np.inf
+        order = np.lexsort((np.arange(n), d2))
+        for j in order[:k]:
+            pairs.add((min(i, j), max(i, j)))
+    edges = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
+    diff = points[edges[:, 0]] - points[edges[:, 1]]
+    return edges, np.exp(-alpha * np.einsum("ij,ij->i", diff, diff))
+
+
+def dense_certificate_slow(x, losses, graph, gamma, merge_tol=1e-6,
+                           refine_iters=2000):
+    """Subgradient certificate with a dense A per merged component.
+
+    Returns (max_rel_residual, max_subgrad_norm, merged_edges).  Edge
+    (i, j) is merged when ||x_i - x_j|| <= merge_tol (1 + max_v ||x_v||);
+    unmerged edges carry their unit difference.  Each connected component
+    of the merged edges gets the lstsq solution of A u = b, where column
+    e of A holds +gamma w_e at node i and -gamma w_e at node j and b is
+    minus the residual the unmerged edges leave.  A component where some
+    ||u_e|| > 1 is polished by ``refine_iters`` projected-gradient steps
+    of length 1 / ||A||_2^2 onto the unit balls.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    n, p = x.shape
+    edges, gw = graph.edges, gamma * graph.weights
+    m = len(edges)
+    scale = 1.0 + max(float(np.linalg.norm(v)) for v in x)
+    merged = [float(np.linalg.norm(x[i] - x[j])) <= merge_tol * scale
+              for i, j in edges]
+    parent = list(range(n))
+
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for e, (i, j) in enumerate(edges):
+        if merged[e]:
+            parent[root(i)] = root(j)
+    grad = losses.total_gradient(x)
+    g = np.zeros((m, p))
+    resid = grad.copy()
+    for e, (i, j) in enumerate(edges):
+        if not merged[e]:
+            d = x[i] - x[j]
+            g[e] = d / np.linalg.norm(d)
+            resid[i] += gw[e] * g[e]
+            resid[j] -= gw[e] * g[e]
+    for r in sorted({root(v) for v in range(n)}):
+        nodes = [v for v in range(n) if root(v) == r]
+        group = [e for e in range(m) if merged[e] and root(edges[e, 0]) == r]
+        if not group:
+            continue
+        A = np.zeros((len(nodes), len(group)))
+        for c, e in enumerate(group):
+            A[nodes.index(edges[e, 0]), c] = gw[e]
+            A[nodes.index(edges[e, 1]), c] = -gw[e]
+        b = -resid[nodes]
+        u = np.linalg.lstsq(A, b, rcond=None)[0]
+        if np.any(np.linalg.norm(u, axis=1) > 1.0):
+            step = 1.0 / max(np.linalg.norm(A, 2) ** 2, 1e-30)
+            for _ in range(refine_iters):
+                u -= step * (A.T @ (A @ u - b))
+                norms = np.linalg.norm(u, axis=1)
+                over = norms > 1.0
+                u[over] /= norms[over][:, None]
+        g[group] = u
+    final = grad.copy()
+    for e, (i, j) in enumerate(edges):
+        final[i] += gw[e] * g[e]
+        final[j] -= gw[e] * g[e]
+    rel = np.linalg.norm(final, axis=1) / (1.0 + np.linalg.norm(grad, axis=1))
+    max_norm = float(np.linalg.norm(g, axis=1).max()) if m else 0.0
+    return float(rel.max()), max_norm, int(sum(merged))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from oracles import enumerate_set_partitions
 
-from netlasso import cli
+from netlasso import cli, solver
 from netlasso.cli import (ConfigError, build_parser, main, normalize_config,
                           serialize_config)
 from netlasso.datasets import gen_half_moons, load_signal_csv, save_csv
@@ -367,6 +367,35 @@ class TestSolveCommands:
         code, out = self.run_four_node(tmp_path)
         assert code == 0
         assert read_artifacts(out) == first
+
+    def test_certificate_bytes_repeat_within_one_process(self, tmp_path,
+                                                         monkeypatch):
+        # a fresh process seeds ARPACK the same way every time, so only a
+        # second run in the same process shows an unseeded start vector
+        arpack_calls = []
+        eigsh = solver.eigsh
+
+        def counted_eigsh(*args, **kwargs):
+            arpack_calls.append(eigsh(*args, **kwargs))
+            return arpack_calls[-1]
+
+        monkeypatch.setattr(solver, "eigsh", counted_eigsh)
+        data = tmp_path / "moons.csv"
+        save_csv(gen_half_moons(300, noise_sd=0.08, seed=7), data)
+        written = []
+        for run in ("first", "second"):
+            out = tmp_path / run
+            assert main(["solve-nl", "--data-file", str(data),
+                         "--has-labels", "--graph", "knn", "--knn-k", "10",
+                         "--alpha", "15", "--gamma", "5", "--rho", "1",
+                         "--max-iters", "300", "--eps-abs", "1e-6",
+                         "--eps-rel", "1e-6", "--out-dir", str(out)]) == 0
+            written.append((out / "optimality.json").read_bytes())
+        half = len(arpack_calls) // 2
+        assert half  # the certificate polished a large component
+        assert written[0] == written[1]
+        np.testing.assert_array_equal(arpack_calls[:half],
+                                      arpack_calls[half:])
 
     def test_trace_rows_match_reported_iterations(self, tmp_path):
         code, out = self.run_four_node(tmp_path)

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from oracles import knn_pairs_slow
 
+from netlasso.datasets import gen_half_moons
 from netlasso.graph import (
     DifferenceOperator,
     WeightedGraph,
@@ -122,6 +124,28 @@ class TestBuilders:
         for (i, j), w in zip(g.edges, g.weights):
             d2 = float(((pts[i] - pts[j]) ** 2).sum())
             assert w == pytest.approx(math.exp(-0.5 * d2), rel=1e-14)
+
+    @pytest.mark.parametrize("k", [1, 3, 4, 7])
+    def test_knn_tie_heavy_grid_matches_sorted_loop(self, k):
+        # a permuted integer grid: nearly every distance is tied
+        axis = np.arange(20.0)
+        grid = np.stack(np.meshgrid(axis, axis), axis=-1).reshape(-1, 2)
+        pts = grid[np.random.default_rng(k).permutation(len(grid))]
+        g = knn_gaussian_graph(pts, k=k, alpha=0.1)
+        edges, weights = knn_pairs_slow(pts, k, 0.1)
+        np.testing.assert_array_equal(g.edges, edges)
+        np.testing.assert_array_equal(g.weights, weights)
+
+    @pytest.mark.parametrize("points", [
+        gen_half_moons(1500, noise_sd=0.08, seed=7).points,
+        np.round(np.random.default_rng(4).normal(size=(700, 3)) * 2),
+        np.random.default_rng(5).normal(size=(600, 12))])
+    def test_knn_matches_sorted_loop(self, points):
+        for k in (1, 5, 10):
+            g = knn_gaussian_graph(points, k=k, alpha=15.0)
+            edges, weights = knn_pairs_slow(points, k, 15.0)
+            np.testing.assert_array_equal(g.edges, edges)
+            np.testing.assert_array_equal(g.weights, weights)
 
     def test_path_graph(self):
         g = path_graph(4)

@@ -4,13 +4,17 @@ import time
 import numpy as np
 import pytest
 import scipy.linalg
-from oracles import brute_force_prox_trimmed, enumerate_set_partitions
+from oracles import (brute_force_prox_trimmed, dense_certificate_slow,
+                     enumerate_set_partitions)
 
+from netlasso import solver
+from netlasso.datasets import gen_half_moons
 from netlasso.graph import (
     DifferenceOperator,
     WeightedGraph,
     complete_graph,
     knn_gaussian_graph,
+    merged_components,
     path_graph,
 )
 from netlasso.losses import (CustomLoss, Quadratic, RidgeRegression,
@@ -647,3 +651,172 @@ class TestCertificate:
         report = nl_certificate(state.x, losses, g, gamma)
         assert report.merged_edges == g.num_edges
         assert report.passed
+
+    def test_sparse_certificate_matches_dense_oracle(self):
+        rng = np.random.default_rng(28)
+        seen = set()
+        for trial in range(60):
+            x, losses, g, gamma = random_certificate_instance(rng, trial)
+            assert_certificate_matches_oracle(x, losses, g, gamma)
+            merged, labels = merged_components(g, x, 1e-6)
+            per_comp = np.bincount(labels[g.edges[merged, 0]],
+                                   minlength=g.num_nodes)
+            seen |= {f"p={losses.dim}"}
+            seen |= {name for name, hit in [
+                ("several components", (per_comp > 0).sum() > 1),
+                ("single-edge component", (per_comp == 1).any()),
+                ("isolated node",
+                 len(np.unique(g.edges)) < g.num_nodes),
+                ("nothing merged", g.num_edges and not merged.any()),
+                ("all merged", g.num_edges and merged.all())] if hit}
+        assert seen == {"p=1", "p=2", "p=3", "several components",
+                        "single-edge component", "isolated node",
+                        "nothing merged", "all merged"}
+
+    @pytest.mark.parametrize("case", ["zero-weight bridge", "weak bridge",
+                                      "gamma zero", "underflowing weights"])
+    def test_zero_weights_match_dense_oracle(self, case):
+        rng = np.random.default_rng(29)
+        if case == "zero-weight bridge":
+            # one merged component held together only by a weight-0 edge
+            pts = np.array([[0.0], [1.0], [2.0], [3.0]])
+            g = WeightedGraph(4, [[0, 1], [1, 2], [2, 3]], [1.0, 0.0, 1.0])
+            x, gamma = np.full((4, 1), 1.5), 10.0
+        elif case == "weak bridge":
+            # two pieces joined by an edge 1e-7 of the others, whose
+            # squared weight is lost against 1 in a single Laplacian
+            pts = np.array([[0.0], [0.0], [0.1], [0.1]])
+            g = WeightedGraph(4, [[0, 1], [1, 2], [2, 3]], [1.0, 1e-7, 1.0])
+            x, gamma = np.full((4, 1), 0.05), 2e6
+        elif case == "gamma zero":
+            pts = rng.normal(size=(8, 2))
+            g = complete_graph(8, points=pts, alpha=0.5)
+            x, gamma = np.tile(pts.mean(axis=0), (8, 1)), 0.0
+        elif case == "underflowing weights":
+            # two tight groups far apart: every cross weight is exactly 0
+            pts = np.concatenate([rng.normal(size=(5, 2)) * 0.05,
+                                  rng.normal(size=(6, 2)) * 0.05 + 3.0])
+            g = complete_graph(11, points=pts, alpha=200.0)
+            assert (g.weights == 0).sum() == 30
+            x, gamma = np.tile(pts.mean(axis=0), (11, 1)), 10.0
+        assert_certificate_matches_oracle(x, SquaredDistance(pts), g, gamma)
+
+    @pytest.mark.parametrize("n", [12, 30])
+    def test_weights_across_300_decades_match_the_oracle(self, n):
+        # the squared weights of one Laplacian over all of them would
+        # underflow: NaN at n=12 and an exactly singular factor at n=30
+        pts = np.random.default_rng(29).normal(size=(n, 2))
+        g = complete_graph(n, points=pts, alpha=200.0)
+        assert g.weights[g.weights > 0].min() < 1e-300
+        x, gamma = np.tile(pts.mean(axis=0), (n, 1)), 1000.0
+        assert_certificate_matches_oracle(x, SquaredDistance(pts), g, gamma)
+
+    @pytest.mark.parametrize("ratio", [1e-7, 1e-12, 1e-20])
+    def test_weak_bridge_carries_its_flow(self, ratio):
+        # The mean of [0, 0, 0.1, 0.1] is optimal once the bridge can carry
+        # the flow 0.1, i.e. gamma * ratio >= 0.2.  lstsq drops singular
+        # values below about 1e-15 of the largest, so it misses this at 1e-20.
+        g = WeightedGraph(4, [[0, 1], [1, 2], [2, 3]], [1.0, ratio, 1.0])
+        losses = SquaredDistance(np.array([[0.0], [0.0], [0.1], [0.1]]))
+        report = nl_certificate(np.full((4, 1), 0.05), losses, g,
+                                0.4 / ratio)
+        assert report.passed
+        assert report.max_rel_residual <= 1e-12
+
+    def test_huge_weights_do_not_overflow_the_polish(self):
+        # gamma w_e = 1e300 squares to inf in an unscaled A A^T
+        g = WeightedGraph(4, [[0, 1], [1, 2], [2, 3]],
+                          [1e300, 1e-300, 1e300])
+        losses = SquaredDistance(np.array([[0.0], [0.0], [0.1], [0.1]]))
+        with np.errstate(over="ignore"):
+            report = nl_certificate(np.full((4, 1), 0.05), losses, g, 1.0)
+        # the bridge carries at most 1e-300 of the 0.1 the pieces need
+        assert report.max_rel_residual == pytest.approx(0.05 / 1.05)
+        assert report.max_subgrad_norm <= 1.0
+
+    def test_repeat_calls_are_bitwise_equal(self, monkeypatch):
+        # ARPACK without a fixed start vector differs in the last bits from
+        # call to call within one process, never between fresh processes
+        arpack_calls = []
+        eigsh = solver.eigsh
+
+        def counted_eigsh(*args, **kwargs):
+            arpack_calls.append(eigsh(*args, **kwargs))
+            return arpack_calls[-1]
+
+        monkeypatch.setattr(solver, "eigsh", counted_eigsh)
+        data = gen_half_moons(300, noise_sd=0.08, seed=7)
+        losses = SquaredDistance(data.points)
+        g = knn_gaussian_graph(data.points, 10, alpha=15.0)
+        state, _ = solve_nl(losses, g, 5.0, rho=1.0, max_iters=300,
+                            eps_abs=1e-6, eps_rel=1e-6)
+        first = nl_certificate(state.x, losses, g, 5.0)
+        half = len(arpack_calls)
+        second = nl_certificate(state.x, losses, g, 5.0)
+        assert half  # the polish ran on a large component
+        assert repr(first) == repr(second)
+        np.testing.assert_array_equal(arpack_calls[:half],
+                                      arpack_calls[half:])
+
+    def test_twenty_thousand_node_chain_needs_no_dense_memory(self):
+        # the dense per-component A would take 20,000 x 19,999 doubles
+        rng = np.random.default_rng(30)
+        n = 20000
+        pts = rng.normal(size=(n, 2))
+        losses = SquaredDistance(pts)
+        g = path_graph(n)
+        # on a chain, the mean is optimal once gamma bounds every prefix
+        # sum of the anchors' deviations from it
+        dev = np.cumsum(pts - pts.mean(axis=0), axis=0)
+        gamma = 1.01 * float(np.linalg.norm(dev, axis=1).max())
+        start = time.perf_counter()
+        report = nl_certificate(np.tile(pts.mean(axis=0), (n, 1)), losses,
+                                g, gamma)
+        assert time.perf_counter() - start < 10.0
+        assert report.merged_edges == n - 1
+        assert report.passed
+
+
+def assert_certificate_matches_oracle(x, losses, g, gamma):
+    report = nl_certificate(x, losses, g, gamma)
+    rel, norm, merged = dense_certificate_slow(x, losses, g, gamma)
+    assert report.merged_edges == merged
+    assert abs(report.max_rel_residual - rel) <= 1e-10
+    assert abs(report.max_subgrad_norm - norm) <= 1e-10
+    assert report.passed == (rel <= report.residual_tol
+                             and norm <= 1.0 + report.norm_slack)
+
+
+def random_certificate_instance(rng, trial):
+    """Trial t has p = t % 3 + 1, graph kind t // 3 % 4 and x kind
+    t // 12 % 5, so 60 trials meet every combination."""
+    n = int(rng.integers(2, 13))
+    p = trial % 3 + 1
+    pts = rng.normal(size=(n, p))
+    losses = SquaredDistance(pts)
+    gamma = float(rng.uniform(0.05, 3.0))
+    kind = trial // 3 % 4
+    if kind == 0:
+        g = path_graph(n)
+    elif kind == 1:
+        g = complete_graph(n, points=pts, alpha=float(rng.uniform(0.1, 3)))
+    elif kind == 2 and n > 3:
+        g = knn_gaussian_graph(pts, 2, alpha=0.5)
+    else:  # random edges among all but the last node, which is isolated
+        pairs = [(i, j) for i in range(n - 1) for j in range(i + 1, n - 1)
+                 if rng.random() < 0.6]
+        g = WeightedGraph(n, np.array(pairs, dtype=np.int64).reshape(-1, 2),
+                          rng.uniform(0.2, 2.0, size=len(pairs)))
+    kind = trial // 12 % 5
+    if kind < 2:  # converged, or stopped after 20 iterations
+        x = solve_nl(losses, g, gamma, eps_abs=1e-10, eps_rel=1e-10,
+                     max_iters=(5000, 20)[kind])[0].x
+    elif kind == 2:  # piecewise constant over up to 3 random clusters
+        labels = rng.integers(0, 3, size=n)
+        x = np.array([pts[labels == labels[i]].mean(axis=0)
+                      for i in range(n)])
+    elif kind == 3:
+        x = pts.copy()
+    else:
+        x = np.tile(pts.mean(axis=0), (n, 1))
+    return x, losses, g, gamma
