@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import merged_components
-from .solver import SolverConfig, solve_nl, solve_ntl
+from .solver import SolverConfig, _Factors, solve_nl, solve_ntl
 
 __all__ = [
     "Partition",
@@ -202,7 +202,8 @@ def k_path(losses, graph, gamma, k_sequence, x0=None, merge_tol=1e-6,
 
     Each step starts from the previous step's centroids with the dual
     variable reset to zero.  The first step starts from ``x0`` (or the
-    per-node minimizers when omitted).
+    per-node minimizers when omitted).  The steps share one difference
+    operator and factorize each x-system once.
     """
     ks = [int(k) for k in k_sequence]
     if not ks:
@@ -214,9 +215,11 @@ def k_path(losses, graph, gamma, k_sequence, x0=None, merge_tol=1e-6,
 
     steps = []
     x = None if x0 is None else np.asarray(x0, dtype=np.float64)
+    factors = _Factors(losses, graph)
     for K in ks:
         config = SolverConfig(gamma=gamma, cardinality=K, **solver_options)
-        state, reason = solve_ntl(losses, graph, config, x0=x)
+        state, reason = solve_ntl(losses, graph, config, x0=x,
+                                  _factors=factors)
         x = state.x
         steps.append(PathStep(
             parameter=K,
@@ -234,7 +237,8 @@ def gamma_path(losses, graph, gamma_sequence, x0=None, warm_start=True,
     """Increasing-strength sweep of the convex solver.
 
     With ``stop_on_full_merge`` the sweep ends at the first step whose
-    partition is a single cluster (that step is kept).
+    partition is a single cluster (that step is kept).  As in
+    :func:`k_path`, each x-system is factorized once.
     """
     gammas = [float(g) for g in gamma_sequence]
     if not gammas:
@@ -246,9 +250,10 @@ def gamma_path(losses, graph, gamma_sequence, x0=None, warm_start=True,
 
     steps = []
     x = None if x0 is None else np.asarray(x0, dtype=np.float64)
+    factors = _Factors(losses, graph)
     for gamma in gammas:
         state, reason = solve_nl(losses, graph, gamma, x0=x,
-                                 **solver_options)
+                                 _factors=factors, **solver_options)
         if warm_start:
             x = state.x
         part = extract_partition(state.x, graph, merge_tol)

@@ -34,7 +34,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import eigsh, factorized, splu
 
 from .graph import DifferenceOperator, merged_components, sigma_min_DDt
-from .penalty import (directional_derivative, group_shrink, prox_trimmed,
+from .penalty import (_derivative_at, group_shrink, prox_trimmed, row_norms,
                       trimmed_norm)
 
 __all__ = [
@@ -185,7 +185,7 @@ def objective_trimmed(losses, op, x, gamma, K):
 
 def objective_convex(losses, op, x, gamma, weights):
     """f(x) + gamma * sum_e w_e ||x_i - x_j||."""
-    d = np.linalg.norm(op.apply(x), axis=1)
+    d = row_norms(op.apply(x))
     return losses.total_value(x) + gamma * float(weights @ d)
 
 
@@ -239,6 +239,28 @@ def _x_step(mode, losses, op, rho, smoothness=None):
         x - losses.total_gradient(x) / L + op.apply_adjoint(y + rho * z) / L)
 
 
+class _Factors:
+    """The difference operator and the x-steps of one (losses, graph)
+    pair, kept across the solves of a path so that each x-system is
+    factorized once.
+
+    x-steps are keyed by (mode, rho, smoothness): a new rho, as a rho
+    schedule makes, or another mode or step constant builds a new one.
+    """
+
+    def __init__(self, losses, graph):
+        self.losses, self.graph = losses, graph
+        self.op = DifferenceOperator(graph, losses.dim)
+        self._steps = {}
+
+    def x_step(self, mode, rho, smoothness):
+        key = (mode, rho, smoothness)
+        if key not in self._steps:
+            self._steps[key] = _x_step(mode, self.losses, self.op, rho,
+                                       smoothness)
+        return self._steps[key]
+
+
 def x_update_exact(z, y, rho, losses, op):
     """Exact x-step: solve (H + rho D^T D) x = g + D^T (y + rho z).
 
@@ -277,7 +299,6 @@ def _resolve_mode(losses, x_update):
 def _init_state(losses, graph, x0, y0):
     if graph.num_nodes != losses.num_nodes:
         raise ValueError("graph and losses disagree on the node count")
-    op = DifferenceOperator(graph, losses.dim)
     if x0 is None:
         x = losses.all_minimizers()
     else:
@@ -291,7 +312,7 @@ def _init_state(losses, graph, x0, y0):
         y = np.array(y0, dtype=np.float64)
         if y.shape != (m, losses.dim):
             raise ValueError("y0 has the wrong shape")
-    return op, x, y
+    return x, y
 
 
 def _step_small(config, op, x, x_new, y, rho, dx):
@@ -310,7 +331,8 @@ def _dual_small(config, op, x, x_new, y, rho, dx):
         + config.eps_rel * np.linalg.norm(y)
 
 
-def _admm(losses, graph, config, x0, y0, prox, penalty, small_step):
+def _admm(losses, graph, config, x0, y0, prox, penalty, small_step,
+          factors=None):
     """The splitting iteration both solvers run.
 
     Three pieces are problem-specific: ``prox(a, rho)`` is the exact
@@ -319,13 +341,19 @@ def _admm(losses, graph, config, x0, y0, prox, penalty, small_step):
     is the stopping test that joins the shared primal-residual test.
     D x_new is computed once per iteration and serves the dual update,
     the primal residual, the objective, the augmented Lagrangian, the
-    stopping test and the next z-step.
+    stopping test and the next z-step.  ``factors``, a :class:`_Factors`
+    of this losses and graph, carries x-steps over from earlier solves.
     """
-    op, x, y = _init_state(losses, graph, x0, y0)
+    x, y = _init_state(losses, graph, x0, y0)
+    if factors is None:
+        factors = _Factors(losses, graph)
+    elif factors.losses is not losses or factors.graph is not graph:
+        raise ValueError("factors belong to another problem")
+    op = factors.op
     gamma, rho, schedule = config.gamma, config.rho, config.rho_schedule
     p, m = losses.dim, graph.num_edges
     mode = _resolve_mode(losses, config.x_update)
-    xstep = _x_step(mode, losses, op, rho, config.smoothness)
+    xstep = factors.x_step(mode, rho, config.smoothness)
 
     Dx = op.apply(x)
     state = SolverState(x=x, z=Dx, y=y, rho=rho)
@@ -339,7 +367,7 @@ def _admm(losses, graph, config, x0, y0, prox, penalty, small_step):
             new_rho = schedule.apply(rho)
             if new_rho != rho:
                 rho = new_rho
-                xstep = _x_step(mode, losses, op, rho, config.smoothness)
+                xstep = factors.x_step(mode, rho, config.smoothness)
         z = prox(Dx - y / rho, rho)
         x_new = xstep(x, z, y)
         Dx_new = op.apply(x_new)
@@ -374,7 +402,7 @@ def _admm(losses, graph, config, x0, y0, prox, penalty, small_step):
     return state, reason
 
 
-def solve_ntl(losses, graph, config, x0=None, y0=None):
+def solve_ntl(losses, graph, config, x0=None, y0=None, _factors=None):
     """Run the splitting iteration on the trimmed problem.
 
     Parameters
@@ -397,23 +425,28 @@ def solve_ntl(losses, graph, config, x0=None, y0=None):
         mixed absolute/relative tests, "max-iters", or "diverged" when
         the objective exceeds ``divergence_factor`` times its initial
         value (or stops being finite).
+
+    ``_factors`` is private: the paths pass one :class:`_Factors` to all
+    their solves.
     """
     K = config.cardinality
     return _admm(losses, graph, config, x0, y0,
                  lambda a, rho: prox_trimmed(a, K, config.gamma / rho)[0],
-                 lambda d: trimmed_norm(d, K), _step_small)
+                 lambda d: trimmed_norm(d, K), _step_small, _factors)
 
 
 def solve_nl(losses, graph, gamma, x0=None, y0=None, rho=1.0,
              x_update="auto", smoothness=None, max_iters=1000,
-             eps_abs=1e-5, eps_rel=1e-5, divergence_factor=1e12):
+             eps_abs=1e-5, eps_rel=1e-5, divergence_factor=1e12,
+             _factors=None):
     """Run the splitting iteration on the convex (weighted) problem.
 
     The same iteration as :func:`solve_ntl` with the per-edge weighted
     soft-threshold z-step, default rho 1.0, and the convex stopping rule
     (primal residual plus the scaled dual residual
     rho ||D (x_t - x_{t-1})|| tested against ||y||).  The keywords are
-    validated as a :class:`SolverConfig` with cardinality 0.
+    validated as a :class:`SolverConfig` with cardinality 0, and
+    ``_factors`` is private, as in :func:`solve_ntl`.
 
     Returns (SolverState, str).
     """
@@ -425,7 +458,7 @@ def solve_nl(losses, graph, gamma, x0=None, y0=None, rho=1.0,
     w = graph.weights
     return _admm(losses, graph, config, x0, y0,
                  lambda a, rho: group_shrink(a, gamma * w / rho),
-                 lambda d: float(w @ np.linalg.norm(d, axis=1)), _dual_small)
+                 lambda d: float(w @ row_norms(d)), _dual_small, _factors)
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +611,7 @@ def stationarity_check(x, losses, graph, gamma, cardinality,
     g = losses.total_gradient(x)
     dx = op.apply(x)
     if dx.size:
-        norms = np.linalg.norm(dx, axis=1)
+        norms = row_norms(dx)
         dx = dx.copy()
         dx[norms <= zero_tol * (1.0 + norms.max())] = 0.0
     rng = np.random.default_rng(seed)
@@ -616,12 +649,13 @@ def stationarity_check(x, losses, graph, gamma, cardinality,
         directions.append(("edge", v))
         directions.append(("edge", -v))
 
+    # the norms of D x, the K-th largest and the ties are fixed: taken
+    # once, so that each direction costs one D v and its slopes
+    derivative = _derivative_at(dx, K, tie_tol)
     best = math.inf
     worst_kind = "none"
     for kind, v in directions:
-        val = float((g * v).sum()) \
-            + gamma * directional_derivative(dx, op.apply(v), K,
-                                             tie_tol=tie_tol)
+        val = float((g * v).sum()) + gamma * derivative(op.apply(v))
         if val < best:
             best = val
             worst_kind = kind
@@ -702,7 +736,7 @@ def nl_certificate(x, losses, graph, gamma, merge_tol=1e-6,
     free = ~merged
     d = op.apply(x)[free]
     g_edges = np.zeros((m, p))
-    g_edges[free] = d / np.linalg.norm(d, axis=1)[:, None]
+    g_edges[free] = d / row_norms(d)[:, None]
     gw = gamma * graph.weights
 
     # residual contribution of the fixed (unmerged) edges
@@ -773,9 +807,8 @@ def nl_certificate(x, losses, graph, gamma, merge_tol=1e-6,
 
     # final residuals with every edge contribution in place
     final = _add_edge_terms(grad.copy(), graph.edges, gw[:, None] * g_edges)
-    rel = np.linalg.norm(final, axis=1) \
-        / (1.0 + np.linalg.norm(grad, axis=1))
-    max_norm = float(np.linalg.norm(g_edges, axis=1).max()) if m else 0.0
+    rel = row_norms(final) / (1.0 + row_norms(grad))
+    max_norm = float(row_norms(g_edges).max()) if m else 0.0
     return CertificateReport(
         max_rel_residual=float(rel.max()) if n else 0.0,
         max_subgrad_norm=max_norm,

@@ -21,6 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .losses import SquaredDistance, sum_loss_minimizer
+from .penalty import row_norms
 
 
 def _ratio(num, den):
@@ -34,7 +35,9 @@ def _ratio(num, den):
 
 def _norms(d):
     # one dot product per row: the kernel np.linalg.norm uses on a
-    # single vector, so each value equals that norm bit for bit
+    # single vector, so each value equals that norm bit for bit.  Not
+    # penalty.row_norms: that one is the axis= reduction, whose sum of
+    # squares rounds differently from the dot product on some rows
     return np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0])
 
 
@@ -340,7 +343,7 @@ def bound_C_clustering(points):
     points = np.asarray(points, dtype=np.float64)
     if points.size == 0:
         return 0.0
-    return float(np.linalg.norm(points, axis=-1).max())
+    return float(row_norms(points).max())
 
 
 def bound_C_strongly_convex(losses):
@@ -386,7 +389,7 @@ def bound_C_quadratic(losses):
         sols[i] = np.linalg.solve(H[i], g[i])
         quad += float(g[i] @ sols[i])
     radius = math.sqrt(max(quad, 0.0) / alpha)
-    return radius + float(np.linalg.norm(sols, axis=1).max())
+    return radius + float(row_norms(sols).max())
 
 
 def clustering_threshold(points):

@@ -55,6 +55,68 @@ def trimmed_norm_slow(z, K):
     return sum(norms[: m - kk])
 
 
+def group_shrink_reference(a, lam):
+    """Group soft threshold of each row by ``lam`` (scalar or per row),
+    with numpy's own row norms."""
+    norms = np.linalg.norm(a, axis=1)
+    lam = np.asarray(lam)
+    scale = np.zeros_like(norms)
+    big = norms > lam
+    scale[big] = 1.0 - (lam[big] if lam.ndim else lam) / norms[big]
+    return scale[:, None] * a
+
+
+def prox_trimmed_reference(a, K, lam):
+    """Trimmed prox by copy, gather and scatter: the K largest rows (ties
+    to the lowest indices) copied, the rest group-soft-thresholded.
+    Returns (z, kept, trimmed)."""
+    a = np.asarray(a, dtype=np.float64)
+    m = len(a)
+    K = min(int(K), m)
+    norms = np.linalg.norm(a, axis=1)
+    keep = np.zeros(m, dtype=bool)
+    if K:
+        kth = np.partition(norms, m - K)[m - K]
+        keep = norms > kth
+        keep[np.flatnonzero(norms == kth)[:K - keep.sum()]] = True
+    kept = np.flatnonzero(keep)
+    trimmed = np.flatnonzero(~keep)
+    z = a.copy()
+    z[trimmed] = group_shrink_reference(a[trimmed], lam)
+    return z, kept, trimmed
+
+
+def directional_derivative_reference(z, v, K, tie_tol=0.0):
+    """Directional derivative of the trimmed norm, every quantity
+    recomputed from z and v on each call."""
+    m = len(z)
+    K = min(int(K), m)
+    norms = np.linalg.norm(z, axis=1)
+    vnorms = np.linalg.norm(v, axis=1)
+    slopes = np.zeros(m)
+    nz = norms > 0
+    slopes[nz] = np.einsum("ij,ij->i", z[nz], v[nz]) / norms[nz]
+    both = (~nz) & (vnorms > 0)
+    slopes[both] = vnorms[both]
+    if K == 0:
+        return float(slopes.sum())
+    if K >= m:
+        return 0.0
+    kth = np.sort(norms)[m - K]
+    below = norms < kth - tie_tol
+    at = np.abs(norms - kth) <= tie_tol
+    need = m - K - int(below.sum())
+    total = float(slopes[below].sum())
+    if need > 0:
+        total += float(np.sort(slopes[at])[:need].sum())
+    return total
+
+
+def incidence_apply(graph, x):
+    """Edge differences x_i - x_j as the CSR product E @ x."""
+    return graph.incidence() @ x
+
+
 def pair_count_ari(labels_a, labels_b):
     """Adjusted Rand index by direct O(n^2) pair counting."""
     labels_a = np.asarray(labels_a)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import knn_pairs_slow
+from oracles import incidence_apply, knn_pairs_slow
 
 from netlasso.datasets import gen_half_moons
 from netlasso.graph import (
@@ -181,6 +181,47 @@ class TestDifferenceOperator:
             np.testing.assert_allclose(op.apply(x).reshape(-1),
                                        D @ x.reshape(-1), atol=1e-14)
             np.testing.assert_allclose(op.to_dense(), D)
+
+    def test_apply_bitwise_equals_incidence_product(self):
+        rng = np.random.default_rng(12)
+        graphs = [path_graph(1), path_graph(2), path_graph(50),
+                  complete_graph(12), random_forest(rng, 30),
+                  knn_gaussian_graph(rng.normal(size=(40, 2)), k=3)]
+        for g in graphs:
+            for p in (1, 2, 3, 5):
+                op = DifferenceOperator(g, p)
+                x = rng.normal(size=(g.num_nodes, p)) \
+                    * rng.lognormal(0.0, 10.0, size=(g.num_nodes, 1))
+                pick = rng.random(x.shape)
+                x[pick < 0.15] = 0.0
+                x[(pick >= 0.15) & (pick < 0.3)] = -0.0
+                x[(pick >= 0.3) & (pick < 0.35)] = 5e-320
+                x[(pick >= 0.35) & (pick < 0.4)] = -1.7e308
+                x[(pick >= 0.4) & (pick < 0.45)] = 1.7e308
+                for arr in (x, np.asfortranarray(x)):
+                    with np.errstate(over="ignore"):
+                        got = op.apply(arr)
+                    want = incidence_apply(g, arr)
+                    assert got.shape == want.shape
+                    np.testing.assert_array_equal(got.view(np.int64),
+                                                  want.view(np.int64))
+
+    def test_apply_signed_zero_difference_is_positive_zero(self):
+        # (-0.0) - (+0.0) is -0.0 in plain arithmetic; E @ x gives +0.0
+        g = path_graph(3)
+        x = np.array([[-0.0], [0.0], [-0.0]])
+        got = DifferenceOperator(g, 1).apply(x)
+        want = incidence_apply(g, x)
+        np.testing.assert_array_equal(got.view(np.int64),
+                                      want.view(np.int64))
+        assert not np.signbit(got).any()
+
+    def test_apply_propagates_nan_and_inf_like_incidence_product(self):
+        g = complete_graph(4)
+        x = np.array([[np.nan], [np.inf], [np.inf], [-np.inf]])
+        with np.errstate(invalid="ignore"):
+            got = DifferenceOperator(g, 1).apply(x)
+        np.testing.assert_array_equal(got, incidence_apply(g, x))
 
     def test_adjoint_identity(self):
         rng = np.random.default_rng(5)

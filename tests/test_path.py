@@ -19,7 +19,9 @@ from netlasso.path import (
     save_centroids_csv,
     save_path_json,
 )
-from netlasso.solver import solve_nl
+from netlasso import solver
+from netlasso.solver import (RhoSchedule, SolverConfig, _Factors, solve_nl,
+                             solve_ntl)
 
 
 class TestPartition:
@@ -289,6 +291,149 @@ class TestGammaPath:
             gamma_path(losses, g, [0.2, 0.1])
         with pytest.raises(ValueError):
             gamma_path(losses, g, [-0.1, 0.2])
+
+
+def count_factorizations(monkeypatch):
+    """Record the shape of every matrix ``netlasso.solver`` factorizes."""
+    calls = []
+    orig = solver.splu
+
+    def counted(A, *args, **kwargs):
+        calls.append(A.shape)
+        return orig(A, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "splu", counted)
+    return calls
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64),
+                                                 b.view(np.int64))
+
+
+def assert_step_equals_solve(step, state, reason):
+    assert same_bits(step.centroids, state.x)
+    assert step.iterations == state.iterations
+    assert step.stop_reason == reason
+    assert same_bits(step.objective, state.objectives[-1])
+    assert same_bits(step.primal_residual, state.primal_residuals[-1])
+
+
+def cache_instance():
+    rng = np.random.default_rng(41)
+    pts = np.concatenate([rng.normal(size=(5, 2)),
+                          rng.normal(size=(5, 2)) + 4.0])
+    return SquaredDistance(pts), complete_graph(10)
+
+
+class TestSharedFactorization:
+    """Paths factorize each x-system once and give the same bits as
+    independent solves, step for step."""
+
+    PATH_OPTIONS = [
+        {"rho": 20.0, "max_iters": 300},
+        {"rho": 20.0, "max_iters": 300, "x_update": "linearized"},
+        {"rho": 20.0, "max_iters": 300, "x_update": "linearized",
+         "smoothness": 3.0},
+        {"rho": 0.5, "max_iters": 400,
+         "rho_schedule": RhoSchedule(4.0, 200.0, 25)},
+    ]
+
+    @pytest.mark.parametrize("options", PATH_OPTIONS)
+    def test_k_path_steps_equal_independent_solves(self, options):
+        losses, g = cache_instance()
+        ks = [40, 20, 8, 3, 1, 0]
+        result = k_path(losses, g, 1.5, ks, **options)
+        x = None
+        for K, step in zip(ks, result.steps):
+            config = SolverConfig(gamma=1.5, cardinality=K, **options)
+            state, reason = solve_ntl(losses, g, config, x0=x)
+            assert_step_equals_solve(step, state, reason)
+            x = state.x
+
+    @pytest.mark.parametrize("warm_start", [True, False])
+    @pytest.mark.parametrize("options", [
+        {"rho": 2.0, "max_iters": 300},
+        {"rho": 2.0, "max_iters": 300, "x_update": "linearized"}])
+    def test_gamma_path_steps_equal_independent_solves(self, options,
+                                                       warm_start):
+        losses, g = cache_instance()
+        gammas = [0.01, 0.05, 0.2, 0.8, 3.0]
+        result = gamma_path(losses, g, gammas, warm_start=warm_start,
+                            **options)
+        x = None
+        for gamma, step in zip(gammas, result.steps):
+            state, reason = solve_nl(losses, g, gamma, x0=x, **options)
+            assert_step_equals_solve(step, state, reason)
+            if warm_start:
+                x = state.x
+
+    @pytest.mark.parametrize("x_update", ["exact", "linearized"])
+    def test_constant_rho_path_factorizes_once(self, monkeypatch, x_update):
+        losses, g = cache_instance()
+        calls = count_factorizations(monkeypatch)
+        k_path(losses, g, 1.5, [40, 20, 8, 3, 1, 0], rho=20.0,
+               max_iters=100, x_update=x_update)
+        assert len(calls) == 1
+        calls.clear()
+        gamma_path(losses, g, [0.01, 0.1, 1.0], rho=2.0, max_iters=100,
+                   x_update=x_update)
+        assert len(calls) == 1
+
+    def test_rho_schedule_factorizes_once_per_distinct_rho(self,
+                                                          monkeypatch):
+        losses, g = cache_instance()
+        schedule = RhoSchedule(4.0, 200.0, 25)
+        calls = count_factorizations(monkeypatch)
+        config = SolverConfig(gamma=1.5, cardinality=3, rho=0.5,
+                              rho_schedule=schedule, max_iters=400,
+                              eps_abs=0.0, eps_rel=0.0)
+        state, _ = solve_ntl(losses, g, config)
+        assert len(set(state.rhos)) == 6  # 0.5, 2, 8, 32, 128, 200
+        assert len(calls) == 6
+        calls.clear()
+        # along a path every step climbs the same ladder of rho values
+        k_path(losses, g, 1.5, [20, 3, 0], rho=0.5, rho_schedule=schedule,
+               max_iters=400, eps_abs=0.0, eps_rel=0.0)
+        assert len(calls) == 6
+
+    def test_changed_settings_never_reuse_a_factor(self, monkeypatch):
+        losses, g = cache_instance()
+        factors = _Factors(losses, g)
+        calls = count_factorizations(monkeypatch)
+        runs = [{"x_update": "linearized"},
+                {"x_update": "linearized", "smoothness": 3.0},
+                {"x_update": "linearized", "smoothness": 5.0},
+                {"x_update": "exact"},
+                {"x_update": "exact", "rho": 30.0}]
+        for options in runs:
+            config = SolverConfig(**{"gamma": 1.5, "cardinality": 3,
+                                     "rho": 20.0, "max_iters": 60,
+                                     **options})
+            before = len(calls)
+            shared = solve_ntl(losses, g, config, _factors=factors)[0]
+            assert len(calls) == before + 1
+            fresh = solve_ntl(losses, g, config)[0]
+            assert same_bits(shared.x, fresh.x)
+            assert same_bits(shared.objectives, fresh.objectives)
+        # a repeated setting reuses its factor
+        config = SolverConfig(gamma=0.7, cardinality=5, rho=20.0,
+                              max_iters=60, x_update="linearized")
+        before = len(calls)
+        solve_ntl(losses, g, config, _factors=factors)
+        assert len(calls) == before
+
+    def test_factors_of_another_problem_rejected(self):
+        losses, g = cache_instance()
+        factors = _Factors(losses, g)
+        other = SquaredDistance(np.zeros((10, 2)))
+        config = SolverConfig(gamma=1.0, cardinality=2, max_iters=5)
+        with pytest.raises(ValueError):
+            solve_ntl(other, g, config, _factors=factors)
+        with pytest.raises(ValueError):
+            solve_nl(losses, complete_graph(10), 1.0, max_iters=5,
+                     _factors=factors)
 
 
 class TestMidpointInit:

@@ -1,18 +1,102 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from oracles import (
     brute_force_prox_trimmed,
+    directional_derivative_reference,
+    group_shrink_reference,
     prox_trimmed_objective,
+    prox_trimmed_reference,
     trimmed_norm_slow,
 )
 
 from netlasso.penalty import (
+    _derivative_at,
     directional_derivative,
+    group_shrink,
     phi_envelope,
     prox_group_l2,
     prox_trimmed,
+    row_norms,
     trimmed_norm,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "netlasso"
+
+
+def bits(a):
+    """The bit patterns of a float64 array, for exact comparison."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+def assert_bitwise_equal(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape
+    np.testing.assert_array_equal(bits(a), bits(b))
+
+
+def awkward_rows(rng, m, p):
+    """Rows that stress a norm kernel: random and lognormal-scaled
+    values, zero rows, signed zeros, subnormals, overflow and NaN."""
+    a = rng.normal(size=(m, p)) * rng.lognormal(0.0, 20.0, size=(m, 1))
+    pick = rng.random((m, p))
+    # -1e200 squares to inf; 3e-320 is subnormal and squares to 0
+    bands = [(0.08, 0.0), (0.14, -0.0), (0.16, 3e-320), (0.18, -3e-320),
+             (0.21, -1e200), (0.23, np.nan), (0.24, np.inf)]
+    lo = 0.0
+    for hi, value in bands:
+        a[(pick >= lo) & (pick < hi)] = value
+        lo = hi
+    if m > 2:
+        a[1] = 0.0
+        a[2] = -0.0
+    return a
+
+
+class TestRowNorms:
+    @pytest.mark.parametrize("p", range(1, 11))
+    def test_bitwise_equal_to_numpy_norm(self, p):
+        rng = np.random.default_rng(100 + p)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for m in (0, 1, 2, 7, 64, 1000):
+                a = awkward_rows(rng, m, p)
+                for view in (a, np.asfortranarray(a), a[::2],
+                             np.repeat(a, 2, axis=1)[:, ::2]):
+                    assert_bitwise_equal(row_norms(view),
+                                         np.linalg.norm(view, axis=1))
+                plain = rng.normal(size=(m, p))
+                assert_bitwise_equal(row_norms(plain),
+                                     np.linalg.norm(plain, axis=1))
+
+    def test_last_axis_of_any_shape(self):
+        rng = np.random.default_rng(99)
+        for shape in [(5,), (3,), (4, 3, 2), (2, 0)]:
+            a = rng.normal(size=shape)
+            assert_bitwise_equal(row_norms(a), np.linalg.norm(a, axis=-1))
+
+    def test_no_axis_norm_outside_row_norms(self):
+        # np.linalg.norm(..., axis=...) is several times slower than
+        # row_norms and gives the same bits; it belongs in row_norms only
+        offenders = []
+        for path in sorted(SRC.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            allowed = set()
+            for node in ast.walk(tree):
+                if isinstance(node, ast.FunctionDef) \
+                        and node.name == "row_norms":
+                    allowed.update(id(n) for n in ast.walk(node))
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call) or id(node) in allowed:
+                    continue
+                name = ast.unparse(node.func)
+                if not name.endswith("linalg.norm"):
+                    continue
+                if len(node.args) >= 3 \
+                        or any(k.arg == "axis" for k in node.keywords):
+                    offenders.append(f"{path.name}:{node.lineno}")
+        assert offenders == []
 
 
 class TestTrimmedNorm:
@@ -219,6 +303,64 @@ def make_tied_instance(rng, m, p, K):
     if rng.uniform() < 0.3:
         z[int(rng.integers(0, m))] = 0.0
     return z
+
+
+class TestKernelOracles:
+    """prox_trimmed and group_shrink against the copy-gather-scatter
+    versions they replaced, bit for bit."""
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 7, 8, 10])
+    def test_prox_trimmed_matches_reference(self, p):
+        rng = np.random.default_rng(200 + p)
+        for trial in range(60):
+            m = int(rng.integers(1, 40))
+            if trial % 2:
+                a = make_tied_instance(rng, m, p, 0)
+            else:
+                a = rng.normal(size=(m, p)) * rng.lognormal(
+                    0.0, 2.0, size=(m, 1))
+                a[rng.random((m, p)) < 0.1] = -0.0
+            lam = float(rng.choice([0.0, 0.05, 0.5, 3.0]))
+            # every K from 0 past m, so tie groups straddle the K-th norm
+            for K in range(m + 2):
+                z, sel = prox_trimmed(a, K, lam)
+                z_ref, kept, trimmed = prox_trimmed_reference(a, K, lam)
+                assert_bitwise_equal(z, z_ref)
+                np.testing.assert_array_equal(sel.kept, kept)
+                np.testing.assert_array_equal(sel.trimmed, trimmed)
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 9])
+    def test_group_shrink_matches_reference(self, p):
+        rng = np.random.default_rng(300 + p)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for m in (0, 1, 5, 200):
+                a = awkward_rows(rng, m, p)
+                for lam in (0.0, 0.7, rng.lognormal(0.0, 1.0, size=m),
+                            np.zeros(m)):
+                    assert_bitwise_equal(group_shrink(a, lam),
+                                         group_shrink_reference(a, lam))
+
+    def test_derivative_at_reused_matches_reference(self):
+        # the hoisted norms, K-th norm and tie masks serve every direction
+        rng = np.random.default_rng(32)
+        for trial in range(40):
+            m = int(rng.integers(2, 12))
+            p = int(rng.integers(1, 4))
+            z = make_tied_instance(rng, m, p, 0)
+            z[rng.random(m) < 0.2] = 0.0
+            # near ties, which only tie_tol groups with the exact ones
+            near = rng.random(m) < 0.3
+            z[near] *= 1.0 + rng.choice([-1e-12, 1e-12],
+                                        size=(int(near.sum()), 1))
+            for K in range(m + 2):
+                for tie_tol in (0.0, 1e-9):
+                    derivative = _derivative_at(z, K, tie_tol)
+                    for _ in range(5):
+                        v = rng.normal(size=(m, p))
+                        v[rng.random(m) < 0.2] = 0.0
+                        assert derivative(v) == \
+                            directional_derivative_reference(z, v, K,
+                                                             tie_tol)
 
 
 class TestDirectionalDerivative:
