@@ -30,8 +30,8 @@ from .losses import RidgeRegression, SquaredDistance
 from .path import (Partition, adjusted_rand_index, extract_partition,
                    gamma_path, k_path, midpoint_init, partition_relation,
                    save_centroids_csv, save_path_json)
-from .solver import (DIVERGED, RhoSchedule, SolverConfig, nl_certificate,
-                     solve_nl, solve_ntl, stationarity_check)
+from .solver import (DIVERGED, MAX_ITERS, RhoSchedule, SolverConfig,
+                     nl_certificate, solve_nl, solve_ntl, stationarity_check)
 from .thresholds import (_jsonify, bound_C_clustering, bound_C_quadratic,
                          clustering_threshold, exact_penalty_threshold,
                          recovery_interval, recovery_interval_cc)
@@ -539,8 +539,15 @@ def _solve(solve, losses, graph, strength, merge_tol, **options):
 
 
 def _check_path(path):
+    """Fail on a diverged step; name the steps cut at max-iters on stderr."""
     if any(step.stop_reason == DIVERGED for step in path.steps):
         raise NumericalError("a path step diverged; lower rho or gamma")
+    capped = [str(step.parameter) for step in path.steps
+              if step.stop_reason == MAX_ITERS]
+    if capped:
+        print(f"warning: {len(capped)} of {len(path.steps)} path steps"
+              f" stopped at max-iters ({path.kind} {', '.join(capped)})",
+              file=sys.stderr)
 
 
 def _write_json(path, payload):

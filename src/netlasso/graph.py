@@ -244,10 +244,18 @@ class DifferenceOperator:
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.graph.num_nodes, self.block_dim):
             raise ValueError("x has wrong shape for this operator")
+        return self._diff(x)
+
+    def _diff(self, x):
+        """``apply`` without its checks, for a float64 (n, p) array of
+        either memory order: the solver's per-iteration form."""
         # two gathers beat the CSR product E @ x and give its bits: the
         # "+ 0.0" turns the -0.0 of (-0.0) - (+0.0) into the +0.0 that
         # E @ x, which starts each row sum from +0.0, returns
-        return np.take(x, self._i, axis=0) - np.take(x, self._j, axis=0) + 0.0
+        d = x.take(self._i, axis=0)
+        d -= x.take(self._j, axis=0)
+        d += 0.0
+        return d
 
     def apply_adjoint(self, z):
         """Adjoint map; (m, p) -> (n, p)."""

@@ -219,7 +219,7 @@ def k_path(losses, graph, gamma, k_sequence, x0=None, merge_tol=1e-6,
     for K in ks:
         config = SolverConfig(gamma=gamma, cardinality=K, **solver_options)
         state, reason = solve_ntl(losses, graph, config, x0=x,
-                                  _factors=factors)
+                                  _factors=factors, _histories=False)
         x = state.x
         steps.append(PathStep(
             parameter=K,
@@ -253,7 +253,8 @@ def gamma_path(losses, graph, gamma_sequence, x0=None, warm_start=True,
     factors = _Factors(losses, graph)
     for gamma in gammas:
         state, reason = solve_nl(losses, graph, gamma, x0=x,
-                                 _factors=factors, **solver_options)
+                                 _factors=factors, _histories=False,
+                                 **solver_options)
         if warm_start:
             x = state.x
         part = extract_partition(state.x, graph, merge_tol)

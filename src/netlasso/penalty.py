@@ -125,12 +125,14 @@ def prox_group_l2(a, lam):
 
 
 def _shrink_factors(norms, lam):
-    """(1 - lam_e / norms_e)_+ per row; ``lam`` a scalar or per row."""
-    lam = np.asarray(lam)
-    scale = np.zeros_like(norms)
+    """(1 - lam_e / norms_e)_+ per row; ``lam`` a scalar or per row.
+
+    Rows with ``norms_e > lam_e`` get ``1 - lam_e / norms_e``, every
+    other row (NaN norms included) +0.0.  The masked ufuncs compute
+    exactly that without gathering and scattering the rows."""
     big = norms > lam
-    scale[big] = 1.0 - (lam[big] if lam.ndim else lam) / norms[big]
-    return scale
+    scale = np.divide(lam, norms, out=np.zeros(norms.shape), where=big)
+    return np.subtract(1.0, scale, out=scale, where=big)
 
 
 def group_shrink(a, lam):

@@ -27,6 +27,7 @@ subgradient certificate of optimality for the convex problem.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,6 +77,14 @@ class RhoSchedule:
     multiplier: float = 10.0
     cap: float = math.inf
     period: int = 100
+
+    def __post_init__(self):
+        if not self.multiplier > 0:
+            raise ValueError("multiplier must be positive")
+        if not self.cap > 0:
+            raise ValueError("cap must be positive")
+        if not isinstance(self.period, numbers.Integral) or self.period < 1:
+            raise ValueError("period must be a positive integer")
 
     def apply(self, rho):
         return max(rho, min(self.multiplier * rho, self.cap))
@@ -132,16 +141,21 @@ class SolverConfig:
     divergence_factor: float = 1e12
 
     def __post_init__(self):
-        if self.gamma < 0:
-            raise ValueError("gamma must be non-negative")
+        # every comparison with NaN is false, so these reject NaN too
+        if not 0 <= self.gamma < math.inf:
+            raise ValueError("gamma must be finite and non-negative")
         if self.cardinality < 0:
             raise ValueError("cardinality must be non-negative")
-        if self.rho <= 0:
-            raise ValueError("rho must be positive")
+        if not 0 < self.rho < math.inf:
+            raise ValueError("rho must be finite and positive")
         if self.x_update not in ("auto", "exact", "linearized"):
             raise ValueError(f"unknown x_update {self.x_update!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
+        if not (self.eps_abs >= 0 and self.eps_rel >= 0):
+            raise ValueError("eps_abs and eps_rel must be non-negative")
+        if not self.divergence_factor > 0:
+            raise ValueError("divergence_factor must be positive")
 
 
 @dataclass
@@ -152,6 +166,13 @@ class SolverState:
     t+1 (objective, augmented Lagrangian, primal residual ||z - D x||,
     step length ||x_t - x_{t-1}||, rho in force, and the Lyapunov value
     L_rho + c ||x_t - x_{t-1}||^2).
+
+    Direct :func:`solve_ntl` and :func:`solve_nl` calls fill all six.
+    The solves of :func:`netlasso.path.k_path` and
+    :func:`netlasso.path.gamma_path` fill only ``objectives`` and
+    ``primal_residuals``, the two a path step reads, and leave
+    ``aug_lagrangians``, ``x_changes``, ``lyapunov`` and ``rhos`` empty;
+    every recorded value is the one a direct solve records.
     """
 
     x: np.ndarray
@@ -315,34 +336,48 @@ def _init_state(losses, graph, x0, y0):
     return x, y
 
 
-def _step_small(config, op, x, x_new, y, rho, dx):
-    """Trimmed stopping test: the step ||x_t - x_{t-1}|| is small."""
-    n, p = x.shape
+def _norm(a):
+    """``np.linalg.norm(a)`` of a whole float64 array, bit for bit: numpy
+    computes sqrt(v . v) of ``v = a.ravel(order="K")``, and so does this,
+    without numpy's dispatch.  The order must stay "K": ``SuperLU.solve``
+    returns F-ordered arrays for 2-D right-hand sides, and a C-order
+    ravel sums those in another order."""
+    v = a.ravel(order="K")
+    return math.sqrt(v.dot(v))
+
+
+def _step_small(config, op, x_new, step, dx, y, rho):
+    """Trimmed stopping test: the step dx = ||x_t - x_{t-1}|| is small."""
+    n, p = x_new.shape
     return dx <= math.sqrt(p * n) * config.eps_abs \
-        + config.eps_rel * np.linalg.norm(x_new)
+        + config.eps_rel * _norm(x_new)
 
 
-def _dual_small(config, op, x, x_new, y, rho, dx):
+def _dual_small(config, op, x_new, step, dx, y, rho):
     """Convex stopping test: the scaled dual residual
     rho ||D (x_t - x_{t-1})|| is small against ||y||."""
     m, p = y.shape
-    dual = rho * float(np.linalg.norm(op.apply(x_new - x)))
+    dual = rho * _norm(op._diff(step))
     return dual <= math.sqrt(p * m) * config.eps_abs \
-        + config.eps_rel * np.linalg.norm(y)
+        + config.eps_rel * _norm(y)
 
 
 def _admm(losses, graph, config, x0, y0, prox, penalty, small_step,
-          factors=None):
+          factors=None, histories=True):
     """The splitting iteration both solvers run.
 
     Three pieces are problem-specific: ``prox(a, rho)`` is the exact
     z-step at a = D x - y / rho, ``penalty(d)`` is the penalty of an
     edge-difference array before the factor gamma, and ``small_step``
-    is the stopping test that joins the shared primal-residual test.
+    is the stopping test that joins the shared primal-residual test; it
+    gets the new iterate, the step x_t - x_{t-1} and its norm.
     D x_new is computed once per iteration and serves the dual update,
     the primal residual, the objective, the augmented Lagrangian, the
     stopping test and the next z-step.  ``factors``, a :class:`_Factors`
     of this losses and graph, carries x-steps over from earlier solves.
+    With ``histories`` false only ``objectives`` and ``primal_residuals``
+    are recorded, and the penalty of z and the augmented Lagrangian,
+    which only the other four histories need, are never computed.
     """
     x, y = _init_state(losses, graph, x0, y0)
     if factors is None:
@@ -350,13 +385,16 @@ def _admm(losses, graph, config, x0, y0, prox, penalty, small_step,
     elif factors.losses is not losses or factors.graph is not graph:
         raise ValueError("factors belong to another problem")
     op = factors.op
+    diff = op._diff
     gamma, rho, schedule = config.gamma, config.rho, config.rho_schedule
-    p, m = losses.dim, graph.num_edges
     mode = _resolve_mode(losses, config.x_update)
     xstep = factors.x_step(mode, rho, config.smoothness)
+    primal_abs = math.sqrt(losses.dim * graph.num_edges) * config.eps_abs
+    eps_rel = config.eps_rel
 
     Dx = op.apply(x)
     state = SolverState(x=x, z=Dx, y=y, rho=rho)
+    objectives, primals = state.objectives, state.primal_residuals
     obj0 = losses.total_value(x) + gamma * penalty(Dx)
     guard = config.divergence_factor * max(1.0, abs(obj0))
     reason = MAX_ITERS
@@ -370,39 +408,41 @@ def _admm(losses, graph, config, x0, y0, prox, penalty, small_step,
                 xstep = factors.x_step(mode, rho, config.smoothness)
         z = prox(Dx - y / rho, rho)
         x_new = xstep(x, z, y)
-        Dx_new = op.apply(x_new)
+        Dx_new = diff(x_new)
         gap = z - Dx_new
         y = y + rho * gap
 
-        dx = float(np.linalg.norm(x_new - x))
-        primal = float(np.linalg.norm(gap))
+        step = x_new - x
+        dx = _norm(step)
+        primal = _norm(gap)
         f = losses.total_value(x_new)
         obj = f + gamma * penalty(Dx_new)
-        aug = _lagrangian(f, gamma * penalty(z), y, gap, rho)
-        state.objectives.append(obj)
-        state.aug_lagrangians.append(aug)
-        state.primal_residuals.append(primal)
-        state.x_changes.append(dx)
-        state.lyapunov.append(aug + config.lyapunov_coeff * dx * dx)
-        state.rhos.append(rho)
+        objectives.append(obj)
+        primals.append(primal)
+        if histories:
+            aug = _lagrangian(f, gamma * penalty(z), y, gap, rho)
+            state.aug_lagrangians.append(aug)
+            state.x_changes.append(dx)
+            state.lyapunov.append(aug + config.lyapunov_coeff * dx * dx)
+            state.rhos.append(rho)
 
-        x_old, x, Dx = x, x_new, Dx_new
-        state.iterations = t
-        if not np.isfinite(obj) or obj > guard:
+        x, Dx = x_new, Dx_new
+        if not math.isfinite(obj) or obj > guard:
             reason = DIVERGED
             break
-        primal_ok = primal <= math.sqrt(p * m) * config.eps_abs \
-            + config.eps_rel * max(np.linalg.norm(z), np.linalg.norm(Dx))
-        if primal_ok and small_step(config, op, x_old, x, y, rho, dx):
+        if (primal <= primal_abs + eps_rel * max(_norm(z), _norm(Dx))
+                and small_step(config, op, x, step, dx, y, rho)):
             reason = CONVERGED
             break
 
+    state.iterations = t
     state.x, state.z, state.y, state.rho = x, z, y, rho
     state.stop_reason = reason
     return state, reason
 
 
-def solve_ntl(losses, graph, config, x0=None, y0=None, _factors=None):
+def solve_ntl(losses, graph, config, x0=None, y0=None, _factors=None,
+              _histories=True):
     """Run the splitting iteration on the trimmed problem.
 
     Parameters
@@ -426,19 +466,21 @@ def solve_ntl(losses, graph, config, x0=None, y0=None, _factors=None):
         the objective exceeds ``divergence_factor`` times its initial
         value (or stops being finite).
 
-    ``_factors`` is private: the paths pass one :class:`_Factors` to all
-    their solves.
+    ``_factors`` and ``_histories`` are private: the paths pass one
+    :class:`_Factors` to all their solves, and ``_histories=False`` to
+    keep only the histories they read (see :class:`SolverState`).
     """
     K = config.cardinality
     return _admm(losses, graph, config, x0, y0,
                  lambda a, rho: prox_trimmed(a, K, config.gamma / rho)[0],
-                 lambda d: trimmed_norm(d, K), _step_small, _factors)
+                 lambda d: trimmed_norm(d, K), _step_small, _factors,
+                 _histories)
 
 
 def solve_nl(losses, graph, gamma, x0=None, y0=None, rho=1.0,
              x_update="auto", smoothness=None, max_iters=1000,
              eps_abs=1e-5, eps_rel=1e-5, divergence_factor=1e12,
-             _factors=None):
+             _factors=None, _histories=True):
     """Run the splitting iteration on the convex (weighted) problem.
 
     The same iteration as :func:`solve_ntl` with the per-edge weighted
@@ -446,7 +488,7 @@ def solve_nl(losses, graph, gamma, x0=None, y0=None, rho=1.0,
     (primal residual plus the scaled dual residual
     rho ||D (x_t - x_{t-1})|| tested against ||y||).  The keywords are
     validated as a :class:`SolverConfig` with cardinality 0, and
-    ``_factors`` is private, as in :func:`solve_ntl`.
+    ``_factors`` and ``_histories`` are private, as in :func:`solve_ntl`.
 
     Returns (SolverState, str).
     """
@@ -456,9 +498,12 @@ def solve_nl(losses, graph, gamma, x0=None, y0=None, rho=1.0,
                           eps_rel=eps_rel,
                           divergence_factor=divergence_factor)
     w = graph.weights
+    # no rho schedule: every z-step thresholds at the same levels
+    lam = gamma * w / rho
     return _admm(losses, graph, config, x0, y0,
-                 lambda a, rho: group_shrink(a, gamma * w / rho),
-                 lambda d: float(w @ row_norms(d)), _dual_small, _factors)
+                 lambda a, rho: group_shrink(a, lam),
+                 lambda d: float(w @ row_norms(d)), _dual_small, _factors,
+                 _histories)
 
 
 # ---------------------------------------------------------------------------

@@ -55,15 +55,21 @@ def trimmed_norm_slow(z, K):
     return sum(norms[: m - kk])
 
 
-def group_shrink_reference(a, lam):
-    """Group soft threshold of each row by ``lam`` (scalar or per row),
-    with numpy's own row norms."""
-    norms = np.linalg.norm(a, axis=1)
+def shrink_factors_reference(norms, lam):
+    """(1 - lam_e / norms_e)_+ per row by zero-fill, gather and scatter;
+    ``lam`` a scalar or per row."""
     lam = np.asarray(lam)
     scale = np.zeros_like(norms)
     big = norms > lam
     scale[big] = 1.0 - (lam[big] if lam.ndim else lam) / norms[big]
-    return scale[:, None] * a
+    return scale
+
+
+def group_shrink_reference(a, lam):
+    """Group soft threshold of each row by ``lam`` (scalar or per row),
+    with numpy's own row norms."""
+    norms = np.linalg.norm(a, axis=1)
+    return shrink_factors_reference(norms, lam)[:, None] * a
 
 
 def prox_trimmed_reference(a, K, lam):
@@ -374,3 +380,121 @@ def dense_certificate_slow(x, losses, graph, gamma, merge_tol=1e-6,
     rel = np.linalg.norm(final, axis=1) / (1.0 + np.linalg.norm(grad, axis=1))
     max_norm = float(np.linalg.norm(g, axis=1).max()) if m else 0.0
     return float(rel.max()), max_norm, int(sum(merged))
+
+
+def _step_small_reference(config, graph, x, x_new, y, rho, dx):
+    """Trimmed stopping test: the step ||x_t - x_{t-1}|| is small."""
+    n, p = x.shape
+    return dx <= math.sqrt(p * n) * config.eps_abs \
+        + config.eps_rel * np.linalg.norm(x_new)
+
+
+def _dual_small_reference(config, graph, x, x_new, y, rho, dx):
+    """Convex stopping test: the scaled dual residual
+    rho ||D (x_t - x_{t-1})|| is small against ||y||."""
+    m, p = y.shape
+    dual = rho * float(np.linalg.norm(incidence_apply(graph, x_new - x)))
+    return dual <= math.sqrt(p * m) * config.eps_abs \
+        + config.eps_rel * np.linalg.norm(y)
+
+
+def admm_reference(losses, graph, config, x0, y0, prox, penalty,
+                   small_step):
+    """The splitting iteration with every history recorded on every
+    iteration, ``np.linalg.norm`` for every norm and E @ x for every
+    edge difference.  Returns (x, z, y, rho, iterations, stop_reason,
+    histories), the histories as a dict of lists named as the fields
+    of ``SolverState``.
+
+    The x-step is the library's ``_x_step``, factorized anew whenever
+    rho changes.
+    """
+    from netlasso.graph import DifferenceOperator
+    from netlasso.solver import _resolve_mode, _x_step
+
+    p, m = losses.dim, graph.num_edges
+    x = (losses.all_minimizers() if x0 is None
+         else np.array(x0, dtype=np.float64))
+    y = np.zeros((m, p)) if y0 is None else np.array(y0, dtype=np.float64)
+    op = DifferenceOperator(graph, p)
+    gamma, rho, schedule = config.gamma, config.rho, config.rho_schedule
+    mode = _resolve_mode(losses, config.x_update)
+    xstep = _x_step(mode, losses, op, rho, config.smoothness)
+    hist = {name: [] for name in ("objectives", "aug_lagrangians",
+                                  "primal_residuals", "x_changes",
+                                  "lyapunov", "rhos")}
+
+    Dx = incidence_apply(graph, x)
+    z = Dx
+    obj0 = losses.total_value(x) + gamma * penalty(Dx)
+    guard = config.divergence_factor * max(1.0, abs(obj0))
+    reason = "max-iters"
+    iterations = 0
+    for t in range(1, config.max_iters + 1):
+        if (schedule is not None and t > 1
+                and (t - 1) % schedule.period == 0):
+            new_rho = schedule.apply(rho)
+            if new_rho != rho:
+                rho = new_rho
+                xstep = _x_step(mode, losses, op, rho, config.smoothness)
+        z = prox(Dx - y / rho, rho)
+        x_new = xstep(x, z, y)
+        Dx_new = incidence_apply(graph, x_new)
+        gap = z - Dx_new
+        y = y + rho * gap
+
+        dx = float(np.linalg.norm(x_new - x))
+        primal = float(np.linalg.norm(gap))
+        f = losses.total_value(x_new)
+        obj = f + gamma * penalty(Dx_new)
+        aug = (f + gamma * penalty(z) + float((y * gap).sum())
+               + 0.5 * rho * float((gap * gap).sum()))
+        hist["objectives"].append(obj)
+        hist["aug_lagrangians"].append(aug)
+        hist["primal_residuals"].append(primal)
+        hist["x_changes"].append(dx)
+        hist["lyapunov"].append(aug + config.lyapunov_coeff * dx * dx)
+        hist["rhos"].append(rho)
+
+        x_old, x, Dx = x, x_new, Dx_new
+        iterations = t
+        if not np.isfinite(obj) or obj > guard:
+            reason = "diverged"
+            break
+        primal_ok = primal <= math.sqrt(p * m) * config.eps_abs \
+            + config.eps_rel * max(np.linalg.norm(z), np.linalg.norm(Dx))
+        if primal_ok and small_step(config, graph, x_old, x, y, rho, dx):
+            reason = "converged"
+            break
+    return x, z, y, rho, iterations, reason, hist
+
+
+def _trimmed_norm_reference(d, K):
+    norms = np.linalg.norm(d, axis=1)
+    m = len(norms)
+    K = min(int(K), m)
+    if K == 0:
+        return float(norms.sum())
+    if K >= m:
+        return 0.0
+    return float(np.sort(norms)[: m - K].sum())
+
+
+def solve_ntl_reference(losses, graph, config, x0=None, y0=None):
+    """``admm_reference`` with the trimmed problem's pieces."""
+    K = config.cardinality
+    return admm_reference(
+        losses, graph, config, x0, y0,
+        lambda a, rho: prox_trimmed_reference(a, K, config.gamma / rho)[0],
+        lambda d: _trimmed_norm_reference(d, K), _step_small_reference)
+
+
+def solve_nl_reference(losses, graph, config, x0=None, y0=None):
+    """``admm_reference`` with the convex problem's pieces; ``config``
+    carries gamma, rho, x-step and stopping settings."""
+    w = graph.weights
+    return admm_reference(
+        losses, graph, config, x0, y0,
+        lambda a, rho: group_shrink_reference(a, config.gamma * w / rho),
+        lambda d: float(w @ np.linalg.norm(d, axis=1)),
+        _dual_small_reference)

@@ -476,6 +476,52 @@ class TestPathCommands:
         assert len(doc["steps"]) < 24
         assert doc["steps"][-1]["num_clusters"] == 1
 
+    def test_steps_cut_at_max_iters_named_on_stderr(self, tmp_path,
+                                                      capsys):
+        data = tmp_path / "four.csv"
+        write_points_csv(data, FOUR_POINTS)
+        common = ["--data-file", str(data), "--graph", "path",
+                  "--eps-abs", "1e-12", "--eps-rel", "1e-12"]
+        out = tmp_path / "cut"
+        assert main(["k-path", *common, "--gamma", "2.0",
+                     "--k-values", "3,2,1,0", "--rho", "100.0",
+                     "--max-iters", "3", "--out-dir", str(out)]) == 0
+        # K = 3 leaves all three edges free: that step converges at once
+        assert capsys.readouterr().err == (
+            "warning: 3 of 4 path steps stopped at max-iters"
+            " (cardinality 2, 1, 0)\n")
+        out = tmp_path / "some"
+        assert main(["gamma-path", *common, "--gamma-grid", "0.01,20,3",
+                     "--max-iters", "50", "--out-dir", str(out)]) == 0
+        err = capsys.readouterr().err
+        steps = json.loads((out / "path.json").read_text())["steps"]
+        cut = [str(s["parameter"]) for s in steps
+               if s["stop_reason"] == "max-iters"]
+        assert 0 < len(cut) < len(steps)
+        assert err == (f"warning: {len(cut)} of {len(steps)} path steps"
+                       f" stopped at max-iters (strength {', '.join(cut)})\n")
+        cfg = tmp_path / "piecewise.json"
+        cfg.write_text(json.dumps({
+            "task": "piecewise",
+            "signal": {"levels": [[5, 0.0], [5, 2.0]], "noise_sd": 0.0},
+            "cardinality": 1,
+            "nl_grid": {"values": [0.01, 0.1]},
+            "solver": {"max_iters": 2},
+            "output": {"dir": str(tmp_path / "piecewise")}}))
+        assert main(["piecewise", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().err == (
+            "warning: 2 of 2 path steps stopped at max-iters"
+            " (strength 0.01, 0.1)\n")
+
+    def test_converged_path_prints_nothing(self, tmp_path, capsys):
+        data = tmp_path / "four.csv"
+        write_points_csv(data, FOUR_POINTS)
+        assert main(["k-path", "--data-file", str(data), "--graph", "path",
+                     "--gamma", "2.0", "--k-values", "3,1",
+                     "--rho", "100.0", "--max-iters", "4000",
+                     "--out-dir", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_nl_midpoint_init_pipeline(self, tmp_path):
         data = tmp_path / "four.csv"
         write_points_csv(data, FOUR_POINTS)

@@ -9,11 +9,13 @@ from oracles import (
     group_shrink_reference,
     prox_trimmed_objective,
     prox_trimmed_reference,
+    shrink_factors_reference,
     trimmed_norm_slow,
 )
 
 from netlasso.penalty import (
     _derivative_at,
+    _shrink_factors,
     directional_derivative,
     group_shrink,
     phi_envelope,
@@ -339,6 +341,25 @@ class TestKernelOracles:
                             np.zeros(m)):
                     assert_bitwise_equal(group_shrink(a, lam),
                                          group_shrink_reference(a, lam))
+
+    def test_shrink_factors_match_reference(self):
+        # zero rows, signed zeros, infinite and NaN norms; lam zero,
+        # scalar or per row, and ties norms == lam, against the
+        # zero-fill, gather and scatter form
+        rng = np.random.default_rng(33)
+        norms = np.concatenate([[0.0, -0.0, 0.5, 0.5, np.inf, np.nan,
+                                 1e-300, 3e-320], rng.lognormal(size=40)])
+        m = len(norms)
+        per_row = rng.lognormal(size=m)
+        per_row[2], per_row[5] = 0.5, 0.0      # a tie and a NaN row
+        tied = norms.copy()                   # norms == lam everywhere
+        tied[5] = 1.0
+        for lam in (0.0, 0, 0.5, 2.0, np.float64(0.5), per_row, tied,
+                    np.zeros(m), np.full(m, np.inf)):
+            assert_bitwise_equal(_shrink_factors(norms, lam),
+                                 shrink_factors_reference(norms, lam))
+        assert_bitwise_equal(_shrink_factors(np.zeros(0), 0.3),
+                             shrink_factors_reference(np.zeros(0), 0.3))
 
     def test_derivative_at_reused_matches_reference(self):
         # the hoisted norms, K-th norm and tie masks serve every direction

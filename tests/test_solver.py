@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 from oracles import (brute_force_prox_trimmed, dense_certificate_slow,
-                     enumerate_set_partitions)
+                     enumerate_set_partitions, solve_nl_reference,
+                     solve_ntl_reference)
 
 from netlasso import solver
 from netlasso.datasets import gen_half_moons
@@ -19,6 +20,7 @@ from netlasso.graph import (
 )
 from netlasso.losses import (CustomLoss, Quadratic, RidgeRegression,
                              SquaredDistance)
+from netlasso.path import gamma_path, k_path
 from netlasso.penalty import prox_group_l2, trimmed_norm
 from netlasso.solver import (
     CONVERGED,
@@ -457,7 +459,9 @@ class TestOperatorProducts:
     ITERS = 40
 
     def count_products(self, monkeypatch, run):
-        counts = {"apply": 0, "apply_adjoint": 0}
+        # ``apply`` checks its input and calls ``_diff``, which the loop
+        # calls directly: counting ``_diff`` counts every D product
+        counts = {"_diff": 0, "apply_adjoint": 0}
         for name in counts:
             orig = getattr(DifferenceOperator, name)
 
@@ -482,7 +486,7 @@ class TestOperatorProducts:
                               eps_abs=0.0, eps_rel=0.0)
         counts = self.count_products(
             monkeypatch, lambda: solve_ntl(losses, g, config))
-        assert counts["apply"] <= self.ITERS + 2
+        assert counts["_diff"] <= self.ITERS + 2
         assert counts["apply_adjoint"] <= self.ITERS + 2
 
     @pytest.mark.parametrize("x_update", ["exact", "linearized"])
@@ -492,8 +496,247 @@ class TestOperatorProducts:
             monkeypatch, lambda: solve_nl(
                 losses, g, 0.3, rho=10.0, x_update=x_update,
                 max_iters=self.ITERS, eps_abs=0.0, eps_rel=0.0))
-        assert counts["apply"] <= 2 * self.ITERS + 2
+        assert counts["_diff"] <= 2 * self.ITERS + 2
         assert counts["apply_adjoint"] <= self.ITERS + 2
+
+
+def assert_same_bits(a, b):
+    """Equal shapes and bit patterns (NaN and signed zeros included)."""
+    a, b = (np.ascontiguousarray(v, dtype=np.float64) for v in (a, b))
+    assert a.shape == b.shape
+    np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+
+
+HISTORIES = ("objectives", "aug_lagrangians", "primal_residuals",
+             "x_changes", "lyapunov", "rhos")
+
+
+def assert_matches_reference(result, ref):
+    state, reason = result
+    x, z, y, rho, iterations, ref_reason, hist = ref
+    assert (state.iterations, reason, state.stop_reason) \
+        == (iterations, ref_reason, ref_reason)
+    for got, want in ((state.x, x), (state.z, z), (state.y, y),
+                      (state.rho, rho)):
+        assert_same_bits(got, want)
+    for name in HISTORIES:
+        assert_same_bits(getattr(state, name), hist[name])
+
+
+class TestReferenceLoop:
+    """The loop against the reference in ``oracles.admm_reference``:
+    every iterate, stop reason and history bit for bit."""
+
+    # (settings, expected stop reason)
+    STOPS = [({"max_iters": 60, "eps_abs": 0.0, "eps_rel": 0.0},
+              "max-iters"),
+             ({"max_iters": 2000, "eps_abs": 1e-7, "eps_rel": 1e-7},
+              "converged")]
+
+    def instance(self, p, seed):
+        rng = np.random.default_rng(seed)
+        pts = np.concatenate([rng.normal(size=(6, p)),
+                              rng.normal(size=(5, p)) + 3.0])
+        return SquaredDistance(pts), complete_graph(11, points=pts,
+                                                    alpha=0.3)
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("x_update", ["exact", "linearized"])
+    @pytest.mark.parametrize("stop", range(len(STOPS)))
+    def test_trimmed(self, p, x_update, stop):
+        settings, expected = self.STOPS[stop]
+        losses, g = self.instance(p, 60 + p)
+        # 30 of the 55 edges join the two groups
+        config = SolverConfig(gamma=0.4, cardinality=30, rho=5.0,
+                              x_update=x_update, lyapunov_coeff=0.3,
+                              **settings)
+        ref = solve_ntl_reference(losses, g, config)
+        assert ref[5] == expected
+        assert_matches_reference(solve_ntl(losses, g, config), ref)
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("x_update", ["exact", "linearized"])
+    @pytest.mark.parametrize("stop", range(len(STOPS)))
+    def test_convex(self, p, x_update, stop):
+        settings, expected = self.STOPS[stop]
+        losses, g = self.instance(p, 70 + p)
+        config = SolverConfig(gamma=0.2, cardinality=0, rho=2.0,
+                              x_update=x_update, **settings)
+        ref = solve_nl_reference(losses, g, config)
+        assert ref[5] == expected
+        assert_matches_reference(
+            solve_nl(losses, g, 0.2, rho=2.0, x_update=x_update,
+                     **settings), ref)
+
+    @pytest.mark.parametrize("x_update", ["exact", "linearized"])
+    def test_rho_schedule_and_warm_starts(self, x_update):
+        losses, g = self.instance(2, 80)
+        rng = np.random.default_rng(81)
+        x0 = losses.points + 0.1 * rng.normal(size=losses.points.shape)
+        y0 = rng.normal(size=(g.num_edges, 2))
+        config = SolverConfig(gamma=0.4, cardinality=4, rho=0.5,
+                              x_update=x_update, max_iters=400,
+                              eps_abs=1e-9, eps_rel=1e-9,
+                              rho_schedule=RhoSchedule(3.0, 60.0, 30))
+        ref = solve_ntl_reference(losses, g, config, x0=x0, y0=y0)
+        assert len(set(ref[6]["rhos"])) > 2
+        assert_matches_reference(solve_ntl(losses, g, config, x0=x0, y0=y0),
+                                 ref)
+
+    def test_divergence(self):
+        rng = np.random.default_rng(15)
+        losses = SquaredDistance(rng.normal(size=(4, 1)))
+        config = SolverConfig(gamma=1.0, cardinality=1, rho=1.0,
+                              x_update="linearized", smoothness=0.01,
+                              max_iters=200)
+        ref = solve_ntl_reference(losses, path_graph(4), config)
+        assert ref[5] == DIVERGED
+        assert_matches_reference(solve_ntl(losses, path_graph(4), config),
+                                 ref)
+
+    @pytest.mark.parametrize("x_update", ["exact", "linearized"])
+    def test_path_steps_match_reference_solves(self, x_update):
+        losses, g = self.instance(2, 90)
+        options = {"rho": 5.0, "x_update": x_update, "max_iters": 300,
+                   "eps_abs": 1e-7, "eps_rel": 1e-7}
+        ks = [30, 12, 4, 1, 0]
+        x = None
+        for K, step in zip(ks, k_path(losses, g, 0.4, ks, **options).steps):
+            config = SolverConfig(gamma=0.4, cardinality=K, **options)
+            x, _, _, _, iterations, reason, hist = solve_ntl_reference(
+                losses, g, config, x0=x)
+            self.assert_step(step, x, iterations, reason, hist)
+        gammas = [0.01, 0.1, 0.5, 2.0]
+        x = None
+        for gamma, step in zip(gammas,
+                               gamma_path(losses, g, gammas,
+                                          **options).steps):
+            config = SolverConfig(gamma=gamma, cardinality=0, **options)
+            x, _, _, _, iterations, reason, hist = solve_nl_reference(
+                losses, g, config, x0=x)
+            self.assert_step(step, x, iterations, reason, hist)
+
+    @staticmethod
+    def assert_step(step, x, iterations, reason, hist):
+        assert_same_bits(step.centroids, x)
+        assert (step.iterations, step.stop_reason) == (iterations, reason)
+        assert_same_bits(step.objective, hist["objectives"][-1])
+        assert_same_bits(step.primal_residual, hist["primal_residuals"][-1])
+
+
+class TestLeanPathLoop:
+    """Path solves skip the work of the histories no path reads: these
+    counts repeat exactly, so a later change that brings the work back
+    fails here."""
+
+    def counted(self, monkeypatch, module, name):
+        """Count the calls of ``module.name`` made inside ``_admm``."""
+        calls = [0]
+        depth = [0]
+        orig_admm, orig = solver._admm, getattr(module, name)
+
+        def admm(*args, **kwargs):
+            depth[0] += 1
+            try:
+                return orig_admm(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        def counter(*args, **kwargs):
+            if depth[0]:
+                calls[0] += 1
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "_admm", admm)
+        monkeypatch.setattr(module, name, counter)
+        return calls
+
+    def instance(self):
+        rng = np.random.default_rng(95)
+        pts = np.concatenate([rng.normal(size=(6, 2)),
+                              rng.normal(size=(6, 2)) + 3.0])
+        return SquaredDistance(pts), complete_graph(12)
+
+    @pytest.mark.parametrize("x_update", ["exact", "linearized"])
+    def test_no_whole_array_numpy_norm(self, monkeypatch, x_update):
+        losses, g = self.instance()
+        calls = self.counted(monkeypatch, np.linalg, "norm")
+        options = {"rho": 5.0, "x_update": x_update, "max_iters": 200}
+        kp = k_path(losses, g, 0.5, [40, 10, 2, 0], **options)
+        gp = gamma_path(losses, g, [0.01, 0.1, 1.0], **options)
+        assert sum(s.iterations for s in kp.steps + gp.steps) > 100
+        assert calls[0] == 0
+
+    def test_one_trimmed_norm_per_path_iteration(self, monkeypatch):
+        losses, g = self.instance()
+        calls = self.counted(monkeypatch, solver, "trimmed_norm")
+        result = k_path(losses, g, 0.5, [40, 10, 2, 0], rho=5.0,
+                        max_iters=200)
+        iterations = sum(s.iterations for s in result.steps)
+        # one per iteration for the objective, one per solve for the
+        # divergence guard's starting objective
+        assert calls[0] == iterations + len(result.steps)
+        calls[0] = 0
+        config = SolverConfig(gamma=0.5, cardinality=10, rho=5.0,
+                              max_iters=50, eps_abs=0.0, eps_rel=0.0)
+        solve_ntl(losses, g, config)
+        # a direct solve also takes the penalty of z for its histories
+        assert calls[0] == 2 * 50 + 1
+
+    def test_path_states_keep_two_histories(self, monkeypatch):
+        losses, g = self.instance()
+        states = []
+        orig = solver._admm
+
+        def keep(*args, **kwargs):
+            states.append(orig(*args, **kwargs)[0])
+            return states[-1], states[-1].stop_reason
+
+        monkeypatch.setattr(solver, "_admm", keep)
+        k_path(losses, g, 0.5, [10, 0], rho=5.0, max_iters=40)
+        gamma_path(losses, g, [0.1, 1.0], rho=5.0, max_iters=40)
+        assert len(states) == 4
+        for state in states:
+            assert len(state.objectives) == state.iterations
+            assert len(state.primal_residuals) == state.iterations
+            assert state.aug_lagrangians == state.x_changes \
+                == state.lyapunov == state.rhos == []
+
+
+class TestSettingsValidation:
+    @pytest.mark.parametrize("bad", [
+        {"gamma": math.nan}, {"gamma": math.inf}, {"gamma": -1.0},
+        {"rho": math.nan}, {"rho": math.inf}, {"rho": -2.0},
+        {"eps_abs": -1e-9}, {"eps_rel": -1.0}, {"eps_abs": math.nan},
+        {"eps_rel": math.nan}, {"divergence_factor": 0.0},
+        {"divergence_factor": -1.0}, {"divergence_factor": math.nan}])
+    def test_bad_solver_config_rejected(self, bad):
+        with pytest.raises(ValueError):
+            SolverConfig(**{"gamma": 1.0, "cardinality": 1, **bad})
+
+    def test_bad_solve_nl_keywords_rejected(self):
+        losses = SquaredDistance(np.array([0.0, 1.0, 3.0]))
+        for bad in ({"gamma": math.nan}, {"divergence_factor": 0.0},
+                    {"eps_rel": -1.0}, {"rho": math.inf}):
+            with pytest.raises(ValueError):
+                solve_nl(losses, path_graph(3), **{"gamma": 0.5, **bad})
+
+    @pytest.mark.parametrize("bad", [
+        {"period": 0}, {"period": -3}, {"period": 2.5},
+        {"multiplier": 0.0}, {"multiplier": math.nan}, {"cap": 0.0},
+        {"cap": math.nan}])
+    def test_bad_rho_schedule_rejected(self, bad):
+        with pytest.raises(ValueError):
+            RhoSchedule(**bad)
+
+    def test_boundary_values_accepted(self):
+        config = SolverConfig(gamma=0.0, cardinality=0, eps_abs=0.0,
+                              eps_rel=0.0, divergence_factor=math.inf,
+                              rho_schedule=RhoSchedule(cap=1e3,
+                                                       period=1))
+        state, _ = solve_ntl(SquaredDistance(np.array([0.0, 1.0])),
+                             path_graph(2), config)
+        assert state.iterations > 0
 
 
 class TestConvergenceValidation:
