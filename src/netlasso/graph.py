@@ -28,6 +28,11 @@ from scipy.sparse.linalg import eigsh
 
 from .penalty import row_norms
 
+try:  # the C++ kernels behind ``csr_matrix @ ndarray``
+    from scipy.sparse import _sparsetools
+except ImportError:  # pragma: no cover - a scipy without the private module
+    _sparsetools = None
+
 __all__ = [
     "WeightedGraph",
     "DifferenceOperator",
@@ -262,9 +267,21 @@ class DifferenceOperator:
         z = np.asarray(z, dtype=np.float64)
         if z.shape != (self.graph.num_edges, self.block_dim):
             raise ValueError("z has wrong shape for this operator")
-        # the CSR product stays: scatter-adds by np.bincount or
-        # np.add.at are several times slower
-        return self._Et @ z
+        # ``E^T @ z`` reaches scipy's csr_matvec (p = 1) or csr_matvecs
+        # after a dispatch that costs more than the product on small
+        # graphs; calling the same kernel here gives the same bits.
+        # Scatter-adds by np.bincount or np.add.at are several times
+        # slower.
+        Et, p = self._Et, self.block_dim
+        kernel = getattr(_sparsetools, "csr_matvecs" if p > 1
+                         else "csr_matvec", None)
+        if kernel is None:
+            return Et @ z
+        out = np.zeros((Et.shape[0], p))
+        dims = Et.shape + (p,) if p > 1 else Et.shape
+        kernel(*dims, Et.indptr, Et.indices, Et.data,
+               np.ascontiguousarray(z).ravel(), out.ravel())
+        return out
 
     def laplacian(self):
         """Unweighted graph Laplacian E^T E as CSR, shape (n, n)."""

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import merged_components
-from .solver import SolverConfig, _Factors, solve_nl, solve_ntl
+from .solver import SolverConfig, _Factors, _is_int, solve_nl, solve_ntl
 
 __all__ = [
     "Partition",
@@ -205,9 +205,12 @@ def k_path(losses, graph, gamma, k_sequence, x0=None, merge_tol=1e-6,
     per-node minimizers when omitted).  The steps share one difference
     operator and factorize each x-system once.
     """
-    ks = [int(k) for k in k_sequence]
+    ks = list(k_sequence)
     if not ks:
         raise ValueError("empty cardinality sequence")
+    if not all(_is_int(k) for k in ks):
+        raise ValueError("cardinalities must be integers")
+    ks = [int(k) for k in ks]
     if any(b >= a for a, b in zip(ks, ks[1:])):
         raise ValueError("cardinality sequence must strictly decrease")
     if ks[0] > graph.num_edges or ks[-1] < 0:

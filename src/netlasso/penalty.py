@@ -128,17 +128,37 @@ def _shrink_factors(norms, lam):
     """(1 - lam_e / norms_e)_+ per row; ``lam`` a scalar or per row.
 
     Rows with ``norms_e > lam_e`` get ``1 - lam_e / norms_e``, every
-    other row (NaN norms included) +0.0.  The masked ufuncs compute
-    exactly that without gathering and scattering the rows."""
+    other row (NaN norms included) +0.0.  The quotient is taken on every
+    row and discarded where the row is not shrunk: plain ufuncs and one
+    ``np.where`` beat masked ufuncs several times over, and the divide
+    and invalid warnings of the discarded rows are silenced."""
     big = norms > lam
-    scale = np.divide(lam, norms, out=np.zeros(norms.shape), where=big)
-    return np.subtract(1.0, scale, out=scale, where=big)
+    with np.errstate(all="ignore"):
+        q = np.divide(lam, norms)
+        np.subtract(1.0, q, out=q)
+    return np.where(big, q, 0.0)
+
+
+def _scale_rows(a, scale, op=np.multiply, out=None):
+    """``op(a, scale[:, None], out=out)``: each row a_e combined with
+    scale_e.
+
+    One column at a time, which for p >= 2 is twice as fast as the
+    (m, 1) x (m, p) broadcast and gives the same bits in the same
+    memory order."""
+    if a.shape[1] == 1:
+        return op(a, scale[:, None], out=out)
+    if out is None:
+        out = np.empty_like(a)
+    for k in range(a.shape[1]):
+        op(a[:, k], scale, out=out[:, k])
+    return out
 
 
 def group_shrink(a, lam):
     """Group soft threshold of each row a_e of ``a`` by ``lam``, a
     scalar or one level per row: (1 - lam_e / ||a_e||)_+ a_e."""
-    return _shrink_factors(row_norms(a), lam)[:, None] * a
+    return _scale_rows(a, _shrink_factors(row_norms(a), lam))
 
 
 def phi_envelope(t, lam):
@@ -192,9 +212,9 @@ def prox_trimmed(a, K, lam):
         keep[np.flatnonzero(norms == kth)[:K - keep.sum()]] = True
     # one pass over all rows: kept rows times 1.0 are copied exactly
     scale = _shrink_factors(norms, lam)
-    scale[keep] = 1.0
-    return scale[:, None] * a, TrimSelection(kept=np.flatnonzero(keep),
-                                             trimmed=np.flatnonzero(~keep))
+    np.putmask(scale, keep, 1.0)
+    return _scale_rows(a, scale), TrimSelection(kept=np.flatnonzero(keep),
+                                                trimmed=np.flatnonzero(~keep))
 
 
 def _derivative_at(z, K, tie_tol=0.0):

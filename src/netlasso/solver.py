@@ -35,8 +35,8 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import eigsh, factorized, splu
 
 from .graph import DifferenceOperator, merged_components, sigma_min_DDt
-from .penalty import (_derivative_at, group_shrink, prox_trimmed, row_norms,
-                      trimmed_norm)
+from .penalty import (_derivative_at, _scale_rows, group_shrink, prox_trimmed,
+                      row_norms, trimmed_norm)
 
 __all__ = [
     "SolverConfig",
@@ -68,6 +68,11 @@ MAX_ITERS = "max-iters"
 DIVERGED = "diverged"
 
 
+def _is_int(value):
+    """An integer, numpy's included, and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass
 class RhoSchedule:
     """Geometric increase of rho: ``rho <- min(multiplier * rho, cap)``
@@ -83,7 +88,7 @@ class RhoSchedule:
             raise ValueError("multiplier must be positive")
         if not self.cap > 0:
             raise ValueError("cap must be positive")
-        if not isinstance(self.period, numbers.Integral) or self.period < 1:
+        if not _is_int(self.period) or self.period < 1:
             raise ValueError("period must be a positive integer")
 
     def apply(self, rho):
@@ -144,16 +149,18 @@ class SolverConfig:
         # every comparison with NaN is false, so these reject NaN too
         if not 0 <= self.gamma < math.inf:
             raise ValueError("gamma must be finite and non-negative")
-        if self.cardinality < 0:
-            raise ValueError("cardinality must be non-negative")
+        if not _is_int(self.cardinality) or self.cardinality < 0:
+            raise ValueError("cardinality must be a non-negative integer")
         if not 0 < self.rho < math.inf:
             raise ValueError("rho must be finite and positive")
         if self.x_update not in ("auto", "exact", "linearized"):
             raise ValueError(f"unknown x_update {self.x_update!r}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
+        if not _is_int(self.max_iters) or self.max_iters < 1:
+            raise ValueError("max_iters must be a positive integer")
         if not (self.eps_abs >= 0 and self.eps_rel >= 0):
             raise ValueError("eps_abs and eps_rel must be non-negative")
+        if not math.isfinite(self.lyapunov_coeff):
+            raise ValueError("lyapunov_coeff must be finite")
         if not self.divergence_factor > 0:
             raise ValueError("divergence_factor must be positive")
 
@@ -167,12 +174,14 @@ class SolverState:
     step length ||x_t - x_{t-1}||, rho in force, and the Lyapunov value
     L_rho + c ||x_t - x_{t-1}||^2).
 
-    Direct :func:`solve_ntl` and :func:`solve_nl` calls fill all six.
-    The solves of :func:`netlasso.path.k_path` and
-    :func:`netlasso.path.gamma_path` fill only ``objectives`` and
-    ``primal_residuals``, the two a path step reads, and leave
-    ``aug_lagrangians``, ``x_changes``, ``lyapunov`` and ``rhos`` empty;
-    every recorded value is the one a direct solve records.
+    Direct :func:`solve_ntl` and :func:`solve_nl` calls fill all six,
+    one entry per iteration.  The solves of :func:`netlasso.path.k_path`
+    and :func:`netlasso.path.gamma_path` record one entry each in
+    ``objectives`` and ``primal_residuals``, the final objective and the
+    final primal residual, which are the two values a path step reads;
+    ``aug_lagrangians``, ``x_changes``, ``lyapunov`` and ``rhos`` stay
+    empty.  Both recorded values are the last entries a direct solve
+    from the same start records.
     """
 
     x: np.ndarray
@@ -346,38 +355,50 @@ def _norm(a):
     return math.sqrt(v.dot(v))
 
 
-def _step_small(config, op, x_new, step, dx, y, rho):
-    """Trimmed stopping test: the step dx = ||x_t - x_{t-1}|| is small."""
+def _step_small(config, op, x_new, x, y, rho):
+    """Trimmed stopping test: the step ||x_t - x_{t-1}|| is small."""
     n, p = x_new.shape
-    return dx <= math.sqrt(p * n) * config.eps_abs \
+    return _norm(x_new - x) <= math.sqrt(p * n) * config.eps_abs \
         + config.eps_rel * _norm(x_new)
 
 
-def _dual_small(config, op, x_new, step, dx, y, rho):
+def _dual_small(config, op, x_new, x, y, rho):
     """Convex stopping test: the scaled dual residual
     rho ||D (x_t - x_{t-1})|| is small against ||y||."""
     m, p = y.shape
-    dual = rho * _norm(op._diff(step))
+    dual = rho * _norm(op._diff(x_new - x))
     return dual <= math.sqrt(p * m) * config.eps_abs \
         + config.eps_rel * _norm(y)
 
 
-def _admm(losses, graph, config, x0, y0, prox, penalty, small_step,
-          factors=None, histories=True):
+# Relative slack on the penalty bound of the divergence guard.  The
+# computed penalty and ||D x||_F are sums of at most N = m p rounded
+# non-negative terms, each within a relative N 2^-53 of its exact value;
+# 1e-6 covers both errors together for N up to about 1e9.
+_BOUND_SLACK = 1.0 + 1e-6
+
+
+def _admm(losses, graph, config, x0, y0, prox, penalty, bound_coeff,
+          small_step, factors=None, histories=True):
     """The splitting iteration both solvers run.
 
-    Three pieces are problem-specific: ``prox(a, rho)`` is the exact
+    Four pieces are problem-specific: ``prox(a, rho)`` is the exact
     z-step at a = D x - y / rho, ``penalty(d)`` is the penalty of an
-    edge-difference array before the factor gamma, and ``small_step``
-    is the stopping test that joins the shared primal-residual test; it
-    gets the new iterate, the step x_t - x_{t-1} and its norm.
-    D x_new is computed once per iteration and serves the dual update,
-    the primal residual, the objective, the augmented Lagrangian, the
-    stopping test and the next z-step.  ``factors``, a :class:`_Factors`
-    of this losses and graph, carries x-steps over from earlier solves.
-    With ``histories`` false only ``objectives`` and ``primal_residuals``
-    are recorded, and the penalty of z and the augmented Lagrangian,
-    which only the other four histories need, are never computed.
+    edge-difference array before the factor gamma, ``bound_coeff`` a
+    constant c with penalty(d) <= c ||d||_F, and ``small_step`` is the
+    stopping test that joins the shared primal-residual test; it gets
+    the new and the previous iterate.  D x_new is computed once per
+    iteration and serves the dual update, the primal residual, the
+    objective, the augmented Lagrangian, the stopping test and the next
+    z-step.  ``factors``, a :class:`_Factors` of this losses and graph,
+    carries x-steps over from earlier solves.
+
+    With ``histories`` false only the final objective and primal
+    residual are recorded, and the objective is taken only where the
+    divergence guard needs it: while f + gamma c ||D x||_F (with slack
+    for rounding) is finite and within the guard, so is the objective,
+    whose computed value can only be smaller.  Rounding is monotone, so
+    the guard decides as it would on the objective itself.
     """
     x, y = _init_state(losses, graph, x0, y0)
     if factors is None:
@@ -391,10 +412,10 @@ def _admm(losses, graph, config, x0, y0, prox, penalty, small_step,
     xstep = factors.x_step(mode, rho, config.smoothness)
     primal_abs = math.sqrt(losses.dim * graph.num_edges) * config.eps_abs
     eps_rel = config.eps_rel
+    bound_coeff *= _BOUND_SLACK
 
     Dx = op.apply(x)
     state = SolverState(x=x, z=Dx, y=y, rho=rho)
-    objectives, primals = state.objectives, state.primal_residuals
     obj0 = losses.total_value(x) + gamma * penalty(Dx)
     guard = config.divergence_factor * max(1.0, abs(obj0))
     reason = MAX_ITERS
@@ -412,29 +433,39 @@ def _admm(losses, graph, config, x0, y0, prox, penalty, small_step,
         gap = z - Dx_new
         y = y + rho * gap
 
-        step = x_new - x
-        dx = _norm(step)
         primal = _norm(gap)
+        norm_Dx = _norm(Dx_new)
         f = losses.total_value(x_new)
-        obj = f + gamma * penalty(Dx_new)
-        objectives.append(obj)
-        primals.append(primal)
+        obj = None
         if histories:
+            obj = f + gamma * penalty(Dx_new)
+            dx = _norm(x_new - x)
             aug = _lagrangian(f, gamma * penalty(z), y, gap, rho)
+            state.objectives.append(obj)
             state.aug_lagrangians.append(aug)
+            state.primal_residuals.append(primal)
             state.x_changes.append(dx)
             state.lyapunov.append(aug + config.lyapunov_coeff * dx * dx)
             state.rhos.append(rho)
+        else:
+            bound = f + gamma * (bound_coeff * norm_Dx)
+            if not (math.isfinite(bound) and bound <= guard):
+                obj = f + gamma * penalty(Dx_new)
 
-        x, Dx = x_new, Dx_new
-        if not math.isfinite(obj) or obj > guard:
+        x, x_old, Dx = x_new, x, Dx_new
+        if obj is not None and (not math.isfinite(obj) or obj > guard):
             reason = DIVERGED
             break
-        if (primal <= primal_abs + eps_rel * max(_norm(z), _norm(Dx))
-                and small_step(config, op, x, step, dx, y, rho)):
+        if (primal <= primal_abs + eps_rel * max(_norm(z), norm_Dx)
+                and small_step(config, op, x, x_old, y, rho)):
             reason = CONVERGED
             break
 
+    if not histories:
+        if obj is None:
+            obj = f + gamma * penalty(Dx)
+        state.objectives.append(obj)
+        state.primal_residuals.append(primal)
     state.iterations = t
     state.x, state.z, state.y, state.rho = x, z, y, rho
     state.stop_reason = reason
@@ -468,13 +499,16 @@ def solve_ntl(losses, graph, config, x0=None, y0=None, _factors=None,
 
     ``_factors`` and ``_histories`` are private: the paths pass one
     :class:`_Factors` to all their solves, and ``_histories=False`` to
-    keep only the histories they read (see :class:`SolverState`).
+    keep only the final values they read (see :class:`SolverState`).
     """
     K = config.cardinality
+    # the m - K smallest of m block norms sum to at most
+    # sqrt(m - K) ||D x||_F (Cauchy-Schwarz); none are left for K >= m
+    bound_coeff = math.sqrt(max(graph.num_edges - K, 0))
     return _admm(losses, graph, config, x0, y0,
                  lambda a, rho: prox_trimmed(a, K, config.gamma / rho)[0],
-                 lambda d: trimmed_norm(d, K), _step_small, _factors,
-                 _histories)
+                 lambda d: trimmed_norm(d, K), bound_coeff, _step_small,
+                 _factors, _histories)
 
 
 def solve_nl(losses, graph, gamma, x0=None, y0=None, rho=1.0,
@@ -500,10 +534,11 @@ def solve_nl(losses, graph, gamma, x0=None, y0=None, rho=1.0,
     w = graph.weights
     # no rho schedule: every z-step thresholds at the same levels
     lam = gamma * w / rho
+    # sum_e w_e ||d_e|| <= ||w|| ||d||_F (Cauchy-Schwarz)
     return _admm(losses, graph, config, x0, y0,
                  lambda a, rho: group_shrink(a, lam),
-                 lambda d: float(w @ row_norms(d)), _dual_small, _factors,
-                 _histories)
+                 lambda d: float(w @ row_norms(d)), _norm(w), _dual_small,
+                 _factors, _histories)
 
 
 # ---------------------------------------------------------------------------
@@ -758,6 +793,22 @@ def _add_edge_terms(node_sums, edges, c):
     return node_sums
 
 
+def _polish(A, u, b, step, iters):
+    """``iters`` projected-gradient steps on ||A u - b||^2 / 2 over the
+    unit balls ||u_e|| <= 1, row e with step length ``step[e]``; u is
+    updated in place and returned."""
+    At = A.T.tocsr()
+    for _ in range(iters):
+        g = At @ (A @ u - b)
+        u -= _scale_rows(g, step, out=g)
+        if u.shape[1] <= 2:
+            norms = row_norms(u)
+        else:  # einsum pairs its sums from 3 columns on: kept for its bits
+            norms = np.sqrt(np.einsum("ij,ij->i", u, u))
+        _scale_rows(u, np.maximum(norms, 1.0), np.divide, out=u)
+    return u
+
+
 def nl_certificate(x, losses, graph, gamma, merge_tol=1e-6,
                    residual_tol=1e-4, norm_slack=1e-6, refine_iters=2000):
     """Construct an optimality certificate for the convex problem at x.
@@ -839,15 +890,9 @@ def nl_certificate(x, losses, graph, gamma, merge_tol=1e-6,
         lam = {c: np.ldexp(_lambda_max(gram[labels == c][:, labels == c]),
                            2 * e[c]) for c in np.unique(ecomp[hot])}
         step = np.array([1.0 / max(lam[c], 1e-30) for c in ecomp[hot]])
-        A_hot, u_hot = A[:, hot], u[hot]
-        At_hot = A_hot.T.tocsr()
         # The start is on the balls already: from a least-squares start,
         # where A^T (A u - b) = 0, the first step only projects.
-        for _ in range(refine_iters - 1):
-            u_hot -= step[:, None] * (At_hot @ (A_hot @ u_hot - b))
-            u_hot /= np.maximum(
-                np.sqrt(np.einsum("ij,ij->i", u_hot, u_hot)), 1.0)[:, None]
-        u[hot] = u_hot
+        u[hot] = _polish(A[:, hot], u[hot], b, step, refine_iters - 1)
     g_edges[eids] = u
 
     # final residuals with every edge contribution in place

@@ -498,3 +498,16 @@ def solve_nl_reference(losses, graph, config, x0=None, y0=None):
         lambda a, rho: group_shrink_reference(a, config.gamma * w / rho),
         lambda d: float(w @ np.linalg.norm(d, axis=1)),
         _dual_small_reference)
+
+
+def polish_reference(A, u, b, step, iters):
+    """The certificate's projected-gradient polish with (m, 1) x (m, p)
+    broadcasts and einsum row norms: ``iters`` steps of length
+    ``step[e]`` on ||A u - b||^2 / 2, each projected onto the unit
+    balls.  Returns the polished copy of u."""
+    u = u.copy()
+    At = A.T.tocsr()
+    for _ in range(iters):
+        u -= step[:, None] * (At @ (A @ u - b))
+        u /= np.maximum(np.sqrt(np.einsum("ij,ij->i", u, u)), 1.0)[:, None]
+    return u

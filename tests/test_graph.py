@@ -206,6 +206,53 @@ class TestDifferenceOperator:
                     np.testing.assert_array_equal(got.view(np.int64),
                                                   want.view(np.int64))
 
+    @staticmethod
+    def adjoint_cases(rng):
+        """(graph, p, z) triples with signed zeros, subnormals, huge
+        values, infinities and NaN, on graphs with isolated nodes and
+        without edges."""
+        graphs = [path_graph(1), WeightedGraph(4, np.empty((0, 2))),
+                  WeightedGraph(7, [(0, 1), (1, 4), (2, 4)]),
+                  path_graph(50), complete_graph(12),
+                  random_forest(rng, 30)]
+        for g in graphs:
+            for p in (1, 2, 3):
+                z = rng.normal(size=(g.num_edges, p)) \
+                    * rng.lognormal(0.0, 10.0, size=(g.num_edges, 1))
+                pick = rng.random(z.shape)
+                z[pick < 0.15] = 0.0
+                z[(pick >= 0.15) & (pick < 0.3)] = -0.0
+                z[(pick >= 0.3) & (pick < 0.35)] = 5e-320
+                z[(pick >= 0.35) & (pick < 0.4)] = 1.7e308
+                z[(pick >= 0.4) & (pick < 0.45)] = np.inf
+                z[(pick >= 0.45) & (pick < 0.5)] = -np.inf
+                z[(pick >= 0.5) & (pick < 0.55)] = np.nan
+                yield g, p, z
+
+    def test_adjoint_bitwise_equals_incidence_product(self):
+        rng = np.random.default_rng(13)
+        for g, p, z in self.adjoint_cases(rng):
+            op = DifferenceOperator(g, p)
+            want = g.incidence().T @ z
+            wide = np.repeat(z, 2, axis=1)
+            for arr in (z, np.asfortranarray(z), wide[:, ::2]):
+                got = op.apply_adjoint(arr)
+                assert got.shape == want.shape == (g.num_nodes, p)
+                np.testing.assert_array_equal(got.view(np.int64),
+                                              want.view(np.int64))
+
+    def test_adjoint_without_scipy_kernels_uses_the_product(self,
+                                                            monkeypatch):
+        import netlasso.graph as graph_module
+
+        monkeypatch.setattr(graph_module, "_sparsetools", None)
+        rng = np.random.default_rng(14)
+        for g, p, z in self.adjoint_cases(rng):
+            got = DifferenceOperator(g, p).apply_adjoint(z)
+            want = g.incidence().T @ z
+            np.testing.assert_array_equal(got.view(np.int64),
+                                          want.view(np.int64))
+
     def test_apply_signed_zero_difference_is_positive_zero(self):
         # (-0.0) - (+0.0) is -0.0 in plain arithmetic; E @ x gives +0.0
         g = path_graph(3)

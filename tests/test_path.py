@@ -231,6 +231,11 @@ class TestKPath:
             k_path(losses, g, 1.0, [0, 1])
         with pytest.raises(ValueError):
             k_path(losses, g, 1.0, [99, 1])
+        # non-integral budgets used to be truncated to [2, 1, 0]
+        with pytest.raises(ValueError):
+            k_path(losses, g, 1.0, [2.5, 1.2, 0])
+        with pytest.raises(ValueError):
+            k_path(losses, g, 1.0, [True, 0])
         with pytest.raises(TypeError):
             k_path(losses, g, 1.0, [1], bogus_option=1)
 

@@ -4,9 +4,10 @@ import time
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 from oracles import (brute_force_prox_trimmed, dense_certificate_slow,
-                     enumerate_set_partitions, solve_nl_reference,
-                     solve_ntl_reference)
+                     enumerate_set_partitions, polish_reference,
+                     solve_nl_reference, solve_ntl_reference)
 
 from netlasso import solver
 from netlasso.datasets import gen_half_moons
@@ -616,6 +617,63 @@ class TestReferenceLoop:
                 losses, g, config, x0=x)
             self.assert_step(step, x, iterations, reason, hist)
 
+    @pytest.mark.parametrize("x_update", ["exact", "linearized"])
+    @pytest.mark.parametrize("factor", [math.inf, 1e12, 1.0 + 1e-9])
+    def test_path_guard_matches_reference_solves(self, monkeypatch, x_update,
+                                                 factor):
+        # path solves take the objective only where its bound does not
+        # clear the guard; a guard just above 1 leaves the exact
+        # objective to decide on most iterations
+        calls = [0]
+        trimmed_norm = solver.trimmed_norm
+
+        def counted(*args):
+            calls[0] += 1
+            return trimmed_norm(*args)
+
+        monkeypatch.setattr(solver, "trimmed_norm", counted)
+        losses, g = self.instance(2, 91)
+        ks, gammas = [30, 12, 4, 1, 0], [0.01, 0.1, 0.5, 2.0]
+        self.assert_paths_match(losses, g, 0.4, ks, gammas, {
+            "rho": 5.0, "x_update": x_update, "max_iters": 300,
+            "eps_abs": 1e-7, "eps_rel": 1e-7, "divergence_factor": factor})
+        if factor > 2.0:
+            assert calls[0] == 2 * len(ks)
+        else:
+            assert calls[0] > 500
+
+    def test_diverging_path_steps_match_reference_solves(self):
+        rng = np.random.default_rng(15)
+        losses = SquaredDistance(rng.normal(size=(4, 1)))
+        reasons = self.assert_paths_match(
+            losses, path_graph(4), 1.0, [2, 1], [0.5, 1.0],
+            {"rho": 1.0, "x_update": "linearized", "smoothness": 0.01,
+             "max_iters": 200})
+        assert reasons[0] == reasons[2] == DIVERGED
+
+    def assert_paths_match(self, losses, g, gamma, ks, gammas, options):
+        """k_path and gamma_path steps against reference solves chained
+        as the paths chain them; returns the stop reasons."""
+        reasons = []
+        x = None
+        for K, step in zip(ks, k_path(losses, g, gamma, ks,
+                                      **options).steps):
+            config = SolverConfig(gamma=gamma, cardinality=K, **options)
+            x, _, _, _, iterations, reason, hist = solve_ntl_reference(
+                losses, g, config, x0=x)
+            self.assert_step(step, x, iterations, reason, hist)
+            reasons.append(reason)
+        x = None
+        for gamma, step in zip(gammas, gamma_path(losses, g, gammas,
+                                                  **options).steps):
+            config = SolverConfig(gamma=gamma, cardinality=0, **options)
+            x, _, _, _, iterations, reason, hist = solve_nl_reference(
+                losses, g, config, x0=x)
+            self.assert_step(step, x, iterations, reason, hist)
+            reasons.append(reason)
+        assert len(reasons) == len(ks) + len(gammas)
+        return reasons
+
     @staticmethod
     def assert_step(step, x, iterations, reason, hist):
         assert_same_bits(step.centroids, x)
@@ -625,12 +683,14 @@ class TestReferenceLoop:
 
 
 class TestLeanPathLoop:
-    """Path solves skip the work of the histories no path reads: these
-    counts repeat exactly, so a later change that brings the work back
-    fails here."""
+    """Path solves skip the work whose results no path reads: the
+    histories, the objective while its bound clears the divergence
+    guard, and scipy's dispatch around the adjoint.  These counts repeat
+    exactly, so a later change that brings the work back fails here."""
 
-    def counted(self, monkeypatch, module, name):
-        """Count the calls of ``module.name`` made inside ``_admm``."""
+    def counted(self, monkeypatch, module, name, when=None):
+        """Count the calls of ``module.name`` made inside ``_admm``, or
+        those of them whose arguments satisfy ``when``."""
         calls = [0]
         depth = [0]
         orig_admm, orig = solver._admm, getattr(module, name)
@@ -643,7 +703,7 @@ class TestLeanPathLoop:
                 depth[0] -= 1
 
         def counter(*args, **kwargs):
-            if depth[0]:
+            if depth[0] and (when is None or when(*args, **kwargs)):
                 calls[0] += 1
             return orig(*args, **kwargs)
 
@@ -667,23 +727,24 @@ class TestLeanPathLoop:
         assert sum(s.iterations for s in kp.steps + gp.steps) > 100
         assert calls[0] == 0
 
-    def test_one_trimmed_norm_per_path_iteration(self, monkeypatch):
+    def test_two_trimmed_norms_per_path_solve(self, monkeypatch):
         losses, g = self.instance()
         calls = self.counted(monkeypatch, solver, "trimmed_norm")
         result = k_path(losses, g, 0.5, [40, 10, 2, 0], rho=5.0,
                         max_iters=200)
-        iterations = sum(s.iterations for s in result.steps)
-        # one per iteration for the objective, one per solve for the
-        # divergence guard's starting objective
-        assert calls[0] == iterations + len(result.steps)
+        assert sum(s.iterations for s in result.steps) > 100
+        # the guard's starting objective and the final objective: the
+        # bound clears the guard on every iteration in between
+        assert calls[0] == 2 * len(result.steps)
         calls[0] = 0
         config = SolverConfig(gamma=0.5, cardinality=10, rho=5.0,
                               max_iters=50, eps_abs=0.0, eps_rel=0.0)
         solve_ntl(losses, g, config)
-        # a direct solve also takes the penalty of z for its histories
+        # a direct solve takes the objective and the penalty of z on
+        # every iteration for its histories
         assert calls[0] == 2 * 50 + 1
 
-    def test_path_states_keep_two_histories(self, monkeypatch):
+    def test_path_states_keep_final_values(self, monkeypatch):
         losses, g = self.instance()
         states = []
         orig = solver._admm
@@ -697,10 +758,33 @@ class TestLeanPathLoop:
         gamma_path(losses, g, [0.1, 1.0], rho=5.0, max_iters=40)
         assert len(states) == 4
         for state in states:
-            assert len(state.objectives) == state.iterations
-            assert len(state.primal_residuals) == state.iterations
+            assert state.iterations > 1
+            assert len(state.objectives) == len(state.primal_residuals) == 1
             assert state.aug_lagrangians == state.x_changes \
                 == state.lyapunov == state.rhos == []
+
+    @pytest.mark.parametrize("x_update", ["exact", "linearized"])
+    def test_no_sparse_product_on_the_difference_operator(self, monkeypatch,
+                                                          x_update):
+        ops = []
+        orig_init = DifferenceOperator.__init__
+
+        def init(op, *args, **kwargs):
+            orig_init(op, *args, **kwargs)
+            ops.append(op)
+
+        monkeypatch.setattr(DifferenceOperator, "__init__", init)
+        calls = self.counted(
+            monkeypatch, sp.csr_matrix, "__matmul__",
+            lambda mat, other: any(mat is op._E or mat is op._Et
+                                   for op in ops))
+        losses, g = self.instance()
+        options = {"rho": 5.0, "x_update": x_update, "max_iters": 50}
+        kp = k_path(losses, g, 0.5, [10, 0], **options)
+        gp = gamma_path(losses, g, [0.1, 1.0], **options)
+        assert len(ops) == 2
+        assert sum(s.iterations for s in kp.steps + gp.steps) > 50
+        assert calls[0] == 0
 
 
 class TestSettingsValidation:
@@ -709,7 +793,11 @@ class TestSettingsValidation:
         {"rho": math.nan}, {"rho": math.inf}, {"rho": -2.0},
         {"eps_abs": -1e-9}, {"eps_rel": -1.0}, {"eps_abs": math.nan},
         {"eps_rel": math.nan}, {"divergence_factor": 0.0},
-        {"divergence_factor": -1.0}, {"divergence_factor": math.nan}])
+        {"divergence_factor": -1.0}, {"divergence_factor": math.nan},
+        {"max_iters": 10.5}, {"max_iters": True}, {"max_iters": 10.0},
+        {"cardinality": 1.5}, {"cardinality": math.nan},
+        {"cardinality": True}, {"cardinality": -1},
+        {"lyapunov_coeff": math.nan}, {"lyapunov_coeff": math.inf}])
     def test_bad_solver_config_rejected(self, bad):
         with pytest.raises(ValueError):
             SolverConfig(**{"gamma": 1.0, "cardinality": 1, **bad})
@@ -737,6 +825,13 @@ class TestSettingsValidation:
         state, _ = solve_ntl(SquaredDistance(np.array([0.0, 1.0])),
                              path_graph(2), config)
         assert state.iterations > 0
+        # numpy integers are integers
+        config = SolverConfig(gamma=0.5, cardinality=np.int64(1),
+                              max_iters=np.int32(5))
+        assert solve_ntl(SquaredDistance(np.array([0.0, 1.0, 3.0])),
+                         path_graph(3), config)[0].iterations <= 5
+        losses, g = SquaredDistance(np.array([0.0, 1.0, 3.0])), path_graph(3)
+        assert len(k_path(losses, g, 0.5, np.array([2, 1, 0])).steps) == 3
 
 
 class TestConvergenceValidation:
@@ -1000,6 +1095,34 @@ class TestCertificate:
         assert repr(first) == repr(second)
         np.testing.assert_array_equal(arpack_calls[:half],
                                       arpack_calls[half:])
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_polish_matches_the_old_polish(self, monkeypatch, p):
+        # per-column steps and divisions and row_norms give the bits of
+        # the broadcasts and einsum norms they replace
+        calls = []
+        polish = solver._polish
+
+        def recorded(A, u, b, step, iters):
+            start = u.copy()
+            calls.append((A, start, b, step, iters, polish(A, u, b, step,
+                                                          iters)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(solver, "_polish", recorded)
+        rng = np.random.default_rng(40 + p)
+        pts = rng.normal(size=(12, p))
+        g = complete_graph(12, points=pts, alpha=0.5)
+        x = np.tile(pts.mean(axis=0), (12, 1))
+        report = nl_certificate(x, SquaredDistance(pts), g, 0.2,
+                                refine_iters=300)
+        assert len(calls) == 1
+        A, start, b, step, iters, got = calls[0]
+        assert iters == 299 and len(start) == g.num_edges
+        assert_same_bits(got, polish_reference(A, start, b, step, iters))
+        monkeypatch.setattr(solver, "_polish", polish_reference)
+        assert repr(report) == repr(nl_certificate(
+            x, SquaredDistance(pts), g, 0.2, refine_iters=300))
 
     def test_twenty_thousand_node_chain_needs_no_dense_memory(self):
         # the dense per-component A would take 20,000 x 19,999 doubles
