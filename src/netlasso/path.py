@@ -12,6 +12,7 @@ separate clusters; with the usual connected graphs the distinction
 never shows up, but it is the rule used everywhere here.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,14 +82,18 @@ class Partition:
             and bool(np.array_equal(self.labels, other.labels))
 
 
+def _check_merge_tol(merge_tol):
+    if not 0 <= merge_tol < math.inf:  # NaN fails every comparison
+        raise ValueError("merge_tol must be finite and non-negative")
+
+
 def extract_partition(x, graph, merge_tol=1e-6):
     """Clusters = connected components over edges with merged endpoints.
 
     Which edges count as merged is decided by
     :func:`netlasso.graph.merged_components`.
     """
-    if merge_tol < 0:
-        raise ValueError("merge_tol must be non-negative")
+    _check_merge_tol(merge_tol)
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
         x = x[:, None]
@@ -215,6 +220,7 @@ def k_path(losses, graph, gamma, k_sequence, x0=None, merge_tol=1e-6,
         raise ValueError("cardinality sequence must strictly decrease")
     if ks[0] > graph.num_edges or ks[-1] < 0:
         raise ValueError("cardinalities must lie in [0, num_edges]")
+    _check_merge_tol(merge_tol)
 
     steps = []
     x = None if x0 is None else np.asarray(x0, dtype=np.float64)
@@ -239,27 +245,35 @@ def gamma_path(losses, graph, gamma_sequence, x0=None, warm_start=True,
                stop_on_full_merge=False, merge_tol=1e-6, **solver_options):
     """Increasing-strength sweep of the convex solver.
 
-    With ``stop_on_full_merge`` the sweep ends at the first step whose
-    partition is a single cluster (that step is kept).  As in
-    :func:`k_path`, each x-system is factorized once.
+    With ``warm_start`` each step starts from the previous step's
+    centroids and dual variable; a dual feasible at a smaller strength
+    stays feasible at a larger one.  Without it every step starts from
+    ``x0`` (or the per-node minimizers) and a zero dual.  Each step's rho
+    starts at the configured value, and :func:`netlasso.solver.solve_nl`
+    balances it from there.  With ``stop_on_full_merge`` the sweep ends
+    at the first step whose partition is a single cluster (that step is
+    kept).  As in :func:`k_path`, each x-system is factorized once: once
+    per distinct rho the balancing visits.
     """
     gammas = [float(g) for g in gamma_sequence]
     if not gammas:
         raise ValueError("empty strength sequence")
-    if any(g <= 0 for g in gammas):
-        raise ValueError("strengths must be positive")
+    if not all(0 < g < math.inf for g in gammas):
+        raise ValueError("strengths must be finite and positive")
     if any(b <= a for a, b in zip(gammas, gammas[1:])):
         raise ValueError("strength sequence must strictly increase")
+    _check_merge_tol(merge_tol)
 
     steps = []
     x = None if x0 is None else np.asarray(x0, dtype=np.float64)
+    y = None
     factors = _Factors(losses, graph)
     for gamma in gammas:
-        state, reason = solve_nl(losses, graph, gamma, x0=x,
+        state, reason = solve_nl(losses, graph, gamma, x0=x, y0=y,
                                  _factors=factors, _histories=False,
                                  **solver_options)
         if warm_start:
-            x = state.x
+            x, y = state.x, state.y
         part = extract_partition(state.x, graph, merge_tol)
         steps.append(PathStep(
             parameter=gamma,

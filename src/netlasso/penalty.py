@@ -28,7 +28,7 @@ its cost on narrow blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -81,16 +81,25 @@ def _check_k(K, m):
     return min(K, m)
 
 
-@dataclass(frozen=True)
 class TrimSelection:
     """Index split produced by :func:`prox_trimmed`.
 
     ``kept`` holds the (up to K) block indices left unpenalized, sorted
-    ascending; ``trimmed`` holds the rest.
+    ascending; ``trimmed`` holds the rest.  Both are read off the keep
+    mask on first access, so a caller that reads neither pays for
+    neither.
     """
 
-    kept: np.ndarray
-    trimmed: np.ndarray
+    def __init__(self, keep):
+        self._keep = keep
+
+    @cached_property
+    def kept(self):
+        return np.flatnonzero(self._keep)
+
+    @cached_property
+    def trimmed(self):
+        return np.flatnonzero(~self._keep)
 
 
 def trimmed_norm(z, K):
@@ -213,8 +222,7 @@ def prox_trimmed(a, K, lam):
     # one pass over all rows: kept rows times 1.0 are copied exactly
     scale = _shrink_factors(norms, lam)
     np.putmask(scale, keep, 1.0)
-    return _scale_rows(a, scale), TrimSelection(kept=np.flatnonzero(keep),
-                                                trimmed=np.flatnonzero(~keep))
+    return _scale_rows(a, scale), TrimSelection(keep)
 
 
 def _derivative_at(z, K, tie_tol=0.0):

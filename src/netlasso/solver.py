@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,6 +95,46 @@ class RhoSchedule:
     def apply(self, rho):
         return max(rho, min(self.multiplier * rho, self.cap))
 
+    def next(self, rho, primal, dual):
+        """The rho after a check: the schedule reads no residual."""
+        return self.apply(rho)
+
+
+# Residual balancing, the convex solver's penalty rule (Boyd et al. 2011,
+# "Distributed optimization and statistical learning via ADMM",
+# section 3.4.1): every _BALANCE_PERIOD iterations rho doubles when the
+# primal residual exceeds _BALANCE_RATIO times the dual residual, and
+# halves in the opposite case, within rho0 * 2^[-_BALANCE_STEPS,
+# _BALANCE_STEPS].  Powers of two keep a path's rho values few, and
+# each is factorized once.
+_BALANCE_PERIOD = 50
+_BALANCE_RATIO = 10.0
+_BALANCE_STEPS = 30
+
+
+class _Balance:
+    """Residual balancing from the starting value ``rho0``; ``next`` has
+    the interface of :meth:`RhoSchedule.next`, with ``dual`` a function
+    that returns rho ||D (x_t - x_{t-1})||."""
+
+    period = _BALANCE_PERIOD
+
+    def __init__(self, rho0):
+        # normal floats only: doubling and halving them is exact, so
+        # rho / rho0 stays exactly a power of two
+        self.lo = max(rho0 / 2.0 ** _BALANCE_STEPS, sys.float_info.min)
+        self.hi = min(rho0 * 2.0 ** _BALANCE_STEPS, sys.float_info.max)
+
+    def next(self, rho, primal, dual):
+        s = dual()
+        if primal > _BALANCE_RATIO * s:
+            new = 2.0 * rho
+        elif s > _BALANCE_RATIO * primal:
+            new = 0.5 * rho
+        else:
+            return rho
+        return new if self.lo <= new <= self.hi else rho
+
 
 @dataclass
 class SolverConfig:
@@ -103,7 +144,8 @@ class SolverConfig:
     one from its keywords with ``cardinality=0``; it uses ``gamma``,
     ``rho``, ``x_update``, ``smoothness``, ``max_iters``, ``eps_abs``,
     ``eps_rel`` and ``divergence_factor``, and leaves ``rho_schedule``
-    and ``lyapunov_coeff`` at their defaults (no schedule, c = 0).
+    and ``lyapunov_coeff`` at their defaults (no schedule, c = 0); its
+    rho is the starting value of residual balancing.
 
     Parameters
     ----------
@@ -113,7 +155,9 @@ class SolverConfig:
         Number K of edge differences left unpenalized.
     rho : float
         Augmented-Lagrangian parameter (default 1e4, which suits the
-        bundled experiment scales).
+        bundled experiment scales).  :func:`solve_ntl` keeps it fixed, or
+        raises it by ``rho_schedule``; :func:`solve_nl` starts from it
+        and balances the residuals (see :func:`solve_nl`).
     x_update : {"auto", "exact", "linearized"}
         "exact" solves the x-subproblem by a cached sparse factorization
         and requires quadratic losses; "linearized" takes one gradient
@@ -378,20 +422,26 @@ def _dual_small(config, op, x_new, x, y, rho):
 _BOUND_SLACK = 1.0 + 1e-6
 
 
-def _admm(losses, graph, config, x0, y0, prox, penalty, bound_coeff,
-          small_step, factors=None, histories=True):
+def _admm(losses, graph, config, x0, y0, zstep_at, penalty, bound_coeff,
+          small_step, rule=None, factors=None, histories=True):
     """The splitting iteration both solvers run.
 
-    Four pieces are problem-specific: ``prox(a, rho)`` is the exact
-    z-step at a = D x - y / rho, ``penalty(d)`` is the penalty of an
-    edge-difference array before the factor gamma, ``bound_coeff`` a
-    constant c with penalty(d) <= c ||d||_F, and ``small_step`` is the
-    stopping test that joins the shared primal-residual test; it gets
-    the new and the previous iterate.  D x_new is computed once per
-    iteration and serves the dual update, the primal residual, the
-    objective, the augmented Lagrangian, the stopping test and the next
-    z-step.  ``factors``, a :class:`_Factors` of this losses and graph,
-    carries x-steps over from earlier solves.
+    Five pieces are problem-specific: ``zstep_at(rho)`` returns the
+    exact z-step at rho as a function of a = D x - y / rho,
+    ``penalty(d)`` is the penalty of an edge-difference array before the
+    factor gamma, ``bound_coeff`` a constant c with
+    penalty(d) <= c ||d||_F, ``small_step`` is the stopping test that
+    joins the shared primal-residual test (it gets the new and the
+    previous iterate), and ``rule``, if given, moves rho: every
+    ``rule.period`` iterations, after the stopping test and before the
+    last iteration, rho becomes ``rule.next(rho, primal, dual)``, with
+    ``dual()`` the scaled dual residual rho ||D (x_t - x_{t-1})||.  A new
+    rho gets its x-step from ``factors`` and a new z-step; y is the
+    unscaled multiplier and carries over as it is.  D x_new is computed
+    once per iteration and serves the dual update, the primal residual,
+    the objective, the augmented Lagrangian, the stopping test and the
+    next z-step.  ``factors``, a :class:`_Factors` of this losses and
+    graph, carries x-steps over from earlier solves.
 
     With ``histories`` false only the final objective and primal
     residual are recorded, and the objective is taken only where the
@@ -407,12 +457,15 @@ def _admm(losses, graph, config, x0, y0, prox, penalty, bound_coeff,
         raise ValueError("factors belong to another problem")
     op = factors.op
     diff = op._diff
-    gamma, rho, schedule = config.gamma, config.rho, config.rho_schedule
+    gamma, rho = config.gamma, config.rho
     mode = _resolve_mode(losses, config.x_update)
     xstep = factors.x_step(mode, rho, config.smoothness)
+    zstep = zstep_at(rho)
     primal_abs = math.sqrt(losses.dim * graph.num_edges) * config.eps_abs
     eps_rel = config.eps_rel
     bound_coeff *= _BOUND_SLACK
+    period = rule.period if rule is not None else 0
+    last = config.max_iters
 
     Dx = op.apply(x)
     state = SolverState(x=x, z=Dx, y=y, rho=rho)
@@ -420,14 +473,8 @@ def _admm(losses, graph, config, x0, y0, prox, penalty, bound_coeff,
     guard = config.divergence_factor * max(1.0, abs(obj0))
     reason = MAX_ITERS
 
-    for t in range(1, config.max_iters + 1):
-        if (schedule is not None and t > 1
-                and (t - 1) % schedule.period == 0):
-            new_rho = schedule.apply(rho)
-            if new_rho != rho:
-                rho = new_rho
-                xstep = factors.x_step(mode, rho, config.smoothness)
-        z = prox(Dx - y / rho, rho)
+    for t in range(1, last + 1):
+        z = zstep(Dx - y / rho)
         x_new = xstep(x, z, y)
         Dx_new = diff(x_new)
         gap = z - Dx_new
@@ -460,6 +507,13 @@ def _admm(losses, graph, config, x0, y0, prox, penalty, bound_coeff,
                 and small_step(config, op, x, x_old, y, rho)):
             reason = CONVERGED
             break
+        if period and t % period == 0 and t < last:
+            new_rho = rule.next(rho, primal,
+                                lambda: rho * _norm(diff(x - x_old)))
+            if new_rho != rho:
+                rho = new_rho
+                xstep = factors.x_step(mode, rho, config.smoothness)
+                zstep = zstep_at(rho)
 
     if not histories:
         if obj is None:
@@ -483,6 +537,10 @@ def solve_ntl(losses, graph, config, x0=None, y0=None, _factors=None,
         Edge weights are ignored by the trimmed penalty; only the edge
         set matters.
     config : SolverConfig
+        rho stays fixed, or follows ``config.rho_schedule``, which only
+        raises it: the descent conditions of
+        :func:`validate_convergence_params` hold for every rho above
+        their threshold, and lowering rho could leave them.
     x0 : ndarray (n, p), optional
         Warm start; defaults to the per-node minimizers.
     y0 : ndarray (m, p), optional
@@ -501,14 +559,18 @@ def solve_ntl(losses, graph, config, x0=None, y0=None, _factors=None,
     :class:`_Factors` to all their solves, and ``_histories=False`` to
     keep only the final values they read (see :class:`SolverState`).
     """
-    K = config.cardinality
+    K, gamma = config.cardinality, config.gamma
     # the m - K smallest of m block norms sum to at most
     # sqrt(m - K) ||D x||_F (Cauchy-Schwarz); none are left for K >= m
     bound_coeff = math.sqrt(max(graph.num_edges - K, 0))
-    return _admm(losses, graph, config, x0, y0,
-                 lambda a, rho: prox_trimmed(a, K, config.gamma / rho)[0],
+
+    def zstep_at(rho):
+        lam = gamma / rho
+        return lambda a: prox_trimmed(a, K, lam)[0]
+
+    return _admm(losses, graph, config, x0, y0, zstep_at,
                  lambda d: trimmed_norm(d, K), bound_coeff, _step_small,
-                 _factors, _histories)
+                 config.rho_schedule, _factors, _histories)
 
 
 def solve_nl(losses, graph, gamma, x0=None, y0=None, rho=1.0,
@@ -524,6 +586,15 @@ def solve_nl(losses, graph, gamma, x0=None, y0=None, rho=1.0,
     validated as a :class:`SolverConfig` with cardinality 0, and
     ``_factors`` and ``_histories`` are private, as in :func:`solve_ntl`.
 
+    ``rho`` is the starting penalty.  Every 50 iterations that do not
+    stop the solve, rho doubles when the primal residual ||z - D x|| is
+    more than 10 times the dual residual, and halves in the opposite
+    case (residual balancing, Boyd et al. 2011, section 3.4.1).  rho
+    therefore stays on the grid ``rho * 2^j``, |j| <= 30, and
+    ``state.rhos`` records it.  ``y0`` warm-starts the dual: a dual of
+    the solve at a smaller gamma is a good start at a larger one, which
+    is how :func:`netlasso.path.gamma_path` chains its steps.
+
     Returns (SolverState, str).
     """
     config = SolverConfig(gamma=gamma, cardinality=0, rho=rho,
@@ -532,13 +603,15 @@ def solve_nl(losses, graph, gamma, x0=None, y0=None, rho=1.0,
                           eps_rel=eps_rel,
                           divergence_factor=divergence_factor)
     w = graph.weights
-    # no rho schedule: every z-step thresholds at the same levels
-    lam = gamma * w / rho
+
+    def zstep_at(rho):
+        lam = gamma * w / rho
+        return lambda a: group_shrink(a, lam)
+
     # sum_e w_e ||d_e|| <= ||w|| ||d||_F (Cauchy-Schwarz)
-    return _admm(losses, graph, config, x0, y0,
-                 lambda a, rho: group_shrink(a, lam),
+    return _admm(losses, graph, config, x0, y0, zstep_at,
                  lambda d: float(w @ row_norms(d)), _norm(w), _dual_small,
-                 _factors, _histories)
+                 _Balance(rho), _factors, _histories)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ code it checks.
 
 import itertools
 import math
+import sys
 
 import numpy as np
 
@@ -399,7 +400,7 @@ def _dual_small_reference(config, graph, x, x_new, y, rho, dx):
 
 
 def admm_reference(losses, graph, config, x0, y0, prox, penalty,
-                   small_step):
+                   small_step, balance=False):
     """The splitting iteration with every history recorded on every
     iteration, ``np.linalg.norm`` for every norm and E @ x for every
     edge difference.  Returns (x, z, y, rho, iterations, stop_reason,
@@ -407,7 +408,12 @@ def admm_reference(losses, graph, config, x0, y0, prox, penalty,
     of ``SolverState``.
 
     The x-step is the library's ``_x_step``, factorized anew whenever
-    rho changes.
+    rho changes.  ``config.rho_schedule`` raises rho at the start of
+    every period's first iteration.  With ``balance``, after the
+    stopping test of every 50th iteration but the last, rho doubles
+    when the primal residual exceeds 10 times rho ||E (x_t - x_{t-1})||
+    and halves in the opposite case, unless that leaves the grid
+    config.rho * 2^j, |j| <= 30, or the normal floats.
     """
     from netlasso.graph import DifferenceOperator
     from netlasso.solver import _resolve_mode, _x_step
@@ -466,6 +472,19 @@ def admm_reference(losses, graph, config, x0, y0, prox, penalty,
         if primal_ok and small_step(config, graph, x_old, x, y, rho, dx):
             reason = "converged"
             break
+        if balance and t % 50 == 0 and t < config.max_iters:
+            dual = rho * float(np.linalg.norm(incidence_apply(graph,
+                                                              x - x_old)))
+            new = rho
+            if primal > 10.0 * dual:
+                new = rho * 2.0
+            elif dual > 10.0 * primal:
+                new = rho / 2.0
+            mantissa, exponent = math.frexp(new / config.rho)
+            if (new != rho and mantissa == 0.5 and abs(exponent - 1) <= 30
+                    and sys.float_info.min <= new <= sys.float_info.max):
+                rho = new
+                xstep = _x_step(mode, losses, op, rho, config.smoothness)
     return x, z, y, rho, iterations, reason, hist
 
 
@@ -490,14 +509,15 @@ def solve_ntl_reference(losses, graph, config, x0=None, y0=None):
 
 
 def solve_nl_reference(losses, graph, config, x0=None, y0=None):
-    """``admm_reference`` with the convex problem's pieces; ``config``
-    carries gamma, rho, x-step and stopping settings."""
+    """``admm_reference`` with the convex problem's pieces and residual
+    balancing; ``config`` carries gamma, the starting rho, x-step and
+    stopping settings."""
     w = graph.weights
     return admm_reference(
         losses, graph, config, x0, y0,
         lambda a, rho: group_shrink_reference(a, config.gamma * w / rho),
         lambda d: float(w @ np.linalg.norm(d, axis=1)),
-        _dual_small_reference)
+        _dual_small_reference, balance=True)
 
 
 def polish_reference(A, u, b, step, iters):
@@ -511,3 +531,125 @@ def polish_reference(A, u, b, step, iters):
         u -= step[:, None] * (At @ (A @ u - b))
         u /= np.maximum(np.sqrt(np.einsum("ij,ij->i", u, u)), 1.0)[:, None]
     return u
+
+
+# ---------------------------------------------------------------------------
+# exact weighted 1-D total variation denoising
+
+
+def tv1d_exact(a, lam):
+    """Exact minimizer of 0.5 ||x - a||^2 + sum_e lam_e |x_{e+1} - x_e|.
+
+    Johnson's dynamic program ("A dynamic programming algorithm for the
+    fused lasso and L0-segmentation", JCGS 2013), with a weight per
+    edge.  The derivative g_k of the cost-to-go of the first k nodes is
+    piecewise linear and increasing; the message across edge k is g_k
+    clipped to [-lam_k, lam_k], which equals it between the points b-_k
+    and b+_k where g_k crosses -lam_k and lam_k, and node k+1 adds
+    b - a_{k+1}.  Knots hold (position, change of slope, change of
+    offset), and only the two end pieces hold absolute coefficients, so
+    adding the same linear term to every piece touches only them.  The
+    last node's value is the zero of g_n, and each earlier one its
+    successor clipped to [b-_k, b+_k].  Every step pushes two knots, so
+    the scans pop O(n) knots in all.
+    """
+    from collections import deque
+
+    a = np.asarray(a, dtype=np.float64).reshape(-1)
+    lam = np.asarray(lam, dtype=np.float64).reshape(-1)
+    n = len(a)
+    if len(lam) != max(n - 1, 0) or np.any(lam < 0):
+        raise ValueError("need n - 1 non-negative edge weights")
+    knots = deque()
+    left = right = (1.0, -float(a[0]))  # g_1(b) = b - a_1
+    lo, hi = np.empty(n - 1), np.empty(n - 1)
+
+    def zero_from_left(level):
+        """Pop the knots where g <= level; return the piece crossing
+        ``level`` and the crossing."""
+        A, B = left
+        while knots and A * knots[0][0] + B <= level:
+            _, dA, dB = knots.popleft()
+            A, B = A + dA, B + dB
+        return A, B, (level - B) / A
+
+    for k in range(n - 1):
+        l_k = float(lam[k])
+        A_l, B_l, lo[k] = zero_from_left(-l_k)
+        A_r, B_r = right
+        while knots and A_r * knots[-1][0] + B_r >= l_k:
+            _, dA, dB = knots.pop()
+            A_r, B_r = A_r - dA, B_r - dB
+        if not knots:  # both scans end in the same piece
+            A_r, B_r = A_l, B_l
+        hi[k] = (l_k - B_r) / A_r
+        knots.appendleft((lo[k], A_l, B_l + l_k))
+        knots.append((hi[k], -A_r, l_k - B_r))
+        left = (1.0, -l_k - float(a[k + 1]))
+        right = (1.0, l_k - float(a[k + 1]))
+
+    x = np.empty(n)
+    x[-1] = zero_from_left(0.0)[2]
+    for k in range(n - 2, -1, -1):
+        x[k] = min(max(x[k + 1], lo[k]), hi[k])
+    return x
+
+
+def tv1d_bvls(a, lam):
+    """Weighted 1-D total variation denoising through its dual,
+    min 0.5 ||a - D^T u||^2 subject to |u_e| <= lam_e, solved by
+    ``scipy.optimize.lsq_linear(method="bvls")``; x = a - D^T u with
+    (D x)_e = x_e - x_{e+1}.  Dense: for small n only."""
+    from scipy.optimize import lsq_linear
+
+    a = np.asarray(a, dtype=np.float64).reshape(-1)
+    lam = np.asarray(lam, dtype=np.float64).reshape(-1)
+    n = len(a)
+    D = np.eye(n - 1, n) - np.eye(n - 1, n, k=1)
+    u = lsq_linear(D.T, a, bounds=(-lam, lam), method="bvls",
+                   tol=1e-15).x
+    return a - D.T @ u
+
+
+def tv1d_brute_force(a, lam, tol=1e-9):
+    """Weighted 1-D total variation denoising by trying every pattern.
+
+    Each edge e is fused, a jump up (x_{e+1} > x_e) or a jump down.  The
+    stationarity condition x - a + D^T u = 0 fixes u_e = lam_e sign of
+    the drop at every jump, and the fused runs between jumps then take
+    the mean of a_i less the boundary flows.  Inside a run u follows
+    from the cumulative sums of a - x.  The pattern whose jumps have
+    their signs and whose fused edges have |u_e| <= lam_e satisfies the
+    KKT conditions, and the problem is strictly convex, so it is the
+    unique minimizer.  Takes 3^(n-1) patterns: for n up to about 8.
+    """
+    a = np.asarray(a, dtype=np.float64).reshape(-1)
+    lam = np.asarray(lam, dtype=np.float64).reshape(-1)
+    n = len(a)
+    found = []
+    for pattern in itertools.product((0, 1, -1), repeat=n - 1):
+        # u_e = lam_e s for x_e - x_{e+1} of sign s at a jump
+        x = np.empty(n)
+        start = 0
+        u_in = 0.0  # flow into the run from its left edge
+        for end in range(n):
+            if end < n - 1 and pattern[end] == 0:
+                continue
+            u_out = 0.0 if end == n - 1 else lam[end] * -pattern[end]
+            # sum over the run of x_i - a_i + u_i - u_{i-1} = 0
+            x[start:end + 1] = (a[start:end + 1].sum() - u_out + u_in) \
+                / (end + 1 - start)
+            start, u_in = end + 1, u_out
+        jumps = x[1:] - x[:-1]
+        u = np.cumsum(a - x)[:-1]
+        ok = True
+        for e, s in enumerate(pattern):
+            if s == 0:
+                ok &= abs(u[e]) <= lam[e] + tol
+            else:
+                ok &= s * jumps[e] > 0 and abs(u[e] - lam[e] * -s) <= tol
+        if ok:
+            found.append(x)
+    if len(found) != 1:
+        raise AssertionError(f"{len(found)} KKT points found")
+    return found[0]

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from netlasso.path import (
     save_centroids_csv,
     save_path_json,
 )
+from netlasso import path as path_module
 from netlasso import solver
 from netlasso.solver import (RhoSchedule, SolverConfig, _Factors, solve_nl,
                              solve_ntl)
@@ -297,6 +299,62 @@ class TestGammaPath:
         with pytest.raises(ValueError):
             gamma_path(losses, g, [-0.1, 0.2])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_strength_rejected_before_any_solve(self, monkeypatch,
+                                                           bad):
+        # NaN and inf used to pass the positivity check, and the sweep
+        # failed inside SolverConfig only after solving the earlier steps
+        calls = []
+        monkeypatch.setattr(path_module, "solve_nl",
+                            lambda *args, **kwargs: calls.append(args))
+        losses, g = split_instance()
+        with pytest.raises(ValueError, match="finite"):
+            gamma_path(losses, g, [0.1, bad])
+        with pytest.raises(ValueError, match="finite"):
+            gamma_path(losses, g, [bad])
+        assert calls == []
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-9])
+    def test_bad_merge_tol_rejected_before_any_solve(self, monkeypatch, bad):
+        # a NaN tolerance used to pass the sign check and leave every
+        # node a singleton
+        calls = []
+        for name in ("solve_nl", "solve_ntl"):
+            monkeypatch.setattr(path_module, name,
+                                lambda *args, **kwargs: calls.append(args))
+        losses, g = split_instance()
+        with pytest.raises(ValueError, match="merge_tol"):
+            extract_partition(losses.points, g, merge_tol=bad)
+        with pytest.raises(ValueError, match="merge_tol"):
+            k_path(losses, g, 1.0, [1, 0], merge_tol=bad)
+        with pytest.raises(ValueError, match="merge_tol"):
+            gamma_path(losses, g, [0.1, 1.0], merge_tol=bad)
+        assert calls == []
+
+    @pytest.mark.parametrize("warm_start", [True, False])
+    def test_dual_carried_only_with_warm_start(self, monkeypatch,
+                                               warm_start):
+        starts, states = [], []
+
+        def recorded(*args, **kwargs):
+            starts.append((kwargs["x0"], kwargs["y0"]))
+            states.append(solve_nl(*args, **kwargs)[0])
+            return states[-1], states[-1].stop_reason
+
+        monkeypatch.setattr(path_module, "solve_nl", recorded)
+        losses, g = split_instance()
+        x0 = losses.points + 0.01
+        gamma_path(losses, g, [0.01, 0.1, 1.0], x0=x0,
+                   warm_start=warm_start, max_iters=60)
+        assert len(starts) == 3
+        assert starts[0][0] is not None and starts[0][1] is None
+        for (x, y), prev in zip(starts[1:], states):
+            if warm_start:
+                assert x is prev.x and y is prev.y
+            else:
+                np.testing.assert_array_equal(x, x0)
+                assert y is None
+
 
 def count_factorizations(monkeypatch):
     """Record the shape of every matrix ``netlasso.solver`` factorizes."""
@@ -367,24 +425,35 @@ class TestSharedFactorization:
         gammas = [0.01, 0.05, 0.2, 0.8, 3.0]
         result = gamma_path(losses, g, gammas, warm_start=warm_start,
                             **options)
-        x = None
+        x = y = None
         for gamma, step in zip(gammas, result.steps):
-            state, reason = solve_nl(losses, g, gamma, x0=x, **options)
+            state, reason = solve_nl(losses, g, gamma, x0=x, y0=y, **options)
             assert_step_equals_solve(step, state, reason)
             if warm_start:
-                x = state.x
+                x, y = state.x, state.y
 
     @pytest.mark.parametrize("x_update", ["exact", "linearized"])
     def test_constant_rho_path_factorizes_once(self, monkeypatch, x_update):
+        # once per distinct rho: k_path keeps the configured rho, and
+        # gamma_path starts each step there and balances it
         losses, g = cache_instance()
         calls = count_factorizations(monkeypatch)
         k_path(losses, g, 1.5, [40, 20, 8, 3, 1, 0], rho=20.0,
                max_iters=100, x_update=x_update)
         assert len(calls) == 1
+        gammas = [0.01, 0.1, 1.0]
+        visited = set()
+        x = y = None
+        for gamma in gammas:
+            state, _ = solve_nl(losses, g, gamma, x0=x, y0=y, rho=2.0,
+                                max_iters=100, x_update=x_update)
+            visited.update(state.rhos)
+            x, y = state.x, state.y
+        assert len(visited) > 1
         calls.clear()
-        gamma_path(losses, g, [0.01, 0.1, 1.0], rho=2.0, max_iters=100,
+        gamma_path(losses, g, gammas, rho=2.0, max_iters=100,
                    x_update=x_update)
-        assert len(calls) == 1
+        assert len(calls) == len(visited)
 
     def test_rho_schedule_factorizes_once_per_distinct_rho(self,
                                                           monkeypatch):

@@ -331,6 +331,18 @@ class TestKernelOracles:
                 np.testing.assert_array_equal(sel.kept, kept)
                 np.testing.assert_array_equal(sel.trimmed, trimmed)
 
+    def test_selection_indices_taken_on_first_access(self):
+        # the solver reads only z: the index split costs nothing unread
+        rng = np.random.default_rng(199)
+        a = rng.normal(size=(30, 2))
+        _, sel = prox_trimmed(a, 7, 0.3)
+        assert "kept" not in vars(sel) and "trimmed" not in vars(sel)
+        _, kept, trimmed = prox_trimmed_reference(a, 7, 0.3)
+        np.testing.assert_array_equal(sel.trimmed, trimmed)
+        assert "kept" not in vars(sel)
+        np.testing.assert_array_equal(sel.kept, kept)
+        assert sel.kept is sel.kept and sel.trimmed is sel.trimmed
+
     @pytest.mark.parametrize("p", [1, 2, 3, 9])
     def test_group_shrink_matches_reference(self, p):
         rng = np.random.default_rng(300 + p)

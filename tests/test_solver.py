@@ -608,13 +608,13 @@ class TestReferenceLoop:
                 losses, g, config, x0=x)
             self.assert_step(step, x, iterations, reason, hist)
         gammas = [0.01, 0.1, 0.5, 2.0]
-        x = None
+        x = y = None
         for gamma, step in zip(gammas,
                                gamma_path(losses, g, gammas,
                                           **options).steps):
             config = SolverConfig(gamma=gamma, cardinality=0, **options)
-            x, _, _, _, iterations, reason, hist = solve_nl_reference(
-                losses, g, config, x0=x)
+            x, _, y, _, iterations, reason, hist = solve_nl_reference(
+                losses, g, config, x0=x, y0=y)
             self.assert_step(step, x, iterations, reason, hist)
 
     @pytest.mark.parametrize("x_update", ["exact", "linearized"])
@@ -653,7 +653,8 @@ class TestReferenceLoop:
 
     def assert_paths_match(self, losses, g, gamma, ks, gammas, options):
         """k_path and gamma_path steps against reference solves chained
-        as the paths chain them; returns the stop reasons."""
+        as the paths chain them (x for k_path, x and y for gamma_path);
+        returns the stop reasons."""
         reasons = []
         x = None
         for K, step in zip(ks, k_path(losses, g, gamma, ks,
@@ -663,12 +664,12 @@ class TestReferenceLoop:
                 losses, g, config, x0=x)
             self.assert_step(step, x, iterations, reason, hist)
             reasons.append(reason)
-        x = None
+        x = y = None
         for gamma, step in zip(gammas, gamma_path(losses, g, gammas,
                                                   **options).steps):
             config = SolverConfig(gamma=gamma, cardinality=0, **options)
-            x, _, _, _, iterations, reason, hist = solve_nl_reference(
-                losses, g, config, x0=x)
+            x, _, y, _, iterations, reason, hist = solve_nl_reference(
+                losses, g, config, x0=x, y0=y)
             self.assert_step(step, x, iterations, reason, hist)
             reasons.append(reason)
         assert len(reasons) == len(ks) + len(gammas)
@@ -680,6 +681,81 @@ class TestReferenceLoop:
         assert (step.iterations, step.stop_reason) == (iterations, reason)
         assert_same_bits(step.objective, hist["objectives"][-1])
         assert_same_bits(step.primal_residual, hist["primal_residuals"][-1])
+
+
+class TestResidualBalancing:
+    """solve_nl balances rho on the grid rho0 * 2^j, |j| <= 30; solve_ntl
+    keeps its fixed rho or its schedule."""
+
+    def instance(self):
+        rng = np.random.default_rng(5)
+        pts = np.concatenate([rng.normal(size=(6, 2)),
+                              rng.normal(size=(5, 2)) + 3.0])
+        return SquaredDistance(pts), complete_graph(11, points=pts,
+                                                    alpha=0.3)
+
+    @staticmethod
+    def grid_steps(rhos, rho0):
+        """j with rho = rho0 * 2^j exactly, for each recorded rho."""
+        steps = []
+        for rho in rhos:
+            mantissa, exponent = math.frexp(rho / rho0)
+            assert mantissa == 0.5 and rho == math.ldexp(rho0, exponent - 1)
+            steps.append(exponent - 1)
+        return steps
+
+    @pytest.mark.parametrize("rho0, extreme", [(1e-12, 30), (1.0, None),
+                                               (1e12, -30)])
+    def test_rho_stays_on_the_clamped_grid(self, rho0, extreme):
+        losses, g = self.instance()
+        state, _ = solve_nl(losses, g, 0.2, rho=rho0, max_iters=3000,
+                            eps_abs=0.0, eps_rel=0.0)
+        steps = self.grid_steps(state.rhos, rho0)
+        assert steps[0] == 0 and max(abs(j) for j in steps) <= 30
+        # rho moves only on the iteration after a check, by one step
+        moves = np.flatnonzero(np.diff(steps)) + 1
+        assert len(moves) > 3
+        assert all(t % 50 == 0 for t in moves)
+        assert set(np.abs(np.diff(steps))) <= {0, 1}
+        assert state.rho == state.rhos[-1]
+        if extreme is not None:
+            # the residuals keep asking for the next step, the clamp
+            # holds rho at the end of the grid
+            assert steps[-1] == extreme
+            assert steps.count(extreme) > 500
+
+    def test_clamp_keeps_rho_finite_and_normal(self):
+        top = solver._Balance(1e300)
+        assert top.next(1e300 * 2.0 ** 27, 1.0, lambda: 0.0) \
+            == 1e300 * 2.0 ** 27
+        bottom = solver._Balance(1e-300)
+        assert bottom.next(1e-300 / 2.0 ** 25, 0.0, lambda: 1.0) \
+            == 1e-300 / 2.0 ** 25
+        rule = solver._Balance(3.0)
+        assert rule.next(3.0 * 2.0 ** 30, 1.0, lambda: 0.0) == 3.0 * 2 ** 30
+        assert rule.next(3.0 / 2.0 ** 30, 0.0, lambda: 1.0) == 3.0 / 2 ** 30
+        assert rule.next(3.0, 1.0, lambda: 0.05) == 6.0
+        assert rule.next(3.0, 0.05, lambda: 1.0) == 1.5
+        # within a factor of 10 either way, and NaN residuals: no move
+        assert rule.next(3.0, 1.0, lambda: 0.1) == 3.0
+        assert rule.next(3.0, 0.1, lambda: 1.0) == 3.0
+        assert rule.next(3.0, math.nan, lambda: 1.0) == 3.0
+
+    @pytest.mark.parametrize("x_update", ["exact", "linearized"])
+    def test_trimmed_solver_keeps_its_rho(self, x_update):
+        losses, g = self.instance()
+        settings = {"max_iters": 400, "eps_abs": 0.0, "eps_rel": 0.0}
+        convex, _ = solve_nl(losses, g, 0.2, rho=2.0, x_update=x_update,
+                             **settings)
+        assert len(set(convex.rhos)) > 1
+        config = SolverConfig(gamma=0.2, cardinality=0, rho=2.0,
+                              x_update=x_update, **settings)
+        trimmed = solve_ntl(losses, g, config)
+        assert set(trimmed[0].rhos) == {2.0}
+        # and every history as the reference loop, which never balances
+        # the trimmed problem
+        assert_matches_reference(trimmed,
+                                 solve_ntl_reference(losses, g, config))
 
 
 class TestLeanPathLoop:
