@@ -8,6 +8,7 @@ seeded Generator, so a fixed seed reproduces the data byte for byte.
 
 import csv
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -164,10 +165,18 @@ def gen_piecewise_signal(n, levels, noise_sd=0.2, seed=0):
                           noise_sd=float(noise_sd), jumps=jumps, seed=seed)
 
 
-def _open_for(target, mode):
+def _opened(target, mode):
+    """A context manager over ``target`` itself when it is a stream, else
+    over the file it names, opened in ``mode`` and closed on exit."""
     if hasattr(target, "write") or hasattr(target, "read"):
-        return target, False
-    return open(Path(target), mode, newline=""), True
+        return nullcontext(target)
+    return open(Path(target), mode, newline="")
+
+
+def _read_rows(source):
+    """The non-empty rows of a CSV stream or file, as lists of cells."""
+    with _opened(source, "r") as stream:
+        return [row for row in csv.reader(stream) if row]
 
 
 def save_csv(data, target):
@@ -176,8 +185,7 @@ def save_csv(data, target):
     Column order: point coordinates, then the response column if
     present, then the integer label column if present.  No header.
     """
-    stream, owned = _open_for(target, "w")
-    try:
+    with _opened(target, "w") as stream:
         for i in range(data.num_points):
             cells = [repr(float(v)) for v in data.points[i]]
             if data.responses is not None:
@@ -185,9 +193,6 @@ def save_csv(data, target):
             if data.labels is not None:
                 cells.append(str(int(data.labels[i])))
             stream.write(",".join(cells) + "\n")
-    finally:
-        if owned:
-            stream.close()
 
 
 def load_csv(source, has_labels=False, has_responses=False):
@@ -197,12 +202,7 @@ def load_csv(source, has_labels=False, has_responses=False):
     is integer labels when ``has_labels``, the one before (or last,
     without labels) is the response when ``has_responses``.
     """
-    stream, owned = _open_for(source, "r")
-    try:
-        rows = [row for row in csv.reader(stream) if row]
-    finally:
-        if owned:
-            stream.close()
+    rows = _read_rows(source)
     if not rows:
         raise ValueError("empty CSV")
     width = len(rows[0])
@@ -249,23 +249,14 @@ def resample(data, n, seed=0):
 
 def save_signal_csv(signal, target):
     """Two-column CSV (original, noisy), full precision, no header."""
-    stream, owned = _open_for(target, "w")
-    try:
+    with _opened(target, "w") as stream:
         for o, v in zip(signal.original, signal.noisy):
             stream.write(f"{float(o)!r},{float(v)!r}\n")
-    finally:
-        if owned:
-            stream.close()
 
 
 def load_signal_csv(source, noise_sd=0.0):
     """Read a two-column signal CSV written by save_signal_csv."""
-    stream, owned = _open_for(source, "r")
-    try:
-        rows = [row for row in csv.reader(stream) if row]
-    finally:
-        if owned:
-            stream.close()
+    rows = _read_rows(source)
     if any(len(row) != 2 for row in rows):
         raise ValueError("signal CSV must have exactly two columns")
     original = np.array([float(r[0]) for r in rows])

@@ -123,6 +123,19 @@ class WeightedGraph:
                 f"num_edges={self.num_edges})")
 
 
+def _gaussian_weights(points, n, edges, alpha):
+    """Kernel weight ``exp(-alpha * ||a_i - a_j||^2)`` of each edge (i, j)
+    of the (m, 2) array ``edges``, for ``points`` of n nodes: (n, p), or
+    (n,) for p = 1."""
+    points = np.asarray(points, dtype=np.float64)
+    if points.ndim == 1:
+        points = points[:, None]
+    if len(points) != n:
+        raise ValueError("points and num_nodes disagree")
+    diff = points[edges[:, 0]] - points[edges[:, 1]]
+    return np.exp(-alpha * np.einsum("ij,ij->i", diff, diff))
+
+
 def complete_graph(num_nodes, points=None, alpha=0.5):
     """Complete graph on ``num_nodes`` nodes.
 
@@ -130,26 +143,15 @@ def complete_graph(num_nodes, points=None, alpha=0.5):
     (shape ``(n, p)``), edge {i, j} gets the Gaussian kernel weight
     ``exp(-alpha * ||a_i - a_j||^2)``.
     """
-    if points is not None:
-        points = np.asarray(points, dtype=np.float64)
-        if points.ndim == 1:
-            points = points[:, None]
-        if num_nodes is None:
-            num_nodes = len(points)
-        if len(points) != num_nodes:
-            raise ValueError("points and num_nodes disagree")
+    if num_nodes is None and points is not None:
+        num_nodes = len(points)
     n = int(num_nodes)
     if n < 1:
         raise ValueError("num_nodes must be at least 1")
-    ii, jj = np.triu_indices(n, k=1)
-    edges = np.column_stack((ii, jj))
+    edges = np.column_stack(np.triu_indices(n, k=1))
     if points is None:
-        weights = np.ones(len(edges))
-    else:
-        d2 = np.einsum("ij,ij->i", points[ii] - points[jj],
-                       points[ii] - points[jj])
-        weights = np.exp(-alpha * d2)
-    return WeightedGraph(n, edges, weights)
+        return WeightedGraph(n, edges)
+    return WeightedGraph(n, edges, _gaussian_weights(points, n, edges, alpha))
 
 
 def knn_gaussian_graph(points, k, alpha=0.5):
@@ -188,9 +190,7 @@ def knn_gaussian_graph(points, k, alpha=0.5):
     picks = np.sort(np.concatenate(picks), axis=1)
     key = np.unique(picks[:, 0] * n + picks[:, 1])
     edges = np.column_stack((key // n, key % n))
-    diff = points[edges[:, 0]] - points[edges[:, 1]]
-    d2 = np.einsum("ij,ij->i", diff, diff)
-    return WeightedGraph(n, edges, np.exp(-alpha * d2))
+    return WeightedGraph(n, edges, _gaussian_weights(points, n, edges, alpha))
 
 
 def path_graph(num_nodes, points=None, alpha=0.5):
@@ -206,16 +206,8 @@ def path_graph(num_nodes, points=None, alpha=0.5):
     idx = np.arange(n - 1)
     edges = np.column_stack((idx, idx + 1))
     if points is None:
-        weights = None
-    else:
-        points = np.asarray(points, dtype=np.float64)
-        if points.ndim == 1:
-            points = points[:, None]
-        if len(points) != n:
-            raise ValueError("points and num_nodes disagree")
-        diff = points[1:] - points[:-1]
-        weights = np.exp(-alpha * np.einsum("ij,ij->i", diff, diff))
-    return WeightedGraph(n, edges, weights)
+        return WeightedGraph(n, edges)
+    return WeightedGraph(n, edges, _gaussian_weights(points, n, edges, alpha))
 
 
 class DifferenceOperator:

@@ -381,8 +381,7 @@ def sum_loss_minimizer(loss, nodes):
     if len(np.unique(nodes)) != len(nodes):
         raise ValueError("nodes must be distinct")
     for i in nodes:
-        if not 0 <= i < loss.num_nodes:
-            raise IndexError(f"node index {i} out of range")
+        loss._check_node(i)
     terms = loss.quadratic_terms()
     if terms is not None:
         H, g = terms

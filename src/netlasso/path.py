@@ -186,8 +186,7 @@ class PathResult:
     def __post_init__(self):
         if self.kind not in ("cardinality", "strength"):
             raise ValueError("kind must be 'cardinality' or 'strength'")
-        params = [s.parameter for s in self.steps]
-        diffs = np.diff(params)
+        diffs = np.diff(self.parameters())
         if self.kind == "cardinality" and np.any(diffs >= 0):
             raise ValueError("cardinality sequence must strictly decrease")
         if self.kind == "strength" and np.any(diffs <= 0):
@@ -199,6 +198,18 @@ class PathResult:
     def to_json_dict(self):
         return {"kind": self.kind, "merge_tol": self.merge_tol,
                 "steps": [s.to_json_dict() for s in self.steps]}
+
+
+def _path_step(parameter, state, graph, merge_tol):
+    """The step at ``parameter`` of a path solve's final state."""
+    return PathStep(
+        parameter=parameter,
+        centroids=state.x,
+        partition=extract_partition(state.x, graph, merge_tol),
+        objective=state.objectives[-1],
+        iterations=state.iterations,
+        stop_reason=state.stop_reason,
+        primal_residual=state.primal_residuals[-1])
 
 
 def k_path(losses, graph, gamma, k_sequence, x0=None, merge_tol=1e-6,
@@ -227,17 +238,10 @@ def k_path(losses, graph, gamma, k_sequence, x0=None, merge_tol=1e-6,
     factors = _Factors(losses, graph)
     for K in ks:
         config = SolverConfig(gamma=gamma, cardinality=K, **solver_options)
-        state, reason = solve_ntl(losses, graph, config, x0=x,
-                                  _factors=factors, _histories=False)
+        state, _ = solve_ntl(losses, graph, config, x0=x, _factors=factors,
+                             _histories=False)
         x = state.x
-        steps.append(PathStep(
-            parameter=K,
-            centroids=x,
-            partition=extract_partition(x, graph, merge_tol),
-            objective=state.objectives[-1],
-            iterations=state.iterations,
-            stop_reason=reason,
-            primal_residual=state.primal_residuals[-1]))
+        steps.append(_path_step(K, state, graph, merge_tol))
     return PathResult(kind="cardinality", steps=steps, merge_tol=merge_tol)
 
 
@@ -269,21 +273,13 @@ def gamma_path(losses, graph, gamma_sequence, x0=None, warm_start=True,
     y = None
     factors = _Factors(losses, graph)
     for gamma in gammas:
-        state, reason = solve_nl(losses, graph, gamma, x0=x, y0=y,
-                                 _factors=factors, _histories=False,
-                                 **solver_options)
+        state, _ = solve_nl(losses, graph, gamma, x0=x, y0=y,
+                            _factors=factors, _histories=False,
+                            **solver_options)
         if warm_start:
             x, y = state.x, state.y
-        part = extract_partition(state.x, graph, merge_tol)
-        steps.append(PathStep(
-            parameter=gamma,
-            centroids=state.x,
-            partition=part,
-            objective=state.objectives[-1],
-            iterations=state.iterations,
-            stop_reason=reason,
-            primal_residual=state.primal_residuals[-1]))
-        if stop_on_full_merge and part.num_clusters == 1:
+        steps.append(_path_step(gamma, state, graph, merge_tol))
+        if stop_on_full_merge and steps[-1].partition.num_clusters == 1:
             break
     return PathResult(kind="strength", steps=steps, merge_tol=merge_tol)
 

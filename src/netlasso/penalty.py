@@ -37,7 +37,6 @@ __all__ = [
     "row_norms",
     "trimmed_norm",
     "prox_trimmed",
-    "prox_group_l2",
     "group_shrink",
     "phi_envelope",
     "directional_derivative",
@@ -116,21 +115,6 @@ def trimmed_norm(z, K):
     if K >= m:
         return 0.0
     return float(np.sort(norms)[: m - K].sum())
-
-
-def prox_group_l2(a, lam):
-    """Proximal operator of ``lam * ||.||_2`` at block ``a``.
-
-    Returns 0 when ``||a|| <= lam`` and the shrunk block
-    ``(1 - lam / ||a||) a`` otherwise.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    if lam < 0:
-        raise ValueError("lam must be non-negative")
-    nrm = float(np.linalg.norm(a))
-    if nrm <= lam:
-        return np.zeros_like(a)
-    return (1.0 - lam / nrm) * a
 
 
 def _shrink_factors(norms, lam):

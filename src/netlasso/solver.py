@@ -51,12 +51,6 @@ __all__ = [
     "DIVERGED",
     "objective_trimmed",
     "objective_convex",
-    "augmented_lagrangian",
-    "z_update",
-    "z_update_convex",
-    "x_update_exact",
-    "x_update_linearized",
-    "y_update",
     "solve_ntl",
     "solve_nl",
     "validate_convergence_params",
@@ -243,13 +237,7 @@ class SolverState:
 
 
 # ---------------------------------------------------------------------------
-# objectives and single update steps
-
-
-def _lagrangian(f, penalty_z, y, gap, rho):
-    """f + penalty(z) + <y, gap> + (rho/2) ||gap||^2 with gap = z - D x."""
-    return (f + penalty_z + float((y * gap).sum())
-            + 0.5 * rho * float((gap * gap).sum()))
+# objectives and the x-step
 
 
 def objective_trimmed(losses, op, x, gamma, K):
@@ -261,26 +249,6 @@ def objective_convex(losses, op, x, gamma, weights):
     """f(x) + gamma * sum_e w_e ||x_i - x_j||."""
     d = row_norms(op.apply(x))
     return losses.total_value(x) + gamma * float(weights @ d)
-
-
-def augmented_lagrangian(x, z, y, losses, op, gamma, K, rho):
-    """L_rho(x, z, y) for the trimmed problem with split z = D x."""
-    return _lagrangian(losses.total_value(x), gamma * trimmed_norm(z, K),
-                       y, z - op.apply(x), rho)
-
-
-def z_update(x, y, rho, gamma, K, op):
-    """Exact z-step: prox of (gamma/rho) * trimmed_norm at D x - y / rho."""
-    a = op.apply(x) - y / rho
-    z, _ = prox_trimmed(a, K, gamma / rho)
-    return z
-
-
-def z_update_convex(x, y, rho, gamma, weights, op):
-    """Exact z-step of the convex problem: per-edge group soft threshold."""
-    a = op.apply(x) - y / rho
-    lam = gamma * np.asarray(weights, dtype=np.float64) / rho
-    return group_shrink(a, lam)
 
 
 def _x_step(mode, losses, op, rho, smoothness=None):
@@ -335,29 +303,6 @@ class _Factors:
         return self._steps[key]
 
 
-def x_update_exact(z, y, rho, losses, op):
-    """Exact x-step: solve (H + rho D^T D) x = g + D^T (y + rho z).
-
-    With no edges this reduces to the per-node minimizers.
-    """
-    return _x_step("exact", losses, op, rho)(None, z, y)
-
-
-def x_update_linearized(x, z, y, rho, losses, op, smoothness=None):
-    """Linearized x-step (Bregman variant with phi = (L/2)||.||^2 - f):
-
-        x+ = (I + (rho/L) D^T D)^{-1} (x - grad f(x)/L + D^T(y + rho z)/L)
-
-    Only gradients of the losses are needed.
-    """
-    return _x_step("linearized", losses, op, rho, smoothness)(x, z, y)
-
-
-def y_update(y, z, x_new, rho, op):
-    """Dual ascent: y + rho * (z - D x_new)."""
-    return y + rho * (z - op.apply(x_new))
-
-
 # ---------------------------------------------------------------------------
 # the splitting iteration
 
@@ -394,9 +339,17 @@ def _norm(a):
     computes sqrt(v . v) of ``v = a.ravel(order="K")``, and so does this,
     without numpy's dispatch.  The order must stay "K": ``SuperLU.solve``
     returns F-ordered arrays for 2-D right-hand sides, and a C-order
-    ravel sums those in another order."""
+    ravel sums those in another order.  ``np.vdot`` is the same BLAS dot
+    without the overflow warning; a sum of squares that overflows is
+    taken again from ``v`` scaled by its largest magnitude."""
     v = a.ravel(order="K")
-    return math.sqrt(v.dot(v))
+    s = np.vdot(v, v)
+    if s == math.inf:
+        big = float(np.abs(v).max())
+        if big < math.inf:
+            v = v / big
+            return big * math.sqrt(v.dot(v))
+    return math.sqrt(s)
 
 
 def _step_small(config, op, x_new, x, y, rho):
@@ -487,7 +440,9 @@ def _admm(losses, graph, config, x0, y0, zstep_at, penalty, bound_coeff,
         if histories:
             obj = f + gamma * penalty(Dx_new)
             dx = _norm(x_new - x)
-            aug = _lagrangian(f, gamma * penalty(z), y, gap, rho)
+            # L_rho = f + penalty(z) + <y, gap> + (rho/2) ||gap||^2
+            aug = (f + gamma * penalty(z) + float((y * gap).sum())
+                   + 0.5 * rho * float((gap * gap).sum()))
             state.objectives.append(obj)
             state.aug_lagrangians.append(aug)
             state.primal_residuals.append(primal)

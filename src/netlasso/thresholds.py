@@ -401,5 +401,4 @@ def clustering_threshold(points):
     """
     if isinstance(points, SquaredDistance):
         points = points.points
-    points = np.asarray(points, dtype=np.float64)
     return 3.0 * len(points) * bound_C_clustering(points)

@@ -1,0 +1,17 @@
+import importlib
+import pkgutil
+
+import pytest
+
+import netlasso
+
+MODULES = ["netlasso"] + [f"netlasso.{m.name}"
+                          for m in pkgutil.iter_modules(netlasso.__path__)]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_names_resolve(name):
+    module = importlib.import_module(name)
+    missing = [n for n in getattr(module, "__all__", ())
+               if not hasattr(module, n)]
+    assert missing == []

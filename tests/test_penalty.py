@@ -19,7 +19,6 @@ from netlasso.penalty import (
     directional_derivative,
     group_shrink,
     phi_envelope,
-    prox_group_l2,
     prox_trimmed,
     row_norms,
     trimmed_norm,
@@ -144,20 +143,22 @@ class TestTrimmedNorm:
 
 
 class TestProxGroupL2:
+    """``group_shrink`` on one block: the prox of lam * ||.||_2."""
+
     def test_shrinks_along_ray(self):
-        np.testing.assert_allclose(prox_group_l2(np.array([2.0, 0.0]), 1.0),
-                                   [1.0, 0.0])
+        a = np.array([2.0, 0.0])
+        np.testing.assert_allclose(group_shrink(a[None], 1.0)[0], [1.0, 0.0])
 
     def test_zero_at_threshold(self):
         a = np.array([0.6, 0.8])  # norm exactly 1
-        np.testing.assert_allclose(prox_group_l2(a, 1.0), [0.0, 0.0])
+        np.testing.assert_allclose(group_shrink(a[None], 1.0)[0], [0.0, 0.0])
 
     def test_grid_oracle(self):
         rng = np.random.default_rng(2)
         for _ in range(5):
             a = rng.normal(size=2) * 2
             lam = float(rng.uniform(0.2, 1.5))
-            z = prox_group_l2(a, lam)
+            z = group_shrink(a[None], lam)[0]
             ours = lam * np.linalg.norm(z) + 0.5 * float((z - a) @ (z - a))
             grid = np.linspace(-4, 4, 161)
             best = np.inf
@@ -175,8 +176,8 @@ class TestProxGroupL2:
             a = rng.normal(size=3)
             b = rng.normal(size=3)
             lam = float(rng.uniform(0, 2))
-            pa = prox_group_l2(a, lam)
-            pb = prox_group_l2(b, lam)
+            pa = group_shrink(a[None], lam)[0]
+            pb = group_shrink(b[None], lam)[0]
             assert np.linalg.norm(pa - pb) <= np.linalg.norm(a - b) + 1e-12
 
 
@@ -226,7 +227,7 @@ class TestProxTrimmed:
         a = rng.normal(size=(5, 3))
         z, sel = prox_trimmed(a, K=0, lam=0.4)
         for k in range(5):
-            np.testing.assert_allclose(z[k], prox_group_l2(a[k], 0.4))
+            np.testing.assert_allclose(z[k], group_shrink(a[k][None], 0.4)[0])
         assert len(sel.kept) == 0
 
     def test_tie_breaks_to_lowest_index(self):

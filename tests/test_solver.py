@@ -7,7 +7,8 @@ import scipy.linalg
 import scipy.sparse as sp
 from oracles import (brute_force_prox_trimmed, dense_certificate_slow,
                      enumerate_set_partitions, polish_reference,
-                     solve_nl_reference, solve_ntl_reference)
+                     prox_trimmed_objective, solve_nl_reference,
+                     solve_ntl_reference)
 
 from netlasso import solver
 from netlasso.datasets import gen_half_moons
@@ -22,13 +23,13 @@ from netlasso.graph import (
 from netlasso.losses import (CustomLoss, Quadratic, RidgeRegression,
                              SquaredDistance)
 from netlasso.path import gamma_path, k_path
-from netlasso.penalty import prox_group_l2, trimmed_norm
+from netlasso.penalty import group_shrink, prox_trimmed, trimmed_norm
 from netlasso.solver import (
     CONVERGED,
     DIVERGED,
+    MAX_ITERS,
     RhoSchedule,
     SolverConfig,
-    augmented_lagrangian,
     nl_certificate,
     objective_convex,
     objective_trimmed,
@@ -36,11 +37,6 @@ from netlasso.solver import (
     solve_ntl,
     stationarity_check,
     validate_convergence_params,
-    x_update_exact,
-    x_update_linearized,
-    y_update,
-    z_update,
-    z_update_convex,
 )
 
 
@@ -78,56 +74,17 @@ def four_node_split_instance():
     return SquaredDistance(pts), path_graph(4)
 
 
-class TestAugmentedLagrangian:
-    def test_feasible_split_recovers_objective(self):
-        rng = np.random.default_rng(0)
-        losses = SquaredDistance(rng.normal(size=(5, 2)))
-        g = complete_graph(5)
-        op = DifferenceOperator(g, 2)
-        x = rng.normal(size=(5, 2))
-        z = op.apply(x)
-        y = rng.normal(size=(g.num_edges, 2))
-        val = augmented_lagrangian(x, z, y, losses, op, 0.7, 2, 3.0)
-        assert val == pytest.approx(
-            objective_trimmed(losses, op, x, 0.7, 2), rel=1e-12)
-
-    def test_zero_state_value(self):
-        rng = np.random.default_rng(1)
-        pts = rng.normal(size=(4, 3))
-        losses = SquaredDistance(pts)
-        g = complete_graph(4)
-        op = DifferenceOperator(g, 3)
-        val = augmented_lagrangian(np.zeros((4, 3)),
-                                   np.zeros((g.num_edges, 3)),
-                                   np.zeros((g.num_edges, 3)),
-                                   losses, op, 1.0, 1, 2.0)
-        assert val == pytest.approx(0.5 * float((pts ** 2).sum()), rel=1e-12)
-
-    def test_matches_slow_reassembly(self):
-        rng = np.random.default_rng(2)
-        losses = SquaredDistance(rng.normal(size=(4, 2)))
-        g = path_graph(4)
-        op = DifferenceOperator(g, 2)
-        x = rng.normal(size=(4, 2))
-        z = rng.normal(size=(3, 2))
-        y = rng.normal(size=(3, 2))
-        gamma, K, rho = 0.9, 1, 2.5
-        gap = z - op.apply(x)
-        expect = losses.total_value(x) + gamma * trimmed_norm(z, K) \
-            + float((y * gap).sum()) + rho / 2 * float((gap * gap).sum())
-        got = augmented_lagrangian(x, z, y, losses, op, gamma, K, rho)
-        assert got == pytest.approx(expect, rel=1e-12)
-
-
 class TestZUpdate:
+    """The trimmed solver's z-step, prox_trimmed at D x - y / rho."""
+
     def test_k_equal_m_passes_through(self):
         rng = np.random.default_rng(3)
         g = complete_graph(4)
         op = DifferenceOperator(g, 2)
         x = rng.normal(size=(4, 2))
         y = rng.normal(size=(6, 2))
-        z = z_update(x, y, 2.0, 5.0, 6, op)
-        np.testing.assert_allclose(z, op.apply(x) - y / 2.0)
+        a = op.apply(x) - y / 2.0
+        np.testing.assert_allclose(prox_trimmed(a, 6, 5.0 / 2.0)[0], a)
 
     def test_k_zero_is_soft_threshold(self):
         rng = np.random.default_rng(4)
@@ -136,42 +93,47 @@ class TestZUpdate:
         x = rng.normal(size=(5, 1))
         y = rng.normal(size=(4, 1))
         rho, gamma = 3.0, 0.6
-        z = z_update(x, y, rho, gamma, 0, op)
         a = op.apply(x) - y / rho
+        z = prox_trimmed(a, 0, gamma / rho)[0]
         for k in range(4):
-            np.testing.assert_allclose(z[k], prox_group_l2(a[k], gamma / rho))
+            np.testing.assert_allclose(
+                z[k], group_shrink(a[k][None], gamma / rho)[0])
 
     def test_minimizes_partial_lagrangian(self):
+        # in z, L_rho(x, z, y) is rho times the prox objective at
+        # a = D x - y / rho, plus a constant
         rng = np.random.default_rng(5)
         g = complete_graph(4)
         op = DifferenceOperator(g, 1)
-        losses = SquaredDistance(rng.normal(size=(4, 1)))
         x = rng.normal(size=(4, 1))
         y = rng.normal(size=(6, 1))
         rho, gamma, K = 2.0, 1.3, 2
-        z = z_update(x, y, rho, gamma, K, op)
-        ours = augmented_lagrangian(x, z, y, losses, op, gamma, K, rho)
         a = op.apply(x) - y / rho
-        zb, _ = brute_force_prox_trimmed(a, K, gamma / rho)
-        best = augmented_lagrangian(x, zb, y, losses, op, gamma, K, rho)
+        z = prox_trimmed(a, K, gamma / rho)[0]
+        ours = prox_trimmed_objective(z, a, K, gamma / rho)
+        _, best = brute_force_prox_trimmed(a, K, gamma / rho)
         assert ours <= best + 1e-10
 
 
 class TestXUpdates:
+    """The x-step of both modes, as ``_x_step`` builds it for the loop."""
+
     def test_exact_edgeless_gives_minimizers(self):
         rng = np.random.default_rng(6)
         pts = rng.normal(size=(3, 2))
         losses = SquaredDistance(pts)
         g = WeightedGraph(3, np.empty((0, 2)))
         op = DifferenceOperator(g, 2)
-        x = x_update_exact(np.zeros((0, 2)), np.zeros((0, 2)), 2.0, losses, op)
+        x = solver._x_step("exact", losses, op, 2.0)(
+            None, np.zeros((0, 2)), np.zeros((0, 2)))
         np.testing.assert_allclose(x, pts, atol=1e-12)
 
     def test_exact_two_node_hand_value(self):
         losses = SquaredDistance(np.array([0.0, 2.0]))
         g = path_graph(2)
         op = DifferenceOperator(g, 1)
-        x = x_update_exact(np.zeros((1, 1)), np.zeros((1, 1)), 1.0, losses, op)
+        x = solver._x_step("exact", losses, op, 1.0)(
+            None, np.zeros((1, 1)), np.zeros((1, 1)))
         np.testing.assert_allclose(x, [[2.0 / 3.0], [4.0 / 3.0]], rtol=1e-12)
 
     def test_exact_zeroes_lagrangian_gradient(self):
@@ -182,7 +144,7 @@ class TestXUpdates:
         z = rng.normal(size=(g.num_edges, 2))
         y = rng.normal(size=(g.num_edges, 2))
         rho = 2.7
-        x = x_update_exact(z, y, rho, losses, op)
+        x = solver._x_step("exact", losses, op, rho)(None, z, y)
         grad = losses.total_gradient(x) \
             - op.apply_adjoint(y + rho * (z - op.apply(x)))
         assert np.abs(grad).max() <= 1e-9
@@ -205,7 +167,7 @@ class TestXUpdates:
         z = rng.normal(size=(graph.num_edges, p))
         y = rng.normal(size=(graph.num_edges, p))
         rho = 1.9
-        x = x_update_exact(z, y, rho, losses, op)
+        x = solver._x_step("exact", losses, op, rho)(None, z, y)
         H, g = losses.quadratic_terms()
         D = op.to_dense()
         M = scipy.linalg.block_diag(*H) + rho * D.T @ D
@@ -219,8 +181,7 @@ class TestXUpdates:
                             lambda i, x: 2 * x, smoothness=2.0)
         op = DifferenceOperator(path_graph(2), 1)
         with pytest.raises(ValueError):
-            x_update_exact(np.zeros((1, 1)), np.zeros((1, 1)), 1.0,
-                           losses, op)
+            solver._x_step("exact", losses, op, 1.0)
 
     def test_linearized_edgeless_is_gradient_step(self):
         rng = np.random.default_rng(8)
@@ -229,8 +190,8 @@ class TestXUpdates:
         g = WeightedGraph(3, np.empty((0, 2)))
         op = DifferenceOperator(g, 2)
         x = rng.normal(size=(3, 2))
-        out = x_update_linearized(x, np.zeros((0, 2)), np.zeros((0, 2)),
-                                  5.0, losses, op, smoothness=2.0)
+        out = solver._x_step("linearized", losses, op, 5.0, 2.0)(
+            x, np.zeros((0, 2)), np.zeros((0, 2)))
         np.testing.assert_allclose(out, x - losses.total_gradient(x) / 2.0,
                                    atol=1e-12)
 
@@ -241,7 +202,8 @@ class TestXUpdates:
         g = complete_graph(5)
         op = DifferenceOperator(g, 2)
         z = op.apply(pts)
-        out = x_update_linearized(pts, z, np.zeros_like(z), 3.0, losses, op)
+        out = solver._x_step("linearized", losses, op, 3.0)(
+            pts, z, np.zeros_like(z))
         np.testing.assert_allclose(out, pts, atol=1e-10)
 
     def test_linearized_matches_dense_oracle(self):
@@ -253,7 +215,7 @@ class TestXUpdates:
         z = rng.normal(size=(g.num_edges, 2))
         y = rng.normal(size=(g.num_edges, 2))
         rho, L = 2.0, 1.0
-        out = x_update_linearized(x, z, y, rho, losses, op, smoothness=L)
+        out = solver._x_step("linearized", losses, op, rho, L)(x, z, y)
         D = op.to_dense()
         M = L * np.eye(10) + rho * D.T @ D
         rhs = L * x.reshape(-1) - losses.total_gradient(x).reshape(-1) \
@@ -261,16 +223,47 @@ class TestXUpdates:
         np.testing.assert_allclose(out.reshape(-1),
                                    np.linalg.solve(M, rhs), atol=1e-10)
 
-    def test_y_update_identity_bitwise(self):
-        rng = np.random.default_rng(11)
-        g = path_graph(4)
-        op = DifferenceOperator(g, 2)
-        y = rng.normal(size=(3, 2))
-        z = rng.normal(size=(3, 2))
-        x_new = rng.normal(size=(4, 2))
-        rho = 1.7
-        y_new = y_update(y, z, x_new, rho, op)
-        assert np.array_equal(y_new, y + rho * (z - op.apply(x_new)))
+
+class TestOneIteration:
+    """A one-iteration solve composes the z-, x- and dual steps, bit for
+    bit, from a given (x0, y0)."""
+
+    def instance(self):
+        rng = np.random.default_rng(24)
+        pts = rng.normal(size=(7, 2))
+        g = complete_graph(7, points=pts, alpha=0.4)
+        x0 = pts + 0.3 * rng.normal(size=pts.shape)
+        y0 = rng.normal(size=(g.num_edges, 2))
+        return SquaredDistance(pts), g, x0, y0
+
+    def check(self, result, losses, g, x0, y0, rho, mode, prox):
+        state, _ = result
+        assert state.iterations == 1 and state.rho == rho
+        op = DifferenceOperator(g, losses.dim)
+        z = prox(op.apply(x0) - y0 / rho)
+        assert_same_bits(state.z, z)
+        assert_same_bits(state.x, solver._x_step(mode, losses, op, rho)(
+            x0, z, y0))
+        assert_same_bits(state.y, y0 + rho * (z - op.apply(state.x)))
+
+    @pytest.mark.parametrize("x_update", ["exact", "linearized"])
+    def test_trimmed(self, x_update):
+        losses, g, x0, y0 = self.instance()
+        gamma, K, rho = 0.7, 5, 3.0
+        config = SolverConfig(gamma=gamma, cardinality=K, rho=rho,
+                              x_update=x_update, max_iters=1)
+        self.check(solve_ntl(losses, g, config, x0=x0, y0=y0),
+                   losses, g, x0, y0, rho, x_update,
+                   lambda a: prox_trimmed(a, K, gamma / rho)[0])
+
+    @pytest.mark.parametrize("x_update", ["exact", "linearized"])
+    def test_convex(self, x_update):
+        losses, g, x0, y0 = self.instance()
+        gamma, rho = 0.7, 3.0
+        self.check(solve_nl(losses, g, gamma, x0=x0, y0=y0, rho=rho,
+                            x_update=x_update, max_iters=1),
+                   losses, g, x0, y0, rho, x_update,
+                   lambda a: group_shrink(a, gamma * g.weights / rho))
 
 
 class TestSolveNtl:
@@ -741,6 +734,19 @@ class TestResidualBalancing:
         assert rule.next(3.0, 0.1, lambda: 1.0) == 3.0
         assert rule.next(3.0, math.nan, lambda: 1.0) == 3.0
 
+    @pytest.mark.filterwarnings("error")
+    def test_huge_rho_runs_without_overflow(self):
+        # balancing takes rho near the top of the floats, where ||y||^2
+        # overflows
+        rng = np.random.default_rng(0)
+        state, reason = solve_nl(SquaredDistance(rng.normal(size=(11, 1))),
+                                 complete_graph(11), 1e-3, rho=1e300,
+                                 eps_abs=0.0, eps_rel=0.0)
+        assert reason in (CONVERGED, MAX_ITERS, DIVERGED)
+        if reason == CONVERGED:
+            for v in (state.x, state.z, state.y):
+                assert np.isfinite(v).all()
+
     @pytest.mark.parametrize("x_update", ["exact", "linearized"])
     def test_trimmed_solver_keeps_its_rho(self, x_update):
         losses, g = self.instance()
@@ -756,6 +762,26 @@ class TestResidualBalancing:
         # the trimmed problem
         assert_matches_reference(trimmed,
                                  solve_ntl_reference(losses, g, config))
+
+
+class TestNorm:
+    """``solver._norm``, the loop's norm of a whole array."""
+
+    def test_equals_sqrt_of_dot(self):
+        rng = np.random.default_rng(25)
+        for a in (rng.normal(size=(199, 1)), rng.normal(size=(50, 3)),
+                  np.asfortranarray(rng.normal(size=(40, 2))),
+                  1e150 * rng.normal(size=(9, 2)), np.zeros((0, 2))):
+            v = a.ravel(order="K")
+            assert solver._norm(a) == math.sqrt(v.dot(v))
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_squares(self):
+        assert solver._norm(np.full((4, 1), 1e200)) \
+            == pytest.approx(2e200, rel=1e-15)
+        assert solver._norm(np.full((4, 1), 1e308)) == math.inf
+        assert solver._norm(np.array([[math.inf, 1.0]])) == math.inf
+        assert math.isnan(solver._norm(np.array([[math.nan, 1.0]])))
 
 
 class TestLeanPathLoop:
