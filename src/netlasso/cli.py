@@ -30,8 +30,9 @@ from .losses import RidgeRegression, SquaredDistance
 from .path import (Partition, adjusted_rand_index, extract_partition,
                    gamma_path, k_path, midpoint_init, partition_relation,
                    save_centroids_csv, save_path_json)
-from .solver import (DIVERGED, MAX_ITERS, RhoSchedule, SolverConfig,
-                     nl_certificate, solve_nl, solve_ntl, stationarity_check)
+from .solver import (DIVERGED, MAX_ITERS, RhoSchedule, SingularSystemError,
+                     SolverConfig, nl_certificate, solve_nl, solve_ntl,
+                     stationarity_check)
 from .thresholds import (_jsonify, bound_C_clustering, bound_C_quadratic,
                          clustering_threshold, exact_penalty_threshold,
                          recovery_interval, recovery_interval_cc)
@@ -998,7 +999,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except NumericalError as exc:
+    except (NumericalError, SingularSystemError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

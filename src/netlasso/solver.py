@@ -42,6 +42,7 @@ from .penalty import (_derivative_at, _scale_rows, group_shrink, prox_trimmed,
 __all__ = [
     "SolverConfig",
     "RhoSchedule",
+    "SingularSystemError",
     "SolverState",
     "ConvergenceParams",
     "StationarityReport",
@@ -251,14 +252,39 @@ def objective_convex(losses, op, x, gamma, weights):
     return losses.total_value(x) + gamma * float(weights @ d)
 
 
+class SingularSystemError(ArithmeticError):
+    """The x-step's system is singular in floating point: rho is so large
+    that the loss curvature (for the linearized step, the identity)
+    vanishes against rho * Laplacian.  A smaller rho avoids it; the CLI
+    reports it as a numerical failure (exit code 3)."""
+
+
+def _factorize(matrix, rho):
+    """``splu`` of an x-system, with a singular factor reported as
+    :class:`SingularSystemError` naming rho."""
+    try:
+        return splu(matrix)
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        raise SingularSystemError(
+            f"the x-step system is singular at rho={rho!r} ({exc});"
+            " lower rho") from exc
+
+
 def _x_step(mode, losses, op, rho, smoothness=None):
     """Factorize the x-subproblem of ``mode`` once and return the step
     as a function of (x, z, y).
 
     "exact" solves (blockdiag(H) + rho * Laplacian kron I_p) x
-    = g + D^T (y + rho z); "linearized" solves (I + (rho/L) Laplacian) x
+    = g + D^T (y + rho z).  When every block is H_i = h_i I_p (always for
+    ``SquaredDistance``, and for a ``Quadratic`` with scalar A_i) that
+    system is p copies of one n x n system, so it factorizes
+    diag(h) + rho * Laplacian and solves the (n, p) right-hand side in
+    one call; for p = 1 this is the same matrix as the general form.
+    "linearized" solves (I + (rho/L) Laplacian) x
     = x - grad f(x)/L + D^T (y + rho z)/L with L = ``smoothness``, by
-    default the largest per-node smoothness constant.
+    default the largest per-node smoothness constant.  Raises
+    :class:`SingularSystemError` when the system is singular in floating
+    point, which a very large rho causes.
     """
     n, p = losses.num_nodes, losses.dim
     if mode == "exact":
@@ -266,17 +292,25 @@ def _x_step(mode, losses, op, rho, smoothness=None):
         if terms is None:
             raise ValueError("exact x-update needs quadratic losses")
         H, g = terms
+        h = H[:, :1, :1]
+        if np.array_equal(H, h * np.eye(p)):  # every H_i = h_i I_p
+            H, p = h, 1
         # block row i holds H[i] at block column i: no per-node loop
         blocks = sp.bsr_matrix((H, np.arange(n), np.arange(n + 1)),
                                shape=(n * p, n * p))
-        lu = splu(blocks.tocsc()
-                  + rho * sp.kron(op.laplacian(), sp.eye(p), format="csc"))
+        lu = _factorize(blocks.tocsc() + rho * sp.kron(
+            op.laplacian(), sp.eye(p), format="csc"), rho)
+        # a vector where the system is not split: SuperLU solves a
+        # one-column 2-D right-hand side more slowly
+        shape = (n * p,) if p == g.shape[1] else g.shape
         return lambda x, z, y: lu.solve(
-            (g + op.apply_adjoint(y + rho * z)).reshape(-1)).reshape(g.shape)
+            (g + op.apply_adjoint(y + rho * z)).reshape(shape)
+        ).reshape(g.shape)
     L = smoothness if smoothness is not None else losses.max_smoothness()
     if L <= 0:
         raise ValueError("smoothness constant must be positive")
-    lu = splu(sp.eye(n, format="csc") + (rho / L) * op.laplacian().tocsc())
+    lu = _factorize(sp.eye(n, format="csc")
+                    + (rho / L) * op.laplacian().tocsc(), rho)
     return lambda x, z, y: lu.solve(
         x - losses.total_gradient(x) / L + op.apply_adjoint(y + rho * z) / L)
 
@@ -837,6 +871,27 @@ def _polish(A, u, b, step, iters):
     return u
 
 
+def _residual_floor(edges, gw, eids, b, grad):
+    """Per node, a lower bound on the relative residual that the
+    certificate computes for any u on the unit balls.
+
+    Node v's residual is -b_v plus +/- gamma w_e u_e over its merged
+    edges ``eids``, so its norm is at least ||b_v|| - S_v, S_v the sum
+    of those gamma w_e.  Rounding margin: every term of the node's sums
+    has norm at most T_v = ||grad_v|| + the gamma w_e of all its edges,
+    so each computed sum is within (deg_v + 1) 2^-53 sqrt(p) T_v of its
+    exact value, and the projected ||u_e||, the norms and the division
+    add a few ulp of T_v.  1e-12 (deg_v + 1) T_v covers all of it for p
+    up to 10^6.
+    """
+    n = len(b)
+    S = np.bincount(edges[eids].reshape(-1), np.repeat(gw[eids], 2), n)
+    gnorm = row_norms(grad)
+    T = gnorm + np.bincount(edges.reshape(-1), np.repeat(gw, 2), n)
+    deg = np.bincount(edges.reshape(-1), minlength=n)
+    return (row_norms(b) - S - 1e-12 * (deg + 1) * T) / (1.0 + gnorm)
+
+
 def nl_certificate(x, losses, graph, gamma, merge_tol=1e-6,
                    residual_tol=1e-4, norm_slack=1e-6, refine_iters=2000):
     """Construct an optimality certificate for the convex problem at x.
@@ -851,6 +906,13 @@ def nl_certificate(x, losses, graph, gamma, merge_tol=1e-6,
     polished together by projected-gradient steps of 1/||A_c||_2^2 onto
     the unit balls, ``refine_iters`` of them counting the projection of
     the start.
+
+    No polish runs when some node's relative residual exceeds
+    ``residual_tol`` for every u on the unit balls (the bound is
+    ||b_v|| less the gamma w_e of its merged edges, over
+    1 + ||grad f_v||, less a rounding margin): the certificate is then
+    rejected whatever the polish does, and the report holds the
+    projected start.
     """
     op = DifferenceOperator(graph, losses.dim)
     x = np.asarray(x, dtype=np.float64)
@@ -909,7 +971,8 @@ def nl_certificate(x, losses, graph, gamma, merge_tol=1e-6,
         rest -= A[:, cols] @ u[cols]
 
     hot = np.isin(ecomp, ecomp[over])
-    if hot.any():
+    if hot.any() and not (_residual_floor(graph.edges, gw, eids, b, grad)
+                          .max() > residual_tol):
         # each component scaled by a power of two near its top, which
         # keeps A A^T finite and leaves every lambda_max bit for bit
         e = np.frexp(top)[1]

@@ -317,7 +317,8 @@ def knn_pairs_slow(points, k, alpha):
 
 
 def dense_certificate_slow(x, losses, graph, gamma, merge_tol=1e-6,
-                           refine_iters=2000):
+                           refine_iters=2000, residual_tol=1e-4,
+                           early_reject=True):
     """Subgradient certificate with a dense A per merged component.
 
     Returns (max_rel_residual, max_subgrad_norm, merged_edges).  Edge
@@ -328,6 +329,12 @@ def dense_certificate_slow(x, losses, graph, gamma, merge_tol=1e-6,
     minus the residual the unmerged edges leave.  A component where some
     ||u_e|| > 1 is polished by ``refine_iters`` projected-gradient steps
     of length 1 / ||A||_2^2 onto the unit balls.
+
+    With ``early_reject``, as in ``nl_certificate``, no component is
+    polished (its u is only projected onto the balls) when some node v
+    has (||b_v|| - sum of gamma w_e over its merged edges
+    - 1e-12 (deg_v + 1) T_v) / (1 + ||grad_v||) > ``residual_tol``, with
+    T_v = ||grad_v|| + sum of gamma w_e over all its edges.
     """
     x = np.asarray(x, dtype=np.float64)
     n, p = x.shape
@@ -355,6 +362,16 @@ def dense_certificate_slow(x, losses, graph, gamma, merge_tol=1e-6,
             g[e] = d / np.linalg.norm(d)
             resid[i] += gw[e] * g[e]
             resid[j] -= gw[e] * g[e]
+    polish = True
+    if early_reject:
+        for v in range(n):
+            ends = [e for e in range(m) if v in edges[e]]
+            gn = float(np.linalg.norm(grad[v]))
+            S = sum(gw[e] for e in ends if merged[e])
+            T = gn + sum(gw[e] for e in ends)
+            floor = (float(np.linalg.norm(resid[v])) - S
+                     - 1e-12 * (len(ends) + 1) * T) / (1.0 + gn)
+            polish = polish and not floor > residual_tol
     for r in sorted({root(v) for v in range(n)}):
         nodes = [v for v in range(n) if root(v) == r]
         group = [e for e in range(m) if merged[e] and root(edges[e, 0]) == r]
@@ -366,7 +383,9 @@ def dense_certificate_slow(x, losses, graph, gamma, merge_tol=1e-6,
             A[nodes.index(edges[e, 1]), c] = -gw[e]
         b = -resid[nodes]
         u = np.linalg.lstsq(A, b, rcond=None)[0]
-        if np.any(np.linalg.norm(u, axis=1) > 1.0):
+        if not polish:
+            u /= np.maximum(np.linalg.norm(u, axis=1), 1.0)[:, None]
+        elif np.any(np.linalg.norm(u, axis=1) > 1.0):
             step = 1.0 / max(np.linalg.norm(A, 2) ** 2, 1e-30)
             for _ in range(refine_iters):
                 u -= step * (A.T @ (A @ u - b))
@@ -518,6 +537,23 @@ def solve_nl_reference(losses, graph, config, x0=None, y0=None):
         lambda a, rho: group_shrink_reference(a, config.gamma * w / rho),
         lambda d: float(w @ np.linalg.norm(d, axis=1)),
         _dual_small_reference, balance=True)
+
+
+def exact_x_step_kron(losses, op, rho, z, y):
+    """The exact x-step solved as one (n p) x (n p) system,
+    (blockdiag(H) + rho * Laplacian kron I_p) x = g + D^T (y + rho z),
+    assembled and factorized as the solver does for non-scalar blocks."""
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import splu
+
+    H, g = losses.quadratic_terms()
+    n, p = g.shape
+    blocks = sp.bsr_matrix((H, np.arange(n), np.arange(n + 1)),
+                           shape=(n * p, n * p))
+    lu = splu(blocks.tocsc()
+              + rho * sp.kron(op.laplacian(), sp.eye(p), format="csc"))
+    return lu.solve(
+        (g + op.apply_adjoint(y + rho * z)).reshape(-1)).reshape(g.shape)
 
 
 def polish_reference(A, u, b, step, iters):

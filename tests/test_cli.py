@@ -360,6 +360,18 @@ class TestSolveCommands:
                      "--out-dir", str(tmp_path / "out")]) == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_singular_x_system_is_numerical_failure(self, tmp_path, capsys):
+        # at rho 1e200 the unit loss curvature vanishes against
+        # rho * Laplacian, and the x-step's factor is singular
+        data = tmp_path / "four.csv"
+        write_points_csv(data, FOUR_POINTS)
+        assert main(["solve-nl", "--data-file", str(data), "--graph", "path",
+                     "--gamma", "1.0", "--rho", "1e200",
+                     "--out-dir", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:")
+        assert "rho=1e+200" in err
+
     def test_rerun_reproduces_every_artifact_byte(self, tmp_path):
         code, out = self.run_four_node(tmp_path)
         assert code == 0
@@ -383,13 +395,15 @@ class TestSolveCommands:
         data = tmp_path / "moons.csv"
         save_csv(gen_half_moons(300, noise_sd=0.08, seed=7), data)
         written = []
+        # converged to 1e-9, so that the certificate's residual bound does
+        # not reject and the polish runs
         for run in ("first", "second"):
             out = tmp_path / run
             assert main(["solve-nl", "--data-file", str(data),
                          "--has-labels", "--graph", "knn", "--knn-k", "10",
                          "--alpha", "15", "--gamma", "5", "--rho", "1",
-                         "--max-iters", "300", "--eps-abs", "1e-6",
-                         "--eps-rel", "1e-6", "--out-dir", str(out)]) == 0
+                         "--max-iters", "5000", "--eps-abs", "1e-9",
+                         "--eps-rel", "1e-9", "--out-dir", str(out)]) == 0
             written.append((out / "optimality.json").read_bytes())
         half = len(arpack_calls) // 2
         assert half  # the certificate polished a large component

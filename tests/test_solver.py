@@ -6,7 +6,8 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 from oracles import (brute_force_prox_trimmed, dense_certificate_slow,
-                     enumerate_set_partitions, polish_reference,
+                     enumerate_set_partitions, exact_x_step_kron,
+                     polish_reference,
                      prox_trimmed_objective, solve_nl_reference,
                      solve_ntl_reference)
 
@@ -176,6 +177,81 @@ class TestXUpdates:
         assert np.linalg.norm(x - expected) \
             <= 1e-10 * np.linalg.norm(expected)
 
+    @staticmethod
+    def factored_step(monkeypatch, losses, graph, rho):
+        """The exact step at random (z, y), its kron-system reference, and
+        the shapes of the matrices ``splu`` factorized."""
+        shapes = []
+        splu = solver.splu
+
+        def recorded(matrix):
+            shapes.append(matrix.shape)
+            return splu(matrix)
+
+        monkeypatch.setattr(solver, "splu", recorded)
+        rng = np.random.default_rng(14)
+        p = losses.dim
+        op = DifferenceOperator(graph, p)
+        z = rng.normal(size=(graph.num_edges, p))
+        y = rng.normal(size=(graph.num_edges, p))
+        x = solver._x_step("exact", losses, op, rho)(None, z, y)
+        return x, exact_x_step_kron(losses, op, rho, z, y), shapes
+
+    @staticmethod
+    def scalar_blocks(rng, n, p):
+        """A ``Quadratic`` with A_i = h_i I_p, every third h_i zero."""
+        h = rng.uniform(0.5, 2.0, size=n)
+        h[::3] = 0.0
+        return Quadratic(h[:, None, None] * np.eye(p), rng.normal(size=(n, p)))
+
+    @pytest.mark.parametrize("kind", ["squared-distance", "scalar-quadratic"])
+    def test_p1_node_factor_equals_kron_system_bitwise(self, monkeypatch,
+                                                       kind):
+        rng = np.random.default_rng(15)
+        pts = rng.normal(size=(30, 2))
+        losses = (SquaredDistance(pts[:, :1]) if kind == "squared-distance"
+                  else self.scalar_blocks(rng, 30, 1))
+        graph = knn_gaussian_graph(pts, k=4)
+        x, expected, shapes = self.factored_step(monkeypatch, losses, graph,
+                                                 1.7)
+        assert shapes == [(30, 30)]
+        assert_same_bits(x, expected)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("kind", ["squared-distance", "scalar-quadratic"])
+    def test_scalar_blocks_factor_n_by_n(self, monkeypatch, kind, p):
+        # p copies of one n x n system: another elimination than the
+        # kron system's, so equal up to rounding (relative 1e-12; these
+        # systems have condition numbers below 100)
+        rng = np.random.default_rng(16 + p)
+        pts = rng.normal(size=(40, p))
+        losses = (SquaredDistance(pts) if kind == "squared-distance"
+                  else self.scalar_blocks(rng, 40, p))
+        graph = knn_gaussian_graph(pts, k=4)
+        x, expected, shapes = self.factored_step(monkeypatch, losses, graph,
+                                                 2.3)
+        assert shapes == [(40, 40)]
+        assert np.linalg.norm(x - expected) \
+            <= 1e-12 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("kind", ["ridge", "anisotropic-quadratic"])
+    def test_non_scalar_blocks_keep_the_kron_factor(self, monkeypatch, kind):
+        rng = np.random.default_rng(17)
+        if kind == "ridge":
+            losses = RidgeRegression(rng.normal(size=25),
+                                     rng.normal(size=25), epsilon=0.3)
+        else:
+            # scalar blocks but one, whose diagonal entries differ
+            A = np.tile(np.eye(3), (25, 1, 1))
+            A[7] = np.diag([1.0, 1.0, 2.0])
+            losses = Quadratic(A, rng.normal(size=(25, 3)))
+        p = losses.dim
+        graph = knn_gaussian_graph(rng.normal(size=(25, 2)), k=4)
+        x, expected, shapes = self.factored_step(monkeypatch, losses, graph,
+                                                 1.1)
+        assert shapes == [(25 * p, 25 * p)]
+        assert_same_bits(x, expected)
+
     def test_exact_requires_quadratic(self):
         losses = CustomLoss(2, 1, lambda i, x: float(x @ x),
                             lambda i, x: 2 * x, smoothness=2.0)
@@ -222,6 +298,31 @@ class TestXUpdates:
             + D.T @ (y + rho * z).reshape(-1)
         np.testing.assert_allclose(out.reshape(-1),
                                    np.linalg.solve(M, rhs), atol=1e-10)
+
+
+class TestSingularSystem:
+    """A rho so large that the loss curvature vanishes against
+    rho * Laplacian leaves a singular x-system: one documented error that
+    names rho, for each factor, instead of SuperLU's bare RuntimeError."""
+
+    @pytest.mark.parametrize("kind", ["n-by-n", "kron", "linearized"])
+    def test_huge_rho_raises_singular_system_error(self, kind):
+        rng = np.random.default_rng(0)
+        if kind == "kron":  # unequal diagonal entries keep the kron system
+            losses = Quadratic(np.tile(np.diag([1.0, 2.0]), (200, 1, 1)),
+                               rng.normal(size=(200, 2)))
+        else:
+            losses = SquaredDistance(rng.normal(size=(200, 1)))
+        x_update = "linearized" if kind == "linearized" else "exact"
+        with pytest.raises(solver.SingularSystemError, match="rho=1e\\+16"):
+            solve_nl(losses, path_graph(200), 0.5, rho=1e16,
+                     x_update=x_update)
+
+    def test_largest_working_rho_still_runs(self):
+        rng = np.random.default_rng(0)
+        state, _ = solve_nl(SquaredDistance(rng.normal(size=(200, 1))),
+                            path_graph(200), 0.5, rho=1e14, max_iters=5)
+        assert np.all(np.isfinite(state.x))
 
 
 class TestOneIteration:
@@ -1188,8 +1289,10 @@ class TestCertificate:
         data = gen_half_moons(300, noise_sd=0.08, seed=7)
         losses = SquaredDistance(data.points)
         g = knn_gaussian_graph(data.points, 10, alpha=15.0)
-        state, _ = solve_nl(losses, g, 5.0, rho=1.0, max_iters=300,
-                            eps_abs=1e-6, eps_rel=1e-6)
+        # converged to 1e-9, so that the bound does not reject and the
+        # polish runs
+        state, _ = solve_nl(losses, g, 5.0, rho=1.0, max_iters=5000,
+                            eps_abs=1e-9, eps_rel=1e-9)
         first = nl_certificate(state.x, losses, g, 5.0)
         half = len(arpack_calls)
         second = nl_certificate(state.x, losses, g, 5.0)
@@ -1216,7 +1319,10 @@ class TestCertificate:
         pts = rng.normal(size=(12, p))
         g = complete_graph(12, points=pts, alpha=0.5)
         x = np.tile(pts.mean(axis=0), (12, 1))
-        report = nl_certificate(x, SquaredDistance(pts), g, 0.2,
+        # a strength where the start leaves some ||u_e|| > 1 and the
+        # residual bound does not reject, so the polish runs
+        gamma = {1: 0.5, 2: 5.0, 3: 10.0}[p]
+        report = nl_certificate(x, SquaredDistance(pts), g, gamma,
                                 refine_iters=300)
         assert len(calls) == 1
         A, start, b, step, iters, got = calls[0]
@@ -1224,7 +1330,94 @@ class TestCertificate:
         assert_same_bits(got, polish_reference(A, start, b, step, iters))
         monkeypatch.setattr(solver, "_polish", polish_reference)
         assert repr(report) == repr(nl_certificate(
-            x, SquaredDistance(pts), g, 0.2, refine_iters=300))
+            x, SquaredDistance(pts), g, gamma, refine_iters=300))
+
+    @staticmethod
+    def early_and_full(monkeypatch, x, losses, g, gamma, **options):
+        """The certificate as built, and after the full polish with the
+        residual bound switched off: (report, polished) for each, and
+        whether the bound rejected (it is taken only where the start
+        leaves some ||u_e|| > 1)."""
+        floors, reports, polished = [], [], []
+        floor, polish = solver._residual_floor, solver._polish
+
+        def recorded_floor(*args):
+            floors.append(floor(*args))
+            return floors[-1]
+
+        def recorded_polish(*args):
+            polished.append(len(reports))
+            return polish(*args)
+
+        def no_floor(edges, gw, eids, b, grad):
+            return np.full(len(b), -np.inf)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(solver, "_polish", recorded_polish)
+            for bound in (recorded_floor, no_floor):
+                mp.setattr(solver, "_residual_floor", bound)
+                reports.append(nl_certificate(x, losses, g, gamma, **options))
+        rejected = bool(floors) and floors[0].max() > reports[0].residual_tol
+        return ((reports[0], 0 in polished), (reports[1], 1 in polished),
+                rejected)
+
+    def test_early_rejection_keeps_the_verdict(self, monkeypatch):
+        # on the random oracle instances, at the default tolerance and at
+        # tolerances within 1e-9 (relative) of the residual the full
+        # polish attains, where the verdict is closest to flipping
+        rng = np.random.default_rng(28)
+        seen = set()
+        for trial in range(60):
+            x, losses, g, gamma = random_certificate_instance(rng, trial)
+            full = self.early_and_full(monkeypatch, x, losses, g, gamma)[1]
+            reached = full[0].max_rel_residual
+            for tol in (1e-4, reached * (1 - 1e-9), reached,
+                        reached * (1 + 1e-9)):
+                early, full, rejected = self.early_and_full(
+                    monkeypatch, x, losses, g, gamma, residual_tol=tol)
+                assert early[0].passed == full[0].passed
+                # the polish runs exactly where the bound does not reject
+                assert early[1] == (full[1] and not rejected)
+                seen |= {name for name, hit in [
+                    ("rejected", rejected),
+                    ("rejected near the bound", rejected and tol != 1e-4),
+                    ("polished", early[1]),
+                    ("passed", early[0].passed)] if hit}
+        assert seen == {"rejected", "rejected near the bound", "polished",
+                        "passed"}
+
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("delta", [-1e-9, -1e-12, 0.0, 1e-12, 1e-9])
+    def test_early_rejection_at_the_bound(self, monkeypatch, p, delta):
+        # two nodes at their mean on one merged edge: node 0's residual
+        # is ||d|| - gamma, exactly the bound, and sits delta from the
+        # tolerance 1e-4 (relative to 1 + ||d||)
+        d = np.full(p, 0.7)
+        pts = np.stack([np.zeros(p), 2.0 * d])
+        dn = float(np.linalg.norm(d))
+        gamma = dn - (1.0 + dn) * (1e-4 + delta)
+        g = WeightedGraph(2, [[0, 1]], [1.0])
+        x = np.tile(pts.mean(axis=0), (2, 1))
+        early, full, rejected = self.early_and_full(
+            monkeypatch, x, SquaredDistance(pts), g, gamma)
+        assert early[0].passed == full[0].passed
+        assert early[0].passed == (delta < 0)
+        assert rejected == (delta == 1e-9)
+        assert early[1] == (not rejected)
+
+    def test_early_rejection_on_half_moons(self, monkeypatch):
+        # the n=300 instance of the repeat tests, solved to 1e-6 only:
+        # misread merges leave nodes whose residual no u can cancel
+        data = gen_half_moons(300, noise_sd=0.08, seed=7)
+        losses = SquaredDistance(data.points)
+        g = knn_gaussian_graph(data.points, 10, alpha=15.0)
+        state, _ = solve_nl(losses, g, 5.0, rho=1.0, max_iters=300,
+                            eps_abs=1e-6, eps_rel=1e-6)
+        early, full, rejected = self.early_and_full(monkeypatch, state.x,
+                                                    losses, g, 5.0)
+        assert rejected and full[1] and not early[1]
+        assert early[0].passed == full[0].passed
+        assert early[0].max_subgrad_norm <= 1.0 + early[0].norm_slack
 
     def test_twenty_thousand_node_chain_needs_no_dense_memory(self):
         # the dense per-component A would take 20,000 x 19,999 doubles
