@@ -317,8 +317,7 @@ def knn_pairs_slow(points, k, alpha):
 
 
 def dense_certificate_slow(x, losses, graph, gamma, merge_tol=1e-6,
-                           refine_iters=2000, residual_tol=1e-4,
-                           early_reject=True):
+                           refine_iters=2000):
     """Subgradient certificate with a dense A per merged component.
 
     Returns (max_rel_residual, max_subgrad_norm, merged_edges).  Edge
@@ -330,10 +329,10 @@ def dense_certificate_slow(x, losses, graph, gamma, merge_tol=1e-6,
     ||u_e|| > 1 is polished by ``refine_iters`` projected-gradient steps
     of length 1 / ||A||_2^2 onto the unit balls.
 
-    With ``early_reject``, as in ``nl_certificate``, no component is
-    polished (its u is only projected onto the balls) when some node v
-    has (||b_v|| - sum of gamma w_e over its merged edges
-    - 1e-12 (deg_v + 1) T_v) / (1 + ||grad_v||) > ``residual_tol``, with
+    As in ``nl_certificate`` at its default residual_tol of 1e-4, no
+    component is polished (its u is only projected onto the balls) when
+    some node v has (||b_v|| - sum of gamma w_e over its merged edges
+    - 1e-12 (deg_v + 1) T_v) / (1 + ||grad_v||) > 1e-4, with
     T_v = ||grad_v|| + sum of gamma w_e over all its edges.
     """
     x = np.asarray(x, dtype=np.float64)
@@ -363,15 +362,14 @@ def dense_certificate_slow(x, losses, graph, gamma, merge_tol=1e-6,
             resid[i] += gw[e] * g[e]
             resid[j] -= gw[e] * g[e]
     polish = True
-    if early_reject:
-        for v in range(n):
-            ends = [e for e in range(m) if v in edges[e]]
-            gn = float(np.linalg.norm(grad[v]))
-            S = sum(gw[e] for e in ends if merged[e])
-            T = gn + sum(gw[e] for e in ends)
-            floor = (float(np.linalg.norm(resid[v])) - S
-                     - 1e-12 * (len(ends) + 1) * T) / (1.0 + gn)
-            polish = polish and not floor > residual_tol
+    for v in range(n):
+        ends = [e for e in range(m) if v in edges[e]]
+        gn = float(np.linalg.norm(grad[v]))
+        S = sum(gw[e] for e in ends if merged[e])
+        T = gn + sum(gw[e] for e in ends)
+        floor = (float(np.linalg.norm(resid[v])) - S
+                 - 1e-12 * (len(ends) + 1) * T) / (1.0 + gn)
+        polish = polish and not floor > 1e-4
     for r in sorted({root(v) for v in range(n)}):
         nodes = [v for v in range(n) if root(v) == r]
         group = [e for e in range(m) if merged[e] and root(edges[e, 0]) == r]

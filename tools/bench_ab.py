@@ -6,10 +6,11 @@
 Run from anywhere inside a checkout.  ``--parent`` is exported with
 ``git archive`` into a temporary directory; the change is the checkout
 as it stands, uncommitted edits included.  For each workload and seed,
-each side's own ``perfbench/run.py --trace 0`` runs in ``--pairs``
-alternating pairs (the parent first in even pairs, the change first in
-odd ones), and then once per side with ``--trace 1`` for the per-layer
-counts.  Runs are sequential, one at a time.
+each side's own ``perfbench/run.py --trace 0``, at the run length of
+``BENCHMARK.json``, runs in ``--pairs`` (at least 10) alternating pairs
+(the parent first in even pairs, the change first in odd ones), and
+then once per side with ``--trace 1`` for the per-layer counts.  Runs
+are sequential, one at a time.
 
 ``BENCH_<pr>.json`` at the root of the checkout holds every raw result
 line with the run's ``output_sha256``, and per end-to-end metric of
@@ -61,8 +62,7 @@ def bench(side_root, workload, seed, seconds, trace):
 
 
 def spread(values):
-    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive") \
-        if len(values) > 1 else values * 3
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
@@ -96,10 +96,13 @@ def parse_args(argv):
                    help="a workload of BENCHMARK.json (repeatable;"
                         " default: all)")
     p.add_argument("--seeds", type=int, nargs="+", required=True)
-    p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seconds", type=float,
-                   help="run length (default: BENCHMARK.json run_seconds)")
-    return p.parse_args(argv)
+    p.add_argument("--pairs", type=int, default=10,
+                   help="alternating pairs per workload and seed (at least"
+                        " 10, the fewest a gain can be claimed on)")
+    args = p.parse_args(argv)
+    if args.pairs < 10:
+        p.error("--pairs must be at least 10")
+    return args
 
 
 def main(argv=None):
@@ -108,7 +111,7 @@ def main(argv=None):
                     "rev-parse", "--show-toplevel"))
     spec = json.loads((root / "BENCHMARK.json").read_text())
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
-    seconds = args.seconds or spec["run_seconds"]
+    seconds = spec["run_seconds"]
     parent_sha = git(root, "rev-parse", args.parent)
     dirty = bool(git(root, "status", "--porcelain", "--untracked-files=no"))
     out_file = root / f"BENCH_{args.pr}.json"
