@@ -20,7 +20,6 @@ supplied gradient before it is trusted.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import minimize as _minimize
 
 __all__ = [
     "Loss",
@@ -393,14 +392,16 @@ def sum_loss_minimizer(loss, nodes):
                              "on this node set")
         return np.linalg.solve(Hsum, gsum)
 
+    from scipy.optimize import minimize
+
     def agg(xflat):
         return sum(loss.value(i, xflat) for i in nodes)
 
     def agg_grad(xflat):
         return sum(loss.gradient(i, xflat) for i in nodes)
 
-    res = _minimize(agg, np.zeros(loss.dim), jac=agg_grad, method="BFGS",
-                    options={"gtol": 1e-12, "maxiter": 1000})
+    res = minimize(agg, np.zeros(loss.dim), jac=agg_grad, method="BFGS",
+                   options={"gtol": 1e-12, "maxiter": 1000})
     if not res.success and np.linalg.norm(res.jac) > 1e-6:
         raise ValueError(f"numeric aggregate minimization failed: "
                          f"{res.message}")

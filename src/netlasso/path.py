@@ -132,18 +132,21 @@ def adjusted_rand_index(p1, p2):
     if p1.num_nodes != p2.num_nodes:
         raise ValueError("partitions cover different node counts")
     n = p1.num_nodes
-    table = np.zeros((p1.num_clusters, p2.num_clusters))
-    np.add.at(table, (p1.labels, p2.labels), 1.0)
 
-    def comb2(v):
+    def comb2(counts):
+        # integer-valued terms, so the sum is exact in any order
+        v = counts.astype(np.float64)
         return float((v * (v - 1.0) / 2.0).sum())
 
     total = n * (n - 1.0) / 2.0
     if total == 0.0:
         return 1.0
-    index = comb2(table)
-    a = comb2(table.sum(axis=1))
-    b = comb2(table.sum(axis=0))
+    # the non-empty cells of the contingency table, without the table
+    cells = np.unique(np.column_stack((p1.labels, p2.labels)), axis=0,
+                      return_counts=True)[1]
+    index = comb2(cells)
+    a = comb2(np.bincount(p1.labels))
+    b = comb2(np.bincount(p2.labels))
     expected = a * b / total
     max_index = (a + b) / 2.0
     if max_index == expected:

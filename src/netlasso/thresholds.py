@@ -67,9 +67,11 @@ class RecoveryReport:
     """Everything the recovery interval is built from, plus the interval.
 
     ``members[k]`` lists the nodes of cluster k in ascending order, and
-    the per-cluster matrices (``mu``, ``pair_ok``) are indexed in that
-    order.  ``gamma_min``/``gamma_max`` bound the strengths at which the
-    convex solver reproduces the target partition exactly, provided
+    :meth:`mu_matrix` indexes cluster k's pairs in that order.
+    ``failing_pairs[k]`` counts the node pairs (a, b) of cluster k with
+    n_k w_ab <= mu_ab, pairs with no edge included.
+    ``gamma_min``/``gamma_max`` bound the strengths at which the convex
+    solver reproduces the target partition exactly, provided
     ``premise_ok`` is true; ``coarsening_bound`` is the (possibly
     smaller) upper limit below which at least a non-trivial coarsening
     is guaranteed.
@@ -83,8 +85,7 @@ class RecoveryReport:
     smoothness: list
     node_cluster_weights: np.ndarray
     cross_weights: np.ndarray
-    mu: list
-    pair_ok: list
+    failing_pairs: list
     separated_ok: np.ndarray
     curvature_assumed: bool
     gamma_min: float
@@ -93,10 +94,23 @@ class RecoveryReport:
 
     @property
     def premise_ok(self):
-        pairs = all(bool(ok.all()) for ok in self.pair_ok)
         N = self.num_clusters
         off = ~np.eye(N, dtype=bool)
-        return pairs and bool(self.separated_ok[off].all())
+        return not any(self.failing_pairs) and \
+            bool(self.separated_ok[off].all())
+
+    def mu_matrix(self, k):
+        """Cluster k's dense n_k x n_k matrix of mu_ab (zero diagonal),
+        rebuilt on demand from the stored weights and constants."""
+        mem = np.asarray(self.members[k])
+        n_k = len(mem)
+        a, b = np.divmod(np.arange(n_k * n_k), n_k)
+        mu = _pair_mu(np.delete(self.node_cluster_weights[mem], k, axis=1),
+                      a, b, np.asarray(self.smoothness)[mem],
+                      np.asarray(self.aggregate_curvatures)[k],
+                      _outgoing(self.cross_weights)[k]).reshape(n_k, n_k)
+        np.fill_diagonal(mu, 0.0)
+        return mu
 
     def to_json_dict(self):
         return {
@@ -112,8 +126,7 @@ class RecoveryReport:
             "smoothness": _jsonify(self.smoothness),
             "node_cluster_weights": _jsonify(self.node_cluster_weights),
             "cross_weights": _jsonify(self.cross_weights),
-            "mu": _jsonify(self.mu),
-            "pair_ok": [ok.tolist() for ok in self.pair_ok],
+            "failing_pairs": list(map(int, self.failing_pairs)),
             "separated_ok": self.separated_ok.tolist(),
             "curvature_assumed": self.curvature_assumed,
         }
@@ -147,8 +160,23 @@ def _cluster_weights(graph, labels, N):
     M = sp.csr_matrix((np.ones(n), (np.arange(n), labels)), shape=(n, N))
     WM = W @ M
     cross = (M.T @ WM).toarray()
-    cross_out = cross.sum(axis=1) - np.diag(cross)
-    return W, WM.toarray(), cross, cross_out
+    return W, WM.toarray(), cross, _outgoing(cross)
+
+
+def _outgoing(cross):
+    """Each cluster's total weight to the other clusters."""
+    return cross.sum(axis=1) - np.diag(cross)
+
+
+def _pair_mu(nc, a, b, L, scale_k, out_k):
+    """mu_ab for the node pairs (a[t], b[t]) of one cluster k, given as
+    positions in its member list: the sum over the other clusters l (the
+    columns of ``nc``) of |w_a^(l) - w_b^(l)|, plus
+    (L_a + L_b) / scale_k * out_k when ``L`` is given."""
+    mu = np.abs(nc[a] - nc[b]).sum(axis=1)
+    if L is not None:
+        mu += (L[a] + L[b]) / scale_k * out_k
+    return mu
 
 
 def _interval(W, node_cluster, cross_out, members, rows, centers, scale,
@@ -161,31 +189,44 @@ def _interval(W, node_cluster, cross_out, members, rows, centers, scale,
     (L_a + L_b) / scale_k * w_out_k if ``smoothness`` is given.
     gamma_max is the smallest ratio, over cluster pairs, of
     ||centers_k - centers_k'|| to w_out_k / scale_k + w_out_k' / scale_k'.
-    Also returns the mu and pair_ok matrices and the center distances
-    of the cluster pairs in ``np.triu_indices`` order.
+    Also returns each cluster's count of pairs with n_k w_ab <= mu_ab
+    and the center distances of the cluster pairs in ``np.triu_indices``
+    order.
+
+    Ratios are computed only on the intra-cluster edges that ``W``
+    stores, so memory is O(n + m).  A pair without an edge (or with a
+    zero weight) has n_k * 0 - mu_ab <= 0, so it fails the premise and
+    its ratio is +inf when its rows differ and 0 when they are equal:
+    cluster k's end is +inf exactly when some pair without an edge has
+    rows that differ.  Rows count as equal when every coordinate is, so
+    two rows whose differences all lie below about 1e-154, where the
+    squared distance underflows to 0, count as different, and so do
+    rows holding NaN.
     """
-    mu, pair_ok, lower = [], [], []
+    failing, ends = [], []
     for k, mem in enumerate(members):
+        n_k, X = len(mem), rows[k]
         nc = np.delete(node_cluster[mem], k, axis=1)
-        mu_k = np.abs(nc[:, None, :] - nc[None, :, :]).sum(axis=2)
-        if smoothness is not None:
-            Lk = smoothness[mem]
-            mu_k += (Lk[:, None] + Lk[None, :]) / scale[k] * cross_out[k]
-        np.fill_diagonal(mu_k, 0.0)
-        den = len(mem) * W[mem][:, mem].toarray() - mu_k
-        ok = den > 0.0
-        np.fill_diagonal(ok, True)
-        off = ~np.eye(len(mem), dtype=bool)
-        dist = _norms(rows[k][:, None, :] - rows[k][None, :, :])
-        lower.append(_ratio(dist[off], den[off]))
-        mu.append(mu_k)
-        pair_ok.append(ok)
+        L = None if smoothness is None else smoothness[mem]
+        edges = sp.triu(W[mem][:, mem], k=1).tocoo()
+        a, b = edges.row, edges.col
+        den = n_k * edges.data - _pair_mu(nc, a, b, L, scale[k],
+                                          cross_out[k])
+        missing = n_k * (n_k - 1) // 2 - len(a)
+        failing.append(missing + len(a) - int(np.count_nonzero(den > 0.0)))
+        counts = np.unique(X, axis=0, return_counts=True)[1]
+        equal = int((counts * (counts - 1) // 2).sum())
+        equal_missing = equal - int((X[a] == X[b]).all(axis=1).sum())
+        if missing > equal_missing:
+            ends.append(math.inf)
+        else:
+            ends.append(_ratio(_norms(X[a] - X[b]), den).max(initial=0.0))
     iu, ju = np.triu_indices(len(members), k=1)
     gaps = _norms(centers[iu] - centers[ju])
     out = cross_out / scale
     gamma_max = _ratio(gaps, out[iu] + out[ju]).min(initial=math.inf)
-    gamma_min = np.concatenate(lower).max(initial=0.0)
-    return float(gamma_min), float(gamma_max), mu, pair_ok, gaps
+    gamma_min = np.max(ends, initial=0.0)
+    return float(gamma_min), float(gamma_max), failing, gaps
 
 
 def recovery_interval(losses, graph, labels, aggregate_curvature=None):
@@ -199,9 +240,10 @@ def recovery_interval(losses, graph, labels, aggregate_curvature=None):
     zero or loose; the report then has ``curvature_assumed`` set.
 
     Premise failures (a too-weak intra-cluster weight, or two clusters
-    whose aggregate minimizers coincide) are reported via the flag
-    matrices rather than raised: an instance that merely fails the
-    sufficient conditions is still worth inspecting.
+    whose aggregate minimizers coincide) are reported via
+    ``failing_pairs`` and ``separated_ok`` rather than raised: an
+    instance that merely fails the sufficient conditions is still worth
+    inspecting.
     """
     n = losses.num_nodes
     if graph.num_nodes != n:
@@ -231,7 +273,7 @@ def recovery_interval(losses, graph, labels, aggregate_curvature=None):
     W, node_cluster, cross, cross_out = _cluster_weights(graph, labels, N)
     grads = [np.stack([losses.gradient(i, xbar[k]) for i in mem])
              for k, mem in enumerate(members)]
-    gamma_min, gamma_max, mu, pair_ok, gaps = _interval(
+    gamma_min, gamma_max, failing, gaps = _interval(
         W, node_cluster, cross_out, members, grads, xbar, np.asarray(alpha),
         smoothness=np.asarray(L))
 
@@ -255,8 +297,7 @@ def recovery_interval(losses, graph, labels, aggregate_curvature=None):
         smoothness=L,
         node_cluster_weights=node_cluster,
         cross_weights=cross,
-        mu=mu,
-        pair_ok=pair_ok,
+        failing_pairs=failing,
         separated_ok=separated,
         curvature_assumed=curvature_assumed,
         gamma_min=gamma_min,

@@ -149,6 +149,28 @@ def pair_count_ari(labels_a, labels_b):
     return num / den
 
 
+def dense_table_ari(labels_a, labels_b):
+    """Adjusted Rand index from the dense (c1, c2) contingency table."""
+    n = len(labels_a)
+    table = np.zeros((int(labels_a.max()) + 1, int(labels_b.max()) + 1))
+    np.add.at(table, (labels_a, labels_b), 1.0)
+
+    def comb2(v):
+        return float((v * (v - 1.0) / 2.0).sum())
+
+    total = n * (n - 1.0) / 2.0
+    if total == 0.0:
+        return 1.0
+    index = comb2(table)
+    a = comb2(table.sum(axis=1))
+    b = comb2(table.sum(axis=0))
+    expected = a * b / total
+    max_index = (a + b) / 2.0
+    if max_index == expected:
+        return 1.0
+    return (index - expected) / (max_index - expected)
+
+
 def enumerate_set_partitions(items):
     """All set partitions of ``items`` (restricted growth strings)."""
     items = list(items)
@@ -290,6 +312,91 @@ def cc_thresholds_slow(points, weights, clusters):
                 + sum(w_cross(kp, l) for l in range(N) if l != kp) / len(clusters[kp])
             gamma_max = min(gamma_max, ratio(num, den))
     return gamma_min, gamma_max
+
+
+def _ratio(num, den):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = np.divide(num, den)
+    return np.where(den > 0.0, q, np.where(num > 0.0, math.inf, 0.0))
+
+
+def _norms(d):
+    return np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0])
+
+
+def dense_interval(W, node_cluster, cross_out, members, rows, centers, scale,
+                   smoothness=None):
+    """The recovery interval over every node pair, with dense n_k x n_k
+    mu and pair_ok matrices: the reference for the edge-only
+    ``thresholds._interval``."""
+    mu, pair_ok, lower = [], [], []
+    for k, mem in enumerate(members):
+        nc = np.delete(node_cluster[mem], k, axis=1)
+        mu_k = np.abs(nc[:, None, :] - nc[None, :, :]).sum(axis=2)
+        if smoothness is not None:
+            Lk = smoothness[mem]
+            mu_k += (Lk[:, None] + Lk[None, :]) / scale[k] * cross_out[k]
+        np.fill_diagonal(mu_k, 0.0)
+        den = len(mem) * W[mem][:, mem].toarray() - mu_k
+        ok = den > 0.0
+        np.fill_diagonal(ok, True)
+        off = ~np.eye(len(mem), dtype=bool)
+        dist = _norms(rows[k][:, None, :] - rows[k][None, :, :])
+        lower.append(_ratio(dist[off], den[off]))
+        mu.append(mu_k)
+        pair_ok.append(ok)
+    iu, ju = np.triu_indices(len(members), k=1)
+    gaps = _norms(centers[iu] - centers[ju])
+    out = cross_out / scale
+    gamma_max = _ratio(gaps, out[iu] + out[ju]).min(initial=math.inf)
+    gamma_min = np.concatenate(lower).max(initial=0.0)
+    return float(gamma_min), float(gamma_max), mu, pair_ok, gaps
+
+
+def dense_recovery_interval(losses, graph, labels):
+    """``thresholds.recovery_interval`` on :func:`dense_interval`: the
+    interval ends, the coarsening bound, the premise and the dense
+    per-cluster mu and pair_ok matrices."""
+    from netlasso.losses import sum_loss_minimizer
+    from netlasso.thresholds import _cluster_weights, _clusters_from_labels
+
+    n = losses.num_nodes
+    N, members = _clusters_from_labels(labels, n)
+    L = np.asarray([float(losses.smoothness(i)) for i in range(n)])
+    alpha = np.asarray([float(sum(float(losses.strong_convexity(i))
+                                  for i in mem)) for mem in members])
+    xbar = np.stack([sum_loss_minimizer(losses, mem) for mem in members])
+    grand = sum_loss_minimizer(losses, range(n))
+    W, node_cluster, _, cross_out = _cluster_weights(graph, labels, N)
+    grads = [np.stack([losses.gradient(i, xbar[k]) for i in mem])
+             for k, mem in enumerate(members)]
+    gamma_min, gamma_max, mu, pair_ok, gaps = dense_interval(
+        W, node_cluster, cross_out, members, grads, xbar, alpha,
+        smoothness=L)
+    norms = _norms(xbar)
+    iu, ju = np.triu_indices(N, k=1)
+    separated = gaps > 1e-9 * (1.0 + norms[iu] + norms[ju])
+    at_grand = np.stack([losses.gradient(i, grand) for i in range(n)])
+    pull = _norms(np.stack([np.sum(at_grand[mem], axis=0)
+                            for mem in members]))
+    return {"gamma_min": gamma_min, "gamma_max": gamma_max,
+            "coarsening_bound": float(_ratio(pull, cross_out).max(
+                initial=0.0)),
+            "premise_ok": all(bool(ok.all()) for ok in pair_ok)
+            and bool(separated.all()),
+            "mu": mu, "pair_ok": pair_ok}
+
+
+def dense_recovery_interval_cc(points, graph, labels):
+    """``thresholds.recovery_interval_cc`` on :func:`dense_interval`."""
+    from netlasso.thresholds import _cluster_weights, _clusters_from_labels
+
+    N, members = _clusters_from_labels(labels, len(points))
+    W, node_cluster, _, cross_out = _cluster_weights(graph, labels, N)
+    means = np.stack([points[mem].mean(axis=0) for mem in members])
+    sizes = np.array([len(mem) for mem in members])
+    return dense_interval(W, node_cluster, cross_out, members,
+                          [points[mem] for mem in members], means, sizes)[:2]
 
 
 def knn_pairs_slow(points, k, alpha):

@@ -1,0 +1,75 @@
+"""The A/B script's summary on synthetic pairs; nothing here runs the
+benchmark."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_path = Path(__file__).resolve().parents[1] / "tools" / "bench_ab.py"
+_spec = importlib.util.spec_from_file_location("bench_ab", _path)
+bench_ab = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_ab)
+
+SPEC = [{"name": "wall_s", "better": "lower", "bound": 0.25},
+        {"name": "ari_best", "better": "higher", "bound": 0.1}]
+
+
+def pairs_of(parent, change, name="wall_s", other=1.0):
+    """Pairs whose ``name`` reads ``parent[i]`` / ``change[i]``, the
+    other metric ``other`` on both sides."""
+    def side(value):
+        metrics = {s["name"]: {"value": other} for s in SPEC}
+        metrics[name] = {"value": value}
+        return {"metrics": metrics}
+    return [{"parent": side(a), "change": side(b)}
+            for a, b in zip(parent, change)]
+
+
+def summary(parent, change, name="wall_s"):
+    return bench_ab.summarize(pairs_of(parent, change, name), SPEC)[name]
+
+
+def test_gain_needs_nine_of_ten_wins_and_a_gap_beyond_the_spread():
+    parent = [10.0, 10.2, 9.8, 10.1, 9.9, 10.0, 10.3, 9.7, 10.0, 10.1]
+    got = summary(parent, [p - 2.0 for p in parent])
+    assert got["verdict"] == "gain"
+    assert got["change_wins"] == 10
+    assert got["pair_ratio"]["q1"] < got["pair_ratio"]["median"] \
+        < got["pair_ratio"]["q3"] < 1.0
+    # 8 of 10 wins is not enough, however large the gap
+    change = [p - 2.0 for p in parent[:8]] + [p + 0.1 for p in parent[8:]]
+    assert summary(parent, change)["verdict"] == "within_bound"
+    # 10 wins by less than the parent's interquartile range
+    assert summary(parent, [p - 0.01 for p in parent])["verdict"] \
+        == "within_bound"
+
+
+def test_higher_is_better_metrics():
+    parent = [0.30, 0.31, 0.29, 0.30, 0.30, 0.31, 0.29, 0.30, 0.30, 0.30]
+    assert summary(parent, [p + 0.1 for p in parent],
+                   "ari_best")["verdict"] == "gain"
+    assert summary(parent, [p - 0.05 for p in parent],
+                   "ari_best")["verdict"] == "worse"
+    same = summary(parent, parent, "ari_best")
+    assert same["verdict"] == "within_bound"
+    assert same["pair_ratio"] == {"median": 1.0, "q1": 1.0, "q3": 1.0}
+
+
+def test_worse_beyond_the_bound_of_the_parent_median():
+    parent = [2.0] * 10
+    assert summary(parent, [2.6] * 10)["verdict"] == "worse"
+    assert summary(parent, [2.4] * 10)["verdict"] == "within_bound"
+
+
+def test_unresolved_when_the_parent_spreads_wider_than_the_bound():
+    parent = [1.0, 3.0, 1.2, 2.8, 1.1, 2.9, 1.0, 3.0, 1.5, 2.5]
+    change = [p * 1.05 for p in parent]
+    got = summary(parent, change)
+    assert got["verdict"] == "unresolved"
+    assert got["pair_ratio"]["median"] == pytest.approx(1.05)
+    # unless every run of the change is better than every parent run
+    assert summary(parent, [0.9] * 9 + [0.95])["verdict"] \
+        == "within_bound"
+    assert summary(parent, [0.9] * 5 + [3.5] * 5)["verdict"] \
+        == "unresolved"

@@ -658,6 +658,8 @@ class TestThresholdCommands:
             assert proc.returncode == 0, proc.stderr
             written.append((out / "thresholds.json").read_bytes())
         assert written[0] == written[1]
+        # summaries only: no n_k x n_k matrix (two clusters of 750 here)
+        assert len(written[0]) < 1_000_000
 
     def test_metrics_size_mismatch_is_config_error(self, tmp_path, capsys):
         a = tmp_path / "a.json"

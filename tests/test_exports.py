@@ -1,5 +1,7 @@
 import importlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -15,3 +17,11 @@ def test_all_names_resolve(name):
     missing = [n for n in getattr(module, "__all__", ())
                if not hasattr(module, n)]
     assert missing == []
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # only the BFGS fallback of losses.sum_loss_minimizer needs it
+    code = "import sys, netlasso; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "False"

@@ -1,10 +1,11 @@
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import pair_count_ari
+from oracles import dense_table_ari, pair_count_ari
 
 from netlasso.graph import WeightedGraph, complete_graph, path_graph
 from netlasso.losses import SquaredDistance
@@ -165,6 +166,32 @@ class TestAdjustedRandIndex:
             assert got == pytest.approx(pair_count_ari(a.labels, b.labels),
                                         abs=1e-12)
             assert adjusted_rand_index(b, a) == pytest.approx(got, abs=1e-12)
+
+    def test_equals_dense_table_bitwise(self):
+        rng = np.random.default_rng(15)
+        for _ in range(200):
+            n = int(rng.integers(1, 60))
+            a = Partition(canonize(rng.integers(0, int(rng.integers(1, 12)),
+                                                size=n)))
+            b = Partition(canonize(rng.integers(0, int(rng.integers(1, 12)),
+                                                size=n)))
+            assert adjusted_rand_index(a, b) == \
+                dense_table_ari(a.labels, b.labels)
+
+    def test_no_dense_contingency_table(self):
+        # 5,000 clusters on each side: the dense table alone would take
+        # 5,000^2 * 8 bytes = 200 MB
+        n, c = 10_000, 5_000
+        rng = np.random.default_rng(3)
+        p1 = Partition(np.arange(n) % c)
+        p2 = Partition(canonize(rng.permutation(n) % c))
+        tracemalloc.start()
+        try:
+            adjusted_rand_index(p1, p2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < c * c * 8 / 100
 
     def test_zero_denominator_cases(self):
         p1 = Partition(np.arange(3))

@@ -4,8 +4,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import cc_thresholds_slow, recovery_thresholds_slow
+from oracles import (cc_thresholds_slow, dense_recovery_interval,
+                     dense_recovery_interval_cc, recovery_thresholds_slow)
 
+from netlasso.datasets import gen_half_moons
 from netlasso.graph import (WeightedGraph, complete_graph, knn_gaussian_graph,
                             path_graph)
 from netlasso.losses import CustomLoss, Quadratic, RidgeRegression, SquaredDistance
@@ -40,8 +42,8 @@ class TestRecoveryInterval:
         # cluster curvature 2, cross sum 4w, mu = 4w for every intra pair
         assert report.aggregate_curvatures == [2.0, 2.0]
         assert report.cross_weights[0, 1] == pytest.approx(0.4)
-        for mu_k in report.mu:
-            assert mu_k[0, 1] == pytest.approx(0.4)
+        for k in range(report.num_clusters):
+            assert report.mu_matrix(k)[0, 1] == pytest.approx(0.4)
         assert report.gamma_max == pytest.approx(10.0 / 0.4)
         assert report.gamma_min == pytest.approx(1.0 / (2.0 - 0.4))
         assert report.coarsening_bound == pytest.approx(10.0 / 0.4)
@@ -64,7 +66,7 @@ class TestRecoveryInterval:
                 for b, j in enumerate(mem):
                     if i == j:
                         continue
-                    assert report.mu[k][a, b] == pytest.approx(
+                    assert report.mu_matrix(k)[a, b] == pytest.approx(
                         oracle["mu"][(k, i, j)], rel=1e-9)
 
     def test_slow_oracle_on_uneven_ridge_instance(self):
@@ -110,7 +112,7 @@ class TestRecoveryInterval:
             for a, i in enumerate(mem):
                 for b, j in enumerate(mem):
                     if i != j:
-                        assert report.mu[k][a, b] == pytest.approx(
+                        assert report.mu_matrix(k)[a, b] == pytest.approx(
                             oracle["mu"][(k, i, j)], rel=1e-9)
         lo, hi = recovery_interval_cc(losses, graph, labels)
         lo_o, hi_o = cc_thresholds_slow(pts, wd, clusters)
@@ -140,8 +142,8 @@ class TestRecoveryInterval:
         losses, graph, labels, _ = two_pair_instance(0.0)
         report = recovery_interval(losses, graph, labels)
         assert report.gamma_max == math.inf
-        for mu_k in report.mu:
-            np.testing.assert_allclose(mu_k, 0.0)
+        for k in range(report.num_clusters):
+            np.testing.assert_allclose(report.mu_matrix(k), 0.0)
         assert report.gamma_min == pytest.approx(0.5)
         assert report.premise_ok
 
@@ -159,7 +161,7 @@ class TestRecoveryInterval:
         # n_k w_ij = 2 while mu = 2.4
         assert not report.premise_ok
         assert report.gamma_min == math.inf
-        assert not report.pair_ok[0][0, 1]
+        assert report.failing_pairs[0] == 1
 
     def test_coincident_minimizers_flagged(self):
         pts = np.array([[0.0], [1.0], [0.0], [1.0]])
@@ -214,6 +216,105 @@ class TestRecoveryInterval:
         assert back["gamma_min"] == pytest.approx(0.5)
         assert back["premise_ok"] is True
         assert back["cluster_sizes"] == [2, 2]
+        assert back["failing_pairs"] == [0, 0]
+        assert "mu" not in back and "pair_ok" not in back
+
+
+def random_interval_instance(rng, t):
+    """Points, labels, a graph and a loss for the edge-only interval:
+    N = 1-4 clusters, p = 1-3, kNN, uniform complete, kernel complete and
+    kernel complete graphs with zeroed intra-cluster weights, some rows
+    duplicated or rounded, and squared-distance or scalar quadratic
+    losses."""
+    N, p = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+    sizes = rng.integers(1, 9, size=N)
+    labels = np.repeat(np.arange(N), sizes)
+    n = len(labels)
+    spread = [0.5, 4.0, 20.0][t % 3]
+    pts = spread * rng.normal(size=(N, p))[labels] \
+        + 0.3 * rng.normal(size=(n, p))
+    if rng.random() < 0.4:
+        src = rng.integers(0, n, size=n // 2 + 1)
+        dst = rng.integers(0, n, size=n // 2 + 1)
+        pts[dst] = pts[src]
+    if rng.random() < 0.3:
+        pts = np.round(pts)
+    kind = (t // 3) % 4
+    if kind == 0 and n > 1:
+        graph = knn_gaussian_graph(pts, int(rng.integers(1, min(6, n))),
+                                   alpha=float(rng.uniform(0.05, 2.0)))
+    elif kind == 1:
+        graph = complete_graph(n)
+    else:
+        graph = complete_graph(n, pts, alpha=float(rng.uniform(0.01, 1.0)))
+        if kind == 3:
+            w = graph.weights.copy()
+            intra = labels[graph.edges[:, 0]] == labels[graph.edges[:, 1]]
+            w[intra & (rng.random(len(w)) < 0.4)] = 0.0
+            graph = WeightedGraph(n, graph.edges, w)
+    if rng.random() < 0.3:
+        h = rng.uniform(0.5, 2.0, size=n)
+        loss = Quadratic(h[:, None, None] * np.eye(p), pts)
+    else:
+        loss = SquaredDistance(pts)
+    return pts, labels, graph, loss
+
+
+class TestEdgeOnlyInterval:
+    def test_matches_dense_reference_bitwise(self):
+        rng = np.random.default_rng(15)
+        seen = {"premise": 0, "no_premise": 0, "inf": 0, "finite": 0,
+                "duplicates": 0}
+        for t in range(150):
+            pts, labels, graph, loss = random_interval_instance(rng, t)
+            report = recovery_interval(loss, graph, labels)
+            dense = dense_recovery_interval(loss, graph, labels)
+            for key in ("gamma_min", "gamma_max", "coarsening_bound",
+                        "premise_ok"):
+                assert getattr(report, key) == dense[key], (t, key)
+            for k, (mu, ok) in enumerate(zip(dense["mu"], dense["pair_ok"])):
+                upper = np.triu_indices(len(ok), k=1)
+                assert report.failing_pairs[k] == \
+                    np.count_nonzero(~ok[upper]), (t, k)
+                assert report.mu_matrix(k).tobytes() == mu.tobytes(), (t, k)
+            assert recovery_interval_cc(pts, graph, labels) == \
+                dense_recovery_interval_cc(pts, graph, labels), t
+            seen["premise" if report.premise_ok else "no_premise"] += 1
+            seen["inf" if math.isinf(report.gamma_min) else "finite"] += 1
+            seen["duplicates"] += len(np.unique(pts, axis=0)) < len(pts)
+        assert min(seen.values()) >= 10, seen
+
+    def test_missing_edge_between_equal_rows_gives_zero(self):
+        # nodes 0 and 1 share a point and have no edge: a ratio of 0, so
+        # the end comes from the edges alone; the pair still fails
+        pts = np.array([[0.0], [0.0], [1.0]])
+        graph = WeightedGraph(3, [(0, 2), (1, 2)], [1.0, 1.0])
+        report = recovery_interval(SquaredDistance(pts), graph, [0, 0, 0])
+        assert report.gamma_min == pytest.approx(1.0 / 3.0)
+        assert report.failing_pairs == [1]
+        assert not report.premise_ok
+        assert recovery_interval_cc(pts, graph, [0, 0, 0])[0] == \
+            pytest.approx(1.0 / 3.0)
+        pts[1] = 0.5
+        assert recovery_interval_cc(pts, graph, [0, 0, 0])[0] == math.inf
+
+    def test_intervals_take_no_cluster_by_cluster_memory(self):
+        # two clusters of 1,500 on a kNN graph: one dense n_k x n_k
+        # float matrix would take n_k^2 * 8 bytes
+        data = gen_half_moons(3000, noise_sd=0.08, seed=7)
+        graph = knn_gaussian_graph(data.points, 10, alpha=15.0)
+        n_k = 1500
+        for run in (lambda: recovery_interval(SquaredDistance(data.points),
+                                              graph, data.labels),
+                    lambda: recovery_interval_cc(data.points, graph,
+                                                 data.labels)):
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < n_k * n_k * 8 / 4
 
 
 class TestRecoveryIntervalCC:

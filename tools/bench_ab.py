@@ -16,9 +16,21 @@ are sequential, one at a time.
 line with the run's ``output_sha256``, and per end-to-end metric of
 ``BENCHMARK.json`` each side's median and quartiles, the change's wins
 and losses over the pairs (ties count for neither, "better" as
-``BENCHMARK.json`` says) and the ratio of the medians.  The file is
-rewritten after every workload and seed, so a stopped run keeps what it
-finished.
+``BENCHMARK.json`` says), the ratio of the medians, the quartiles of
+the per-pair ratio change/parent and a verdict:
+
+* ``gain``: the change wins at least 9 of 10 pairs and its median is
+  better than the parent's by more than the parent's interquartile
+  range;
+* ``worse``: the change's median is worse than the parent's by more
+  than the metric's bound, a fraction of the parent's median;
+* ``unresolved``: the parent's interquartile range is wider than the
+  bound and not every run of the change is better than every run of
+  the parent;
+* ``within_bound`` otherwise.
+
+The file is rewritten after every workload and seed, so a stopped run
+keeps what it finished.
 """
 
 import argparse
@@ -66,9 +78,30 @@ def spread(values):
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
+def verdict(old, new, wins, lower, bound):
+    """``gain``, ``worse``, ``unresolved`` or ``within_bound`` for one
+    metric's per-pair values (see the module docstring)."""
+    parent, change = spread(old), spread(new)
+    # how much better the change's median is; the bound scales the
+    # parent's median
+    gap = (parent["median"] - change["median"]) if lower \
+        else (change["median"] - parent["median"])
+    limit = bound * abs(parent["median"])
+    iqr = parent["q3"] - parent["q1"]
+    if 10 * wins >= 9 * len(old) and gap > iqr:
+        return "gain"
+    if -gap > limit:
+        return "worse"
+    all_better = max(new) < min(old) if lower else min(new) > max(old)
+    if iqr > limit and not all_better:
+        return "unresolved"
+    return "within_bound"
+
+
 def summarize(pairs, end_to_end):
-    """Per metric: each side's median and quartiles, and the change's
-    wins and losses against the parent of the same pair."""
+    """Per metric: each side's median and quartiles, the change's wins
+    and losses against the parent of the same pair, the quartiles of
+    the per-pair ratio change/parent and the verdict."""
     out = {}
     for spec in end_to_end:
         name, lower = spec["name"], spec["better"] == "lower"
@@ -77,11 +110,15 @@ def summarize(pairs, end_to_end):
         wins = sum((b < a) if lower else (b > a) for a, b in zip(old, new))
         losses = sum((b > a) if lower else (b < a) for a, b in zip(old, new))
         parent, change = spread(old), spread(new)
+        ratios = [b / a for a, b in zip(old, new) if a]
         out[name] = {
             "parent": parent, "change": change, "pairs": len(pairs),
             "change_wins": wins, "change_losses": losses,
             "median_ratio": change["median"] / parent["median"]
             if parent["median"] else None,
+            "pair_ratio": spread(ratios) if len(ratios) > 1 else None,
+            "bound": spec["bound"],
+            "verdict": verdict(old, new, wins, lower, spec["bound"]),
         }
     return out
 
