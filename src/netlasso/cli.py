@@ -12,18 +12,17 @@ Exit codes: 0 success, 2 config error, 3 numerical failure.
 """
 
 import argparse
-import csv
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from .datasets import (gen_half_moons, gen_piecewise_signal,
-                       gen_two_line_regression, load_csv, load_signal_csv,
-                       save_csv, save_signal_csv)
+from .datasets import (_read_rows, _write_rows, gen_half_moons,
+                       gen_piecewise_signal, gen_two_line_regression,
+                       load_csv, load_signal_csv, save_csv, save_signal_csv)
 from .graph import (complete_graph, knn_gaussian_graph, load_edge_list,
                     path_graph, sigma_min_DDt)
 from .losses import RidgeRegression, SquaredDistance
@@ -62,31 +61,28 @@ def _require(where, raw, allowed, required=()):
         raise ConfigError(f"{where}: missing key(s): {', '.join(missing)}")
 
 
-def _num(minimum=None, above=None):
+def _num(minimum=None, above=None, maximum=None, integer=False):
+    """A number (an integer when ``integer``) within the given bounds."""
     def check(where, value):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{where} must be a number")
-        v = float(value)
-        if not math.isfinite(v):
+        if isinstance(value, bool) or not isinstance(
+                value, int if integer else (int, float)):
+            raise ConfigError(f"{where} must be"
+                              f" {'an integer' if integer else 'a number'}")
+        v = value if integer else float(value)
+        if not (integer or math.isfinite(v)):
             raise ConfigError(f"{where} must be finite")
         if minimum is not None and v < minimum:
             raise ConfigError(f"{where} must be >= {minimum}")
         if above is not None and v <= above:
             raise ConfigError(f"{where} must be > {above}")
+        if maximum is not None and v > maximum:
+            raise ConfigError(f"{where} must be <= {maximum}")
         return v
     return check
 
 
 def _int(minimum=None, maximum=None):
-    def check(where, value):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{where} must be an integer")
-        if minimum is not None and value < minimum:
-            raise ConfigError(f"{where} must be >= {minimum}")
-        if maximum is not None and value > maximum:
-            raise ConfigError(f"{where} must be <= {maximum}")
-        return value
-    return check
+    return _num(minimum, maximum=maximum, integer=True)
 
 
 def _str(choices=None):
@@ -142,31 +138,27 @@ def _tuple(*items):
 
 
 # ---------------------------------------------------------------------------
-# config objects: tables of fields, each with its check, default and flags
+# config objects: tables of fields, each with its check, default and flag
 
 
 REQUIRED = object()
 _SET_TRUE = {"action": "store_const", "const": True}
 
 
-@dataclass(frozen=True)
 class _Field:
     """One entry of a config object.
 
     ``check(where, value)`` validates the raw value and fills in
     defaults; ``default`` stands in for an absent entry unless it is
-    ``REQUIRED``.  Each flag is ``(option strings, argparse keywords)``
-    and sets this entry, so a task offers a flag exactly when its schema
-    has the entry the flag sets.
+    ``REQUIRED``.  ``flags`` holds the flag that sets this entry, if
+    any: its option strings ``opts`` and argparse keywords ``kwargs``.
+    So a task offers a flag exactly when its schema has the entry the
+    flag sets.
     """
-    check: object
-    default: object = REQUIRED
-    flags: tuple = ()
 
-
-def _flagged(check, default, *opts, **kwargs):
-    """A field set by one flag."""
-    return _Field(check, default, ((opts, kwargs),))
+    def __init__(self, check, default=REQUIRED, *opts, **kwargs):
+        self.check, self.default = check, default
+        self.flags = ((opts, kwargs),) if opts else ()
 
 
 def _walk(where, raw, fields, prefix):
@@ -195,7 +187,7 @@ class _Kinded(_Section):
 
     def __init__(self, flag, tables):
         kinds = tuple(tables)
-        kind = _flagged(_str(kinds), REQUIRED, flag, choices=kinds)
+        kind = _Field(_str(kinds), REQUIRED, flag, choices=kinds)
         self.tables = {name: {"kind": kind, **table}
                        for name, table in tables.items()}
         super().__init__({key: field for table in self.tables.values()
@@ -227,9 +219,7 @@ class _Either(_Section):
 
 
 def _gamma_flag(text):
-    if text == "auto":
-        return "auto"
-    return float(text)
+    return text if text == "auto" else float(text)
 
 
 def _int_list_flag(text):
@@ -261,62 +251,64 @@ _SCHEDULE = _optional(_Section({
     "cap": _Field(_auto(_num(above=0.0)), "auto"),
     "period": _Field(_int(minimum=1), 100)}))
 
-_OUTPUT = _Field(_Section({"dir": _flagged(_str(), REQUIRED, "--out-dir")}))
-_SEED = _flagged(_int(), 0, "--seed", type=int)
-_MERGE_TOL = _flagged(_num(above=0.0), 1e-6, "--merge-tol", type=float)
+_SEED = _Field(_int(), 0, "--seed", type=int)
+_MERGE_TOL = _Field(_num(above=0.0), 1e-6, "--merge-tol", type=float)
 _INIT = _Field(_Kinded("--init", {
     "minimizers": {},
-    "from-file": {"file": _flagged(_str(), REQUIRED, "--init-file")},
+    "from-file": {"file": _Field(_str(), REQUIRED, "--init-file")},
     "nl-midpoint": {"grid": _Field(_GRID, {})}}), {"kind": "minimizers"})
 # complete / path: alpha null means uniform unit weights
-_PLAIN_ALPHA = {"alpha": _flagged(_optional(_num(above=0.0)), None,
-                                  "--alpha", type=float)}
+_PLAIN_ALPHA = {"alpha": _Field(_optional(_num(above=0.0)), None,
+                                "--alpha", type=float)}
 # data, graph and loss: the problem instance of every task that reads data
 _INSTANCE = {
     "data": _Field(_Section({
-        "file": _flagged(_str(), REQUIRED, "--data-file"),
-        "has_labels": _flagged(_bool, False, "--has-labels", **_SET_TRUE),
-        "has_responses": _flagged(_bool, False, "--has-responses",
-                                  **_SET_TRUE)})),
+        "file": _Field(_str(), REQUIRED, "--data-file"),
+        "has_labels": _Field(_bool, False, "--has-labels", **_SET_TRUE),
+        "has_responses": _Field(_bool, False, "--has-responses",
+                                **_SET_TRUE)})),
     "graph": _Field(_Kinded("--graph", {
         "complete": _PLAIN_ALPHA,
-        "knn": {"k": _flagged(_int(minimum=1), REQUIRED, "--knn-k", type=int),
-                "alpha": _flagged(_num(above=0.0), 0.5, "--alpha",
-                                  type=float)},
+        "knn": {"k": _Field(_int(minimum=1), REQUIRED, "--knn-k", type=int),
+                "alpha": _Field(_num(above=0.0), 0.5, "--alpha",
+                                type=float)},
         "path": _PLAIN_ALPHA,
-        "edge-list": {"file": _flagged(_str(), REQUIRED, "--graph-file")},
+        "edge-list": {"file": _Field(_str(), REQUIRED, "--graph-file")},
     }), {"kind": "complete"}),
     "loss": _Field(_Kinded("--loss", {
         "squared-distance": {},
-        "ridge": {"epsilon": _flagged(_num(above=0.0), 1e-2, "--epsilon",
-                                      type=float)},
+        "ridge": {"epsilon": _Field(_num(above=0.0), 1e-2, "--epsilon",
+                                    type=float)},
     }), {"kind": "squared-distance"}),
 }
+# the last entries of a solving task's schema
+_RUN = {"merge_tol": _MERGE_TOL, "seed": _SEED}
+_OUTPUT = _Field(_Section({"dir": _Field(_str(), REQUIRED, "--out-dir")}))
 
 
 def _gamma(default=REQUIRED, allow_auto=True):
-    return _flagged(_auto(_num(minimum=0.0), allow_auto), default, "--gamma",
-                    type=_gamma_flag if allow_auto else float)
+    return _Field(_auto(_num(minimum=0.0), allow_auto), default, "--gamma",
+                  type=_gamma_flag if allow_auto else float)
 
 
-def _solver(default_rho, schedule, default_schedule=None):
-    """The solver section: its rho default and its rho_schedule check."""
+def _solver(rho=1.0, schedule=_convex_schedule, default_schedule=None):
+    """The solver section: its rho default and its rho_schedule check and
+    default, by default those of the convex tasks, which take none."""
     updates = ("auto", "exact", "linearized")
     return _Field(_Section({
-        "rho": _flagged(_num(above=0.0), default_rho, "--rho", type=float),
-        "x_update": _flagged(_str(updates), "auto", "--x-update",
-                             choices=updates),
-        "smoothness": _flagged(_optional(_num(above=0.0)), None,
-                               "--smoothness", type=float),
-        "max_iters": _flagged(_int(minimum=1), 1000, "--max-iters", type=int),
-        "eps_abs": _flagged(_num(above=0.0), 1e-5, "--eps-abs", type=float),
-        "eps_rel": _flagged(_num(above=0.0), 1e-5, "--eps-rel", type=float),
+        "rho": _Field(_num(above=0.0), rho, "--rho", type=float),
+        "x_update": _Field(_str(updates), "auto", "--x-update",
+                           choices=updates),
+        "smoothness": _Field(_optional(_num(above=0.0)), None,
+                             "--smoothness", type=float),
+        "max_iters": _Field(_int(minimum=1), 1000, "--max-iters", type=int),
+        "eps_abs": _Field(_num(above=0.0), 1e-5, "--eps-abs", type=float),
+        "eps_rel": _Field(_num(above=0.0), 1e-5, "--eps-rel", type=float),
         "rho_schedule": _Field(schedule, default_schedule)}), {})
 
 
-_CONVEX_SOLVER = _solver(1.0, _convex_schedule)
-_GEN_N = _flagged(_int(minimum=2), REQUIRED, "--n", type=int)
-_GEN_NOISE = _flagged(_num(minimum=0.0), 0.0, "--noise-sd", type=float)
+_GEN_N = _Field(_int(minimum=2), REQUIRED, "--n", type=int)
+_GEN_NOISE = _Field(_num(minimum=0.0), 0.0, "--noise-sd", type=float)
 
 
 def normalize_config(raw):
@@ -325,10 +317,7 @@ def normalize_config(raw):
     Normalization is idempotent, which is what makes the parse ->
     serialize -> parse round trip the identity.
     """
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
-    if "task" not in raw:
-        raise ConfigError("config: missing key(s): task")
+    _require("config", raw, raw, ("task",))
     task = _str(TASKS)("task", raw["task"])
     return _walk("config", raw,
                  {"task": _Field(_str()), **TASKS[task].schema}, "")
@@ -372,11 +361,9 @@ def _build_graph(spec, data):
         if spec["k"] >= n:
             raise ConfigError(f"graph.k must be < number of nodes ({n})")
         return knn_gaussian_graph(points, spec["k"], spec["alpha"])
-    alpha = spec["alpha"]
     builder = complete_graph if kind == "complete" else path_graph
-    if alpha is None:
-        return builder(n)
-    return builder(n, points=points, alpha=alpha)
+    return builder(n, points=None if spec["alpha"] is None else points,
+                   alpha=spec["alpha"])
 
 
 def _build_loss(spec, data):
@@ -395,9 +382,8 @@ def _instance(config):
     data = _read("data", load_csv, spec["file"],
                  has_labels=spec["has_labels"],
                  has_responses=spec["has_responses"])
-    losses = _build_loss(config["loss"], data)
-    graph = _build_graph(config["graph"], data)
-    return data, losses, graph
+    return data, _build_loss(config["loss"], data), _build_graph(
+        config["graph"], data)
 
 
 def _truth(data):
@@ -460,21 +446,18 @@ def _k_values(spec, num_edges):
     return values
 
 
-def _solver_options(spec, graph=None, stopping_only=False):
-    """Keyword options for ``SolverConfig``, ``solve_nl`` and the paths,
-    from a parsed solver section.
+# the options of the auxiliary convex solves (the nl-midpoint init and the
+# piecewise baseline), which run at solve_nl's own rho and x-step
+_STOPPING = ("max_iters", "eps_abs", "eps_rel")
 
-    ``stopping_only`` keeps only the iteration cap and the tolerances:
-    the auxiliary convex solves (the nl-midpoint init and the piecewise
-    baseline) run at solve_nl's own rho and x-step.  A rho schedule is
-    only ever set for the trimmed tasks; its "auto" cap is the
-    surjectivity threshold of ``graph``.
-    """
-    keys = ["max_iters", "eps_abs", "eps_rel"]
-    if stopping_only:
-        return {key: spec[key] for key in keys}
+
+def _solver_options(spec, graph=None):
+    """Keyword options for ``SolverConfig``, ``solve_nl`` and the paths,
+    from a parsed solver section.  A rho schedule is only ever set for
+    the trimmed tasks; its "auto" cap is the surjectivity threshold of
+    ``graph``."""
     options = {key: spec[key]
-               for key in keys + ["rho", "x_update", "smoothness"]}
+               for key in _STOPPING + ("rho", "x_update", "smoothness")}
     schedule = spec["rho_schedule"]
     if schedule is not None:
         cap = schedule["cap"]
@@ -484,18 +467,8 @@ def _solver_options(spec, graph=None, stopping_only=False):
                 raise ConfigError("rho cap \"auto\" needs a connected graph"
                                   " with surjective differences")
             cap = 2.0 / (0.99 * sigma)
-        options["rho_schedule"] = RhoSchedule(
-            multiplier=schedule["multiplier"], cap=cap,
-            period=schedule["period"])
+        options["rho_schedule"] = RhoSchedule(**dict(schedule, cap=cap))
     return options
-
-
-def _load_centroids_csv(path):
-    """The values of a centroids.csv: a header, then per node its index
-    and its coordinates."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    return np.asarray([[float(c) for c in row[1:]] for row in rows[1:]])
 
 
 def _initial_x(spec, losses, graph, solver_spec):
@@ -503,7 +476,10 @@ def _initial_x(spec, losses, graph, solver_spec):
     if kind == "minimizers":
         return losses.all_minimizers()
     if kind == "from-file":
-        x0 = _read("init", _load_centroids_csv, spec["file"])
+        # a centroids.csv: a header, then per node its index and values
+        x0 = _read("init", lambda file: np.asarray(
+            [[float(c) for c in row[1:]] for row in _read_rows(file)[1:]]),
+            spec["file"])
         if x0.shape != (losses.num_nodes, losses.dim):
             raise ConfigError(f"init file {spec['file']} has shape"
                               f" {x0.shape}, expected"
@@ -511,7 +487,7 @@ def _initial_x(spec, losses, graph, solver_spec):
         return x0
     path = gamma_path(losses, graph, _gamma_values(spec["grid"]),
                       warm_start=True, stop_on_full_merge=True,
-                      **_solver_options(solver_spec, stopping_only=True))
+                      **{key: solver_spec[key] for key in _STOPPING})
     try:
         return midpoint_init(path)
     except ValueError as exc:
@@ -539,6 +515,19 @@ def _solve(solve, losses, graph, strength, merge_tol, **options):
     return state, reason, extract_partition(state.x, graph, merge_tol)
 
 
+def _solve_trimmed(config, losses, graph, K, x0=None):
+    """The trimmed solve of a config at cardinality ``K`` from ``x0``,
+    by default the config's init: its strength, then ``_solve``'s
+    state, stop reason and partition."""
+    gamma = _resolve_gamma(config["gamma"], losses)
+    solver_config = SolverConfig(gamma=gamma, cardinality=K,
+                                 **_solver_options(config["solver"], graph))
+    if x0 is None:
+        x0 = _initial_x(config["init"], losses, graph, config["solver"])
+    return (gamma, *_solve(solve_ntl, losses, graph, solver_config,
+                           config["merge_tol"], x0=x0))
+
+
 def _check_path(path):
     """Fail on a diverged step; name the steps cut at max-iters on stderr."""
     if any(step.stop_reason == DIVERGED for step in path.steps):
@@ -552,34 +541,26 @@ def _check_path(path):
 
 
 def _write_json(path, payload):
-    text = json.dumps(_jsonify(payload), sort_keys=True, indent=2) + "\n"
-    Path(path).write_text(text)
+    Path(path).write_text(serialize_config(_jsonify(payload)))
 
 
-def _write_csv(path, header, rows, start=0):
-    """``header``, then per row its index (counted from ``start``) and
-    its values as ``repr`` floats."""
-    lines = [header]
-    for i, row in enumerate(rows, start=start):
-        lines.append(",".join([str(i)] + [repr(float(v)) for v in row]))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def _write_solve(out, state, reason, part, merge_tol, optimality):
+def _write_solve(out, config, state, reason, part, kind, report, **extra):
     """centroids.csv, trace.csv, partition.json and optimality.json of one
-    solver run; ``optimality`` holds the check that fits the problem."""
+    solver run; ``report`` is the check of ``kind`` that fits the
+    problem."""
     dims = ",".join(f"dim{c}" for c in range(state.x.shape[1]))
-    _write_csv(out / "centroids.csv", "node," + dims, state.x)
-    _write_csv(out / "trace.csv", "iter,objective,augmented_lagrangian,"
-               "primal_residual,x_change,rho",
-               zip(state.objectives, state.aug_lagrangians,
-                   state.primal_residuals, state.x_changes, state.rhos),
-               start=1)
+    _write_rows(out / "centroids.csv", "node," + dims, state.x, start=0)
+    _write_rows(out / "trace.csv", "iter,objective,augmented_lagrangian,"
+                "primal_residual,x_change,rho",
+                zip(state.objectives, state.aug_lagrangians,
+                    state.primal_residuals, state.x_changes, state.rhos),
+                start=1)
     _write_json(out / "partition.json", {
         "labels": [int(v) for v in part.labels],
-        "num_clusters": part.num_clusters, "merge_tol": merge_tol})
+        "num_clusters": part.num_clusters, "merge_tol": config["merge_tol"]})
     _write_json(out / "optimality.json", dict(
-        optimality, objective=state.objectives[-1], stop_reason=reason,
+        kind=kind, passed=report.passed, **extra, **asdict(report),
+        objective=state.objectives[-1], stop_reason=reason,
         iterations=state.iterations, num_clusters=part.num_clusters))
 
 
@@ -587,59 +568,46 @@ def _path_artifacts(out, path):
     _check_path(path)
     with open(out / "path.json", "w") as fh:
         save_path_json(path, fh)
-    with open(out / "path_centroids.csv", "w") as fh:
-        save_centroids_csv(path, fh)
+    save_centroids_csv(path, out / "path_centroids.csv")
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 
+# per generator kind: the function that takes the generator's entries
+# and the seed, the writer of its result and the file it writes
+_GENERATORS = {"two-line": (gen_two_line_regression, save_csv, "data.csv"),
+               "half-moons": (gen_half_moons, save_csv, "data.csv"),
+               "piecewise": (_piecewise_signal, save_signal_csv, "signal.csv")}
+
+
 def cmd_gen_data(config, out):
-    gen = config["generator"]
-    seed = config["seed"]
-    if gen["kind"] == "piecewise":
-        signal = _piecewise_signal(gen["levels"], gen["noise_sd"], seed)
-        save_signal_csv(signal, out / "signal.csv")
-        return
-    if gen["kind"] == "two-line":
-        data = gen_two_line_regression(gen["n"], slopes=tuple(gen["slopes"]),
-                                       intercepts=tuple(gen["intercepts"]),
-                                       x_range=tuple(gen["x_range"]),
-                                       noise_sd=gen["noise_sd"], seed=seed)
-    else:
-        data = gen_half_moons(gen["n"], noise_sd=gen["noise_sd"], seed=seed)
-    save_csv(data, out / "data.csv")
+    gen = dict(config["generator"])
+    generate, save, name = _GENERATORS[gen.pop("kind")]
+    save(generate(seed=config["seed"], **gen), out / name)
 
 
 def cmd_solve_nl(config, out):
     data, losses, graph = _instance(config)
-    merge_tol = config["merge_tol"]
     state, reason, part = _solve(solve_nl, losses, graph, config["gamma"],
-                                 merge_tol,
+                                 config["merge_tol"],
                                  **_solver_options(config["solver"]))
     report = nl_certificate(state.x, losses, graph, config["gamma"],
-                            merge_tol=merge_tol)
-    _write_solve(out, state, reason, part, merge_tol, {
-        "kind": "subgradient-certificate", "passed": report.passed,
-        **asdict(report)})
+                            merge_tol=config["merge_tol"])
+    _write_solve(out, config, state, reason, part, "subgradient-certificate",
+                 report)
 
 
 def cmd_solve_ntl(config, out):
     data, losses, graph = _instance(config)
     K = config["cardinality"]
     _check_cardinality(K, graph.num_edges)
-    gamma = _resolve_gamma(config["gamma"], losses)
-    solver_config = SolverConfig(gamma=gamma, cardinality=K,
-                                 **_solver_options(config["solver"], graph))
-    x0 = _initial_x(config["init"], losses, graph, config["solver"])
-    state, reason, part = _solve(solve_ntl, losses, graph, solver_config,
-                                 config["merge_tol"], x0=x0)
+    gamma, state, reason, part = _solve_trimmed(config, losses, graph, K)
     report = stationarity_check(state.x, losses, graph, gamma, K,
                                 seed=config["seed"])
-    _write_solve(out, state, reason, part, config["merge_tol"], {
-        "kind": "directional-stationarity", "passed": report.passed,
-        "gamma": gamma, **asdict(report)})
+    _write_solve(out, config, state, reason, part,
+                 "directional-stationarity", report, gamma=gamma)
 
 
 def cmd_k_path(config, out):
@@ -671,8 +639,8 @@ def cmd_thresholds(config, out):
     if isinstance(losses, SquaredDistance):
         payload["3nC"] = clustering_threshold(losses.points)
     if truth is not None:
-        report = recovery_interval(losses, graph, data.labels)
-        payload["recovery"] = report.to_json_dict()
+        payload["recovery"] = recovery_interval(losses, graph,
+                                                data.labels).to_json_dict()
         if isinstance(losses, SquaredDistance):
             lo, hi = recovery_interval_cc(losses, graph, data.labels)
             payload["cc_specialized"] = {"gamma_min": lo, "gamma_max": hi}
@@ -689,9 +657,7 @@ def _midpoint_gamma(lo, hi):
         return 0.5 * hi if math.isfinite(hi) else 1.0
     if math.isfinite(hi):
         return 0.5 * (lo + hi)
-    if lo > 0:
-        return 2.0 * lo
-    return 1.0
+    return 2.0 * lo if lo > 0 else 1.0
 
 
 def cmd_recovery_check(config, out):
@@ -763,11 +729,10 @@ def _fit(gamma, x, part, signal):
 
     On the chain every cluster is a run of samples, so the jumps are
     where the partition labels change."""
-    estimate = x[:, 0]
     jumps = [int(i) + 1 for i in np.flatnonzero(np.diff(part.labels))]
     return {"gamma": float(gamma),
-            "error": float(np.linalg.norm(estimate - signal.original)),
-            "jumps": jumps, "num_jumps": len(jumps), "estimate": estimate}
+            "error": float(np.linalg.norm(x[:, 0] - signal.original)),
+            "jumps": jumps, "num_jumps": len(jumps)}
 
 
 def cmd_piecewise(config, out):
@@ -775,78 +740,63 @@ def cmd_piecewise(config, out):
     if "file" in spec:
         signal = _read("signal", load_signal_csv, spec["file"])
     else:
-        signal = _piecewise_signal(spec["levels"], spec["noise_sd"],
-                                   spec["seed"])
+        signal = _piecewise_signal(**spec)
     n = signal.original.size
     noisy = signal.noisy.reshape(-1, 1)
     losses = SquaredDistance(noisy)
     K = config["cardinality"]
     _check_cardinality(K, n - 1)
-    merge_tol = config["merge_tol"]
 
-    # trimmed run: plain path graph, strength from the exact-penalty
-    # preset unless pinned, rho schedule per config (capped at the
-    # surjectivity threshold when "auto")
-    plain = path_graph(n)
-    gamma = _resolve_gamma(config["gamma"], losses)
-    solver_config = SolverConfig(gamma=gamma, cardinality=K,
-                                 **_solver_options(config["solver"], plain))
-    state, reason, part = _solve(solve_ntl, losses, plain, solver_config,
-                                 merge_tol, x0=noisy)
-    ntl = _fit(gamma, state.x, part, signal)
-
-    # convex baseline: Gaussian-weighted path graph, one cold-started
-    # run per strength on the grid
+    # trimmed run on the plain path graph; convex baseline on the
+    # Gaussian-weighted one, one cold-started run per strength
+    gamma, state, reason, part = _solve_trimmed(config, losses,
+                                                path_graph(n), K, noisy)
+    ntl = dict(_fit(gamma, state.x, part, signal),
+               iterations=state.iterations, stop_reason=reason)
     path = gamma_path(losses, path_graph(n, points=noisy,
                                          alpha=config["alpha"]),
                       _gamma_values(config["nl_grid"]), x0=noisy,
-                      warm_start=False, merge_tol=merge_tol,
-                      **_solver_options(config["solver"], stopping_only=True))
+                      warm_start=False, merge_tol=config["merge_tol"],
+                      **{key: config["solver"][key] for key in _STOPPING})
     _check_path(path)
-    nl_runs = [_fit(step.parameter, step.centroids, step.partition, signal)
-               for step in path.steps]
-
-    def public(run, keys=("gamma", "error", "jumps", "num_jumps")):
-        return {key: run[key] for key in keys}
-
-    best_quality = min(nl_runs, key=lambda r: r["error"])
-    sparse_enough = [r for r in nl_runs if r["num_jumps"] <= K]
-    best_cardinality = sparse_enough[0] if sparse_enough else None
+    fits = [_fit(step.parameter, step.centroids, step.partition, signal)
+            for step in path.steps]
+    best = min(range(len(fits)), key=lambda i: fits[i]["error"])
+    sparse = next((i for i, fit in enumerate(fits)
+                   if fit["num_jumps"] <= K), None)
     true_jumps = [int(j) for j in signal.jumps]
     _write_json(out / "piecewise.json", {
         "n": n,
         "noise_sd": signal.noise_sd,
         "cardinality": K,
         "true_jumps": true_jumps,
-        "ntl": dict(public(ntl), iterations=state.iterations,
-                    stop_reason=reason),
-        "nl_best_quality": public(best_quality),
-        "nl_best_cardinality":
-            public(best_cardinality) if best_cardinality else None,
-        "nl_grid": [public(r, ("gamma", "error", "num_jumps"))
-                    for r in nl_runs],
-        "ntl_beats_best_nl": ntl["error"] <= best_quality["error"],
+        "ntl": ntl,
+        "nl_best_quality": fits[best],
+        "nl_best_cardinality": None if sparse is None else fits[sparse],
+        "nl_grid": [{key: fit[key] for key in ("gamma", "error", "num_jumps")}
+                    for fit in fits],
+        "ntl_beats_best_nl": ntl["error"] <= fits[best]["error"],
         "ntl_jumps_exact": ntl["jumps"] == true_jumps,
     })
+    _write_rows(out / "signals.csv",
+                "index,original,noisy,ntl,nl_best_quality,nl_best_cardinality",
+                zip(signal.original, signal.noisy, state.x[:, 0],
+                    path.steps[best].centroids[:, 0],
+                    np.full(n, math.nan) if sparse is None
+                    else path.steps[sparse].centroids[:, 0]), start=0)
 
-    bc = best_cardinality["estimate"] if best_cardinality \
-        else np.full(n, math.nan)
-    _write_csv(out / "signals.csv",
-               "index,original,noisy,ntl,nl_best_quality,nl_best_cardinality",
-               zip(signal.original, signal.noisy, ntl["estimate"],
-                   best_quality["estimate"], bc))
 
-
-@dataclass(frozen=True)
 class Task:
     """One CLI task: its help line, config schema and command.
 
-    The command runs after the output directory exists and holds the
+    The schema gets the ``output`` entry that every task has.  The
+    command runs after the output directory exists and holds the
     normalized ``config.json``.
     """
-    help: str
-    schema: dict
-    command: object
+
+    def __init__(self, help, schema, command):
+        self.help, self.command = help, command
+        self.schema = {**schema, "output": _OUTPUT}
 
 
 TASKS = {
@@ -859,63 +809,56 @@ TASKS = {
             "half-moons": {"n": _GEN_N, "noise_sd": _GEN_NOISE},
             "piecewise": {"levels": _Field(_LEVELS),
                           "noise_sd": _GEN_NOISE}})),
-        "seed": _SEED, "output": _OUTPUT}, cmd_gen_data),
+        "seed": _SEED}, cmd_gen_data),
     "solve-nl": Task("solve the convex weighted problem", {
-        **_INSTANCE, "gamma": _gamma(allow_auto=False),
-        "solver": _CONVEX_SOLVER, "merge_tol": _MERGE_TOL,
-        "seed": _SEED, "output": _OUTPUT}, cmd_solve_nl),
+        **_INSTANCE, "gamma": _gamma(allow_auto=False), "solver": _solver(),
+        **_RUN}, cmd_solve_nl),
     "solve-ntl": Task("solve the trimmed problem", {
         **_INSTANCE, "gamma": _gamma(), "solver": _solver(1e4, _SCHEDULE),
-        "cardinality": _flagged(_int(minimum=0), REQUIRED, "--cardinality",
-                                "-K", type=int),
-        "init": _INIT,
-        "merge_tol": _MERGE_TOL, "seed": _SEED, "output": _OUTPUT},
-        cmd_solve_ntl),
+        "cardinality": _Field(_int(minimum=0), REQUIRED, "--cardinality",
+                              "-K", type=int),
+        "init": _INIT, **_RUN}, cmd_solve_ntl),
     "k-path": Task("sweep the exemption budget downward", {
         **_INSTANCE, "gamma": _gamma(),
-        "k_sequence": _flagged(_Either({
+        "k_sequence": _Field(_Either({
             "values": _Field(_list(_int(minimum=0))),
             "start": _Field(_int(minimum=0)),
             "stop": _Field(_int(minimum=0), 0),
             "step": _Field(_int(maximum=-1), -1)}), REQUIRED,
             "--k-values", type=_int_list_flag),
-        "init": _INIT, "solver": _solver(1e4, _SCHEDULE),
-        "merge_tol": _MERGE_TOL, "seed": _SEED, "output": _OUTPUT},
+        "init": _INIT, "solver": _solver(1e4, _SCHEDULE), **_RUN},
         cmd_k_path),
     "gamma-path": Task("sweep the penalty strength upward", {
         **_INSTANCE,
-        "gamma_sequence": _flagged(_GRID, REQUIRED, "--gamma-grid",
-                                   type=_grid_flag),
-        "warm_start": _flagged(_bool, True, "--no-warm-start",
-                               action="store_const", const=False),
-        "stop_on_full_merge": _flagged(_bool, False, "--stop-on-full-merge",
-                                       **_SET_TRUE),
-        "solver": _CONVEX_SOLVER, "merge_tol": _MERGE_TOL,
-        "seed": _SEED, "output": _OUTPUT}, cmd_gamma_path),
-    "thresholds": Task("report penalty and recovery thresholds",
-                       {**_INSTANCE, "output": _OUTPUT}, cmd_thresholds),
+        "gamma_sequence": _Field(_GRID, REQUIRED, "--gamma-grid",
+                                 type=_grid_flag),
+        "warm_start": _Field(_bool, True, "--no-warm-start",
+                             action="store_const", const=False),
+        "stop_on_full_merge": _Field(_bool, False, "--stop-on-full-merge",
+                                     **_SET_TRUE),
+        "solver": _solver(), **_RUN}, cmd_gamma_path),
+    "thresholds": Task("report penalty and recovery thresholds", _INSTANCE,
+                       cmd_thresholds),
     "recovery-check": Task(
         "solve at an in-interval strength and compare against labels", {
-            **_INSTANCE, "gamma": _gamma("auto"),
-            "solver": _CONVEX_SOLVER, "merge_tol": _MERGE_TOL,
-            "output": _OUTPUT}, cmd_recovery_check),
+            **_INSTANCE, "gamma": _gamma("auto"), "solver": _solver(),
+            "merge_tol": _MERGE_TOL}, cmd_recovery_check),
     "metrics": Task("compare two partition files", {
-        "predicted": _flagged(_str(), REQUIRED, "--predicted"),
-        "reference": _flagged(_str(), REQUIRED, "--reference"),
-        "output": _OUTPUT}, cmd_metrics),
+        "predicted": _Field(_str(), REQUIRED, "--predicted"),
+        "reference": _Field(_str(), REQUIRED, "--reference")}, cmd_metrics),
     "piecewise": Task("piecewise-constant signal experiment", {
         "signal": _Field(_Either({
-            "file": _flagged(_str(), REQUIRED, "--signal-file"),
+            "file": _Field(_str(), REQUIRED, "--signal-file"),
             "levels": _Field(_LEVELS),
             "noise_sd": _Field(_num(minimum=0.0), 0.2),
-            "seed": _flagged(_int(), 0, "--seed", type=int)})),
-        "cardinality": _flagged(_int(minimum=0), 5, "--cardinality", "-K",
-                                type=int),
+            "seed": _SEED})),
+        "cardinality": _Field(_int(minimum=0), 5, "--cardinality", "-K",
+                              type=int),
         "gamma": _gamma("auto"),
-        "alpha": _flagged(_num(above=0.0), 0.5, "--alpha", type=float),
-        "nl_grid": _flagged(_GRID, {}, "--nl-grid", type=_grid_flag),
+        "alpha": _Field(_num(above=0.0), 0.5, "--alpha", type=float),
+        "nl_grid": _Field(_GRID, {}, "--nl-grid", type=_grid_flag),
         "solver": _solver(1.0, _SCHEDULE, {}),
-        "merge_tol": _MERGE_TOL, "output": _OUTPUT}, cmd_piecewise),
+        "merge_tol": _MERGE_TOL}, cmd_piecewise),
 }
 
 
@@ -968,27 +911,21 @@ def load_config(args):
     """Read the config file (if any), overlay flags, and validate."""
     raw = {}
     if args.config is not None:
-        try:
-            text = Path(args.config).read_text()
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file: {exc}")
+        text = _read("config", Path.read_text, Path(args.config))
         try:
             raw = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"bad JSON in {args.config}: {exc}")
-        if not isinstance(raw, dict):
-            raise ConfigError("config must be a JSON object")
-        if "task" in raw and raw["task"] != args.task:
+    if isinstance(raw, dict):  # anything else fails in normalize_config
+        if raw.setdefault("task", args.task) != args.task:
             raise ConfigError(f"config file is for task {raw['task']!r},"
                               f" not {args.task!r}")
-    raw["task"] = args.task
-    _apply_overrides(raw, args, TASKS[args.task].schema)
+        _apply_overrides(raw, args, TASKS[args.task].schema)
     return normalize_config(raw)
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         config = load_config(args)
         out = Path(config["output"]["dir"])

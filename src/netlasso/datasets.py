@@ -179,6 +179,20 @@ def _read_rows(source):
         return [row for row in csv.reader(stream) if row]
 
 
+def _write_rows(target, header, rows, start=None):
+    """Write CSV to a stream or file: the ``header`` line unless it is
+    None, then per row its values as ``repr`` floats, led by the row's
+    index counted from ``start`` when that is given."""
+    with _opened(target, "w") as stream:
+        if header is not None:
+            stream.write(header + "\n")
+        for i, row in enumerate(rows, start or 0):
+            cells = [repr(float(v)) for v in row]
+            if start is not None:
+                cells.insert(0, str(i))
+            stream.write(",".join(cells) + "\n")
+
+
 def save_csv(data, target):
     """Write a LabeledPoints as CSV with full float precision.
 
@@ -249,9 +263,7 @@ def resample(data, n, seed=0):
 
 def save_signal_csv(signal, target):
     """Two-column CSV (original, noisy), full precision, no header."""
-    with _opened(target, "w") as stream:
-        for o, v in zip(signal.original, signal.noisy):
-            stream.write(f"{float(o)!r},{float(v)!r}\n")
+    _write_rows(target, None, zip(signal.original, signal.noisy))
 
 
 def load_signal_csv(source, noise_sd=0.0):

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .datasets import _write_rows
 from .graph import merged_components
 from .solver import SolverConfig, _Factors, _is_int, solve_nl, solve_ntl
 
@@ -318,10 +319,8 @@ def save_centroids_csv(path, stream):
     if not path.steps:
         raise ValueError("empty path")
     n, p = path.steps[0].centroids.shape
-    header = ["parameter"] + [f"node{i}_dim{c}"
-                              for i in range(n) for c in range(p)]
-    stream.write(",".join(header) + "\n")
-    for step in path.steps:
-        cells = [repr(float(step.parameter))]
-        cells.extend(repr(float(v)) for v in step.centroids.reshape(-1))
-        stream.write(",".join(cells) + "\n")
+    _write_rows(stream, ",".join(
+        ["parameter"] + [f"node{i}_dim{c}" for i in range(n)
+                         for c in range(p)]),
+        ([step.parameter, *step.centroids.reshape(-1)]
+         for step in path.steps))
