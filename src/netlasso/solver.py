@@ -259,11 +259,28 @@ class SingularSystemError(ArithmeticError):
     reports it as a numerical failure (exit code 3)."""
 
 
+# the largest relative residual the probe solve of a factor may leave
+_PROBE_TOL = math.sqrt(np.finfo(np.float64).eps)
+
+
 def _factorize(matrix, rho):
-    """``splu`` of an x-system, with a singular factor reported as
-    :class:`SingularSystemError` naming rho."""
+    """``splu`` of an x-system, checked by one probe solve.
+
+    The probe solves ``matrix @ x = b`` for ``b = matrix @ cos(0, 1, ...)``.
+    A factor that SuperLU finds exactly singular, or whose solution
+    misses ``b`` by more than ``_PROBE_TOL`` relative (in the max norm),
+    is reported as :class:`SingularSystemError` naming rho.  The second
+    case is a system that rounding made singular without a zero pivot,
+    such as the ridge ``kron`` system at rho = 1e100.
+    """
     try:
-        return splu(matrix)
+        lu = splu(matrix)
+        with np.errstate(all="ignore"):  # a bad factor overflows here
+            b = matrix @ np.cos(np.arange(matrix.shape[0]))
+            miss = np.abs(matrix @ lu.solve(b) - b).max() / np.abs(b).max()
+        if not miss <= _PROBE_TOL:
+            raise RuntimeError(f"a probe solve misses by {miss:.2g} relative")
+        return lu
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
         raise SingularSystemError(
             f"the x-step system is singular at rho={rho!r} ({exc});"
@@ -758,52 +775,55 @@ def stationarity_check(x, losses, graph, gamma, cardinality,
         dx[norms <= zero_tol * (1.0 + norms.max())] = 0.0
     rng = np.random.default_rng(seed)
 
-    directions = []
-    gn = float(np.linalg.norm(g))
-    if gn > 0:
-        directions.append(("neg-gradient", -g / gn))
-    for _ in range(num_random):
-        v = rng.normal(size=(n, p))
-        directions.append(("random", v / np.linalg.norm(v)))
-    coords = [(i, c) for i in range(n) for c in range(p)]
-    if len(coords) > 60:
-        pick = rng.choice(len(coords), size=60, replace=False)
-        coords = [coords[int(t)] for t in pick]
-    for i, c in coords:
-        v = np.zeros((n, p))
-        v[i, c] = 1.0
-        directions.append(("coordinate", v))
-        directions.append(("coordinate", -v))
-    edge_ids = range(graph.num_edges)
-    if graph.num_edges > 60:
-        edge_ids = sorted(
-            int(t) for t in rng.choice(graph.num_edges, size=60,
-                                       replace=False))
-    for k in edge_ids:
-        i, j = graph.edges[k]
-        d = dx[k]
-        dn = float(np.linalg.norm(d))
-        u = d / dn if dn > 0 else np.eye(p)[0]
-        v = np.zeros((n, p))
-        v[i] = u
-        v[j] = -u
-        v /= np.linalg.norm(v)
-        directions.append(("edge", v))
-        directions.append(("edge", -v))
+    def directions():
+        """The sampled directions, one at a time: no two are alive at
+        once.  Evaluating one draws nothing from ``rng``, so the draws
+        come in the same order as when all are built first."""
+        gn = float(np.linalg.norm(g))
+        if gn > 0:
+            yield "neg-gradient", -g / gn
+        for _ in range(num_random):
+            v = rng.normal(size=(n, p))
+            yield "random", v / np.linalg.norm(v)
+        coords = [(i, c) for i in range(n) for c in range(p)]
+        if len(coords) > 60:
+            pick = rng.choice(len(coords), size=60, replace=False)
+            coords = [coords[int(t)] for t in pick]
+        for i, c in coords:
+            v = np.zeros((n, p))
+            v[i, c] = 1.0
+            yield "coordinate", v
+            yield "coordinate", -v
+        edge_ids = range(graph.num_edges)
+        if graph.num_edges > 60:
+            edge_ids = sorted(
+                int(t) for t in rng.choice(graph.num_edges, size=60,
+                                           replace=False))
+        for k in edge_ids:
+            i, j = graph.edges[k]
+            d = dx[k]
+            dn = float(np.linalg.norm(d))
+            u = d / dn if dn > 0 else np.eye(p)[0]
+            v = np.zeros((n, p))
+            v[i] = u
+            v[j] = -u
+            v /= np.linalg.norm(v)
+            yield "edge", v
+            yield "edge", -v
 
     # the norms of D x, the K-th largest and the ties are fixed: taken
     # once, so that each direction costs one D v and its slopes
     derivative = _derivative_at(dx, K, tie_tol)
     best = math.inf
     worst_kind = "none"
-    for kind, v in directions:
+    count = 0
+    for count, (kind, v) in enumerate(directions(), 1):
         val = float((g * v).sum()) + gamma * derivative(op.apply(v))
         if val < best:
             best = val
             worst_kind = kind
     return StationarityReport(min_value=best, worst_kind=worst_kind,
-                              num_directions=len(directions),
-                              tolerance=tolerance)
+                              num_directions=count, tolerance=tolerance)
 
 
 @dataclass
