@@ -281,8 +281,8 @@ def _factorize(matrix, rho):
         if not miss <= _PROBE_TOL:
             raise RuntimeError(f"a probe solve misses by {miss:.2g} relative")
         return lu
-    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-        raise SingularSystemError(
+    except RuntimeError as exc:  # SuperLU's "Factor is exactly singular"
+        raise SingularSystemError(  # or the probe's miss
             f"the x-step system is singular at rho={rho!r} ({exc});"
             " lower rho") from exc
 
@@ -776,9 +776,9 @@ def stationarity_check(x, losses, graph, gamma, cardinality,
     rng = np.random.default_rng(seed)
 
     def directions():
-        """The sampled directions, one at a time: no two are alive at
-        once.  Evaluating one draws nothing from ``rng``, so the draws
-        come in the same order as when all are built first."""
+        """The sampled directions, each built when the loop takes it
+        rather than all up front.  Evaluating one draws nothing from
+        ``rng``, so the draws come in the order of building all first."""
         gn = float(np.linalg.norm(g))
         if gn > 0:
             yield "neg-gradient", -g / gn
