@@ -81,10 +81,6 @@ def _num(minimum=None, above=None, maximum=None, integer=False):
     return check
 
 
-def _int(minimum=None, maximum=None):
-    return _num(minimum, maximum=maximum, integer=True)
-
-
 def _str(choices=None):
     def check(where, value):
         if not isinstance(value, str):
@@ -240,18 +236,18 @@ def _convex_schedule(where, value):
                           " solve-ntl, k-path and piecewise")
 
 
-_LEVELS = _list(_tuple(_int(minimum=1), _num()))
+_LEVELS = _list(_tuple(_num(minimum=1, integer=True), _num()))
 _PAIR = _tuple(_num(), _num())
 _GRID = _Either({"values": _Field(_list(_num(above=0.0))),
                  "start": _Field(_num(above=0.0), 1e-3),
                  "factor": _Field(_num(above=1.0), 1.2),
-                 "count": _Field(_int(minimum=1), 100)})
+                 "count": _Field(_num(minimum=1, integer=True), 100)})
 _SCHEDULE = _optional(_Section({
     "multiplier": _Field(_num(above=1.0), 10.0),
     "cap": _Field(_auto(_num(above=0.0)), "auto"),
-    "period": _Field(_int(minimum=1), 100)}))
+    "period": _Field(_num(minimum=1, integer=True), 100)}))
 
-_SEED = _Field(_int(), 0, "--seed", type=int)
+_SEED = _Field(_num(integer=True), 0, "--seed", type=int)
 _MERGE_TOL = _Field(_num(above=0.0), 1e-6, "--merge-tol", type=float)
 _INIT = _Field(_Kinded("--init", {
     "minimizers": {},
@@ -269,7 +265,8 @@ _INSTANCE = {
                                 **_SET_TRUE)})),
     "graph": _Field(_Kinded("--graph", {
         "complete": _PLAIN_ALPHA,
-        "knn": {"k": _Field(_int(minimum=1), REQUIRED, "--knn-k", type=int),
+        "knn": {"k": _Field(_num(minimum=1, integer=True), REQUIRED,
+                            "--knn-k", type=int),
                 "alpha": _Field(_num(above=0.0), 0.5, "--alpha",
                                 type=float)},
         "path": _PLAIN_ALPHA,
@@ -301,13 +298,14 @@ def _solver(rho=1.0, schedule=_convex_schedule, default_schedule=None):
                            choices=updates),
         "smoothness": _Field(_optional(_num(above=0.0)), None,
                              "--smoothness", type=float),
-        "max_iters": _Field(_int(minimum=1), 1000, "--max-iters", type=int),
+        "max_iters": _Field(_num(minimum=1, integer=True), 1000,
+                            "--max-iters", type=int),
         "eps_abs": _Field(_num(above=0.0), 1e-5, "--eps-abs", type=float),
         "eps_rel": _Field(_num(above=0.0), 1e-5, "--eps-rel", type=float),
         "rho_schedule": _Field(schedule, default_schedule)}), {})
 
 
-_GEN_N = _Field(_int(minimum=2), REQUIRED, "--n", type=int)
+_GEN_N = _Field(_num(minimum=2, integer=True), REQUIRED, "--n", type=int)
 _GEN_NOISE = _Field(_num(minimum=0.0), 0.0, "--noise-sd", type=float)
 
 
@@ -692,18 +690,14 @@ def cmd_recovery_check(config, out):
 def _load_labels(path):
     """A partition from a JSON labels list (alone or under "labels"),
     or from the last column of a CSV."""
-    text = Path(path).read_text()
     if Path(path).suffix == ".json":
-        doc = json.loads(text)
+        doc = json.loads(Path(path).read_text())
         labels = doc.get("labels") if isinstance(doc, dict) else doc
         if not isinstance(labels, list):
             raise ValueError("no labels list")
     else:
-        labels = [float(line.split(",")[-1])
-                  for line in text.splitlines() if line.strip()]
+        labels = [float(row[-1]) for row in _read_rows(path)]
     arr = np.asarray(labels, dtype=np.float64)
-    if arr.size == 0:
-        raise ValueError("no labels")
     if not np.all(arr == np.round(arr)):
         raise ValueError("labels must be integral")
     return Partition(arr.astype(np.int64))
@@ -815,16 +809,16 @@ TASKS = {
         **_RUN}, cmd_solve_nl),
     "solve-ntl": Task("solve the trimmed problem", {
         **_INSTANCE, "gamma": _gamma(), "solver": _solver(1e4, _SCHEDULE),
-        "cardinality": _Field(_int(minimum=0), REQUIRED, "--cardinality",
-                              "-K", type=int),
+        "cardinality": _Field(_num(minimum=0, integer=True), REQUIRED,
+                              "--cardinality", "-K", type=int),
         "init": _INIT, **_RUN}, cmd_solve_ntl),
     "k-path": Task("sweep the exemption budget downward", {
         **_INSTANCE, "gamma": _gamma(),
         "k_sequence": _Field(_Either({
-            "values": _Field(_list(_int(minimum=0))),
-            "start": _Field(_int(minimum=0)),
-            "stop": _Field(_int(minimum=0), 0),
-            "step": _Field(_int(maximum=-1), -1)}), REQUIRED,
+            "values": _Field(_list(_num(minimum=0, integer=True))),
+            "start": _Field(_num(minimum=0, integer=True)),
+            "stop": _Field(_num(minimum=0, integer=True), 0),
+            "step": _Field(_num(maximum=-1, integer=True), -1)}), REQUIRED,
             "--k-values", type=_int_list_flag),
         "init": _INIT, "solver": _solver(1e4, _SCHEDULE), **_RUN},
         cmd_k_path),
@@ -852,8 +846,8 @@ TASKS = {
             "levels": _Field(_LEVELS),
             "noise_sd": _Field(_num(minimum=0.0), 0.2),
             "seed": _SEED})),
-        "cardinality": _Field(_int(minimum=0), 5, "--cardinality", "-K",
-                              type=int),
+        "cardinality": _Field(_num(minimum=0, integer=True), 5,
+                              "--cardinality", "-K", type=int),
         "gamma": _gamma("auto"),
         "alpha": _Field(_num(above=0.0), 0.5, "--alpha", type=float),
         "nl_grid": _Field(_GRID, {}, "--nl-grid", type=_grid_flag),
@@ -909,13 +903,8 @@ def _apply_overrides(raw, args, schema):
 
 def load_config(args):
     """Read the config file (if any), overlay flags, and validate."""
-    raw = {}
-    if args.config is not None:
-        text = _read("config", Path.read_text, Path(args.config))
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"bad JSON in {args.config}: {exc}")
+    raw = {} if args.config is None else _read(
+        "config", lambda path: json.loads(Path(path).read_text()), args.config)
     if isinstance(raw, dict):  # anything else fails in normalize_config
         if raw.setdefault("task", args.task) != args.task:
             raise ConfigError(f"config file is for task {raw['task']!r},"

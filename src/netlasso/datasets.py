@@ -179,6 +179,19 @@ def _read_rows(source):
         return [row for row in csv.reader(stream) if row]
 
 
+def _floats(rows):
+    """The cells of ``rows`` as a float array; a cell that is not a
+    finite number is a ValueError naming its row."""
+    try:
+        values = np.array([[float(c) for c in row] for row in rows])
+    except ValueError as exc:
+        raise ValueError(f"non-numeric cell: {exc}") from None
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=-1))
+    if len(bad):
+        raise ValueError(f"non-finite cell in row {bad[0]}")
+    return values
+
+
 def _write_rows(target, header, rows, start=None):
     """Write CSV to a stream or file: the ``header`` line unless it is
     None, then per row its values as ``repr`` floats, led by the row's
@@ -228,10 +241,7 @@ def load_csv(source, has_labels=False, has_responses=False):
     if width <= trailing:
         raise ValueError("no point columns left after label/response "
                          "columns")
-    try:
-        values = np.array([[float(c) for c in row] for row in rows])
-    except ValueError as exc:
-        raise ValueError(f"non-numeric cell: {exc}") from None
+    values = _floats(rows)
     labels = None
     responses = None
     end = width
@@ -271,8 +281,7 @@ def load_signal_csv(source, noise_sd=0.0):
     rows = _read_rows(source)
     if any(len(row) != 2 for row in rows):
         raise ValueError("signal CSV must have exactly two columns")
-    original = np.array([float(r[0]) for r in rows])
-    noisy = np.array([float(r[1]) for r in rows])
+    original, noisy = _floats(rows).reshape(-1, 2).T
     jumps = np.flatnonzero(np.diff(original) != 0.0) + 1
     return SignalInstance(original=original, noisy=noisy,
                           noise_sd=float(noise_sd), jumps=jumps)

@@ -123,13 +123,22 @@ class WeightedGraph:
                 f"num_edges={self.num_edges})")
 
 
-def _gaussian_weights(points, n, edges, alpha):
-    """Kernel weight ``exp(-alpha * ||a_i - a_j||^2)`` of each edge (i, j)
-    of the (m, 2) array ``edges``, for ``points`` of n nodes: (n, p), or
-    (n,) for p = 1."""
+def _points(points):
+    """``points`` as an (n, p) float array, (n,) read as p = 1; a point
+    with a non-finite coordinate is a ValueError naming it."""
     points = np.asarray(points, dtype=np.float64)
     if points.ndim == 1:
         points = points[:, None]
+    bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
+    if len(bad):
+        raise ValueError(f"non-finite points at nodes {bad.tolist()}")
+    return points
+
+
+def _gaussian_weights(points, n, edges, alpha):
+    """Kernel weight ``exp(-alpha * ||a_i - a_j||^2)`` of each edge (i, j)
+    of the (m, 2) array ``edges``, for ``points`` of n nodes."""
+    points = _points(points)
     if len(points) != n:
         raise ValueError("points and num_nodes disagree")
     diff = points[edges[:, 0]] - points[edges[:, 1]]
@@ -163,9 +172,7 @@ def knn_gaussian_graph(points, k, alpha=0.5):
     ``exp(-alpha * ||a_i - a_j||^2)``.  ``k >= n - 1`` degenerates to the
     complete graph with the same weights.
     """
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim == 1:
-        points = points[:, None]
+    points = _points(points)
     n = len(points)
     k = int(k)
     if k < 1:

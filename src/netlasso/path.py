@@ -38,15 +38,9 @@ __all__ = [
 
 def canonical_labels(labels):
     """Relabel cluster ids in order of first occurrence."""
-    labels = np.asarray(labels, dtype=np.int64)
-    out = np.empty_like(labels)
-    seen = {}
-    for idx, lab in enumerate(labels):
-        lab = int(lab)
-        if lab not in seen:
-            seen[lab] = len(seen)
-        out[idx] = seen[lab]
-    return out
+    _, first, inverse = np.unique(np.asarray(labels, dtype=np.int64),
+                                  return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first)).astype(np.int64)[inverse]
 
 
 @dataclass(frozen=True)

@@ -15,12 +15,13 @@ small per-cluster minimizations delegated to the losses module.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from .losses import SquaredDistance, sum_loss_minimizer
+from .path import Partition
 from .penalty import row_norms
 
 
@@ -113,23 +114,7 @@ class RecoveryReport:
         return mu
 
     def to_json_dict(self):
-        return {
-            "gamma_min": _jsonify(self.gamma_min),
-            "gamma_max": _jsonify(self.gamma_max),
-            "coarsening_bound": _jsonify(self.coarsening_bound),
-            "premise_ok": self.premise_ok,
-            "num_clusters": self.num_clusters,
-            "members": [list(map(int, m)) for m in self.members],
-            "cluster_sizes": list(map(int, self.cluster_sizes)),
-            "cluster_minimizers": _jsonify(self.cluster_minimizers),
-            "aggregate_curvatures": _jsonify(self.aggregate_curvatures),
-            "smoothness": _jsonify(self.smoothness),
-            "node_cluster_weights": _jsonify(self.node_cluster_weights),
-            "cross_weights": _jsonify(self.cross_weights),
-            "failing_pairs": list(map(int, self.failing_pairs)),
-            "separated_ok": self.separated_ok.tolist(),
-            "curvature_assumed": self.curvature_assumed,
-        }
+        return _jsonify(dict(asdict(self), premise_ok=self.premise_ok))
 
 
 def _clusters_from_labels(labels, n):
@@ -137,16 +122,8 @@ def _clusters_from_labels(labels, n):
     if labels.shape != (n,):
         raise ValueError(
             f"expected one label per node ({n}), got shape {labels.shape}")
-    if labels.size == 0:
-        raise ValueError("empty partition")
-    if labels.min() < 0:
-        raise ValueError("labels must be non-negative")
-    N = int(labels.max()) + 1
-    members = [np.flatnonzero(labels == k) for k in range(N)]
-    for k, mem in enumerate(members):
-        if len(mem) == 0:
-            raise ValueError(f"cluster {k} is empty; ids must be dense")
-    return N, members
+    N = Partition(labels).num_clusters  # non-empty, non-negative, dense
+    return N, [np.flatnonzero(labels == k) for k in range(N)]
 
 
 def _cluster_weights(graph, labels, N):
@@ -347,10 +324,7 @@ class PenaltyThreshold:
         return self.gamma_star == 0.0
 
     def to_json_dict(self):
-        return {"bound_C": _jsonify(self.bound_C),
-                "gamma_star": _jsonify(self.gamma_star),
-                "method": self.method,
-                "degenerate": self.degenerate}
+        return _jsonify(dict(asdict(self), degenerate=self.degenerate))
 
 
 def exact_penalty_threshold(losses, bound, method="supplied-C"):

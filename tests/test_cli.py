@@ -1039,6 +1039,24 @@ class TestRunTimeChecks:
         assert runs[2] == 2
         assert "k_sequence" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    @pytest.mark.parametrize("task", sorted(set(MINIMAL)
+                                            - {"gen-data", "metrics"}))
+    def test_non_finite_cell_is_config_error(self, tmp_path, capsys, task,
+                                             cell):
+        # thresholds used to write bare NaN tokens and solve-nl to
+        # report a diverged solver
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"0.0,0.0\n0.1,{cell}\n5.0,5.0\n5.1,5.1\n")
+        source = "signal" if task == "piecewise" else "data"
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(minimal_config(
+            task, output={"dir": str(tmp_path / "out")},
+            **{source: {"file": str(bad)}})))
+        assert main([task, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and str(bad) in err
+
     @pytest.mark.parametrize("labels", [["a", "b"], [[0], [1, 0]]])
     def test_malformed_json_labels_are_config_error(self, tmp_path, capsys,
                                                     labels):

@@ -156,6 +156,13 @@ class TestCsvIO:
         with pytest.raises(ValueError, match="non-numeric"):
             load_csv(io.StringIO("1,2\n3,abc\n"))
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_rejected(self, cell):
+        with pytest.raises(ValueError, match="non-finite cell in row 1"):
+            load_csv(io.StringIO(f"1,2\n3,{cell}\n"))
+        with pytest.raises(ValueError, match="non-finite"):
+            load_csv(io.StringIO(f"1,2\n3,{cell}\n"), has_responses=True)
+
     def test_non_integer_labels_rejected(self):
         with pytest.raises(ValueError, match="integral"):
             load_csv(io.StringIO("1,0.5\n2,1.5\n"), has_labels=True)
@@ -211,3 +218,8 @@ class TestSignalCsv:
     def test_column_count_enforced(self):
         with pytest.raises(ValueError):
             load_signal_csv(io.StringIO("1,2,3\n"))
+
+    @pytest.mark.parametrize("text", ["0,1\nnan,1\n", "0,1\n0,inf\n"])
+    def test_non_finite_rejected(self, text):
+        with pytest.raises(ValueError, match="non-finite cell in row 1"):
+            load_signal_csv(io.StringIO(text))

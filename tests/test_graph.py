@@ -159,6 +159,20 @@ class TestBuilders:
         np.testing.assert_allclose(g.weights,
                                    [math.exp(-0.5), 1.0], rtol=1e-15)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_builders_name_non_finite_points(self, value):
+        # a NaN point used to get no kNN edges and no error
+        points = np.random.default_rng(0).normal(size=(30, 2))
+        points[7, 1] = value
+        for build in (lambda: knn_gaussian_graph(points, k=3),
+                      lambda: complete_graph(30, points=points),
+                      lambda: path_graph(30, points=points)):
+            with pytest.raises(ValueError, match=r"non-finite points at"
+                                                 r" nodes \[7\]"):
+                build()
+        with pytest.raises(ValueError, match=r"nodes \[1\]"):
+            path_graph(3, points=[0.0, value, 1.0])
+
 
 class TestDifferenceOperator:
     def test_apply_path_n3(self):

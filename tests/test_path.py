@@ -33,6 +33,16 @@ class TestPartition:
         assert p.labels.tolist() == [0, 0, 1, 2]
         assert p.num_clusters == 3
 
+    def test_canonical_labels_match_a_first_occurrence_loop(self):
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            labels = canonize(rng.integers(0, int(rng.integers(1, 9)),
+                                           size=int(rng.integers(1, 40))))
+            seen = {}
+            expected = [seen.setdefault(int(v), len(seen)) for v in labels]
+            got = Partition(labels).labels
+            assert got.dtype == np.int64 and got.tolist() == expected
+
     def test_rejects_sparse_ids(self):
         with pytest.raises(ValueError):
             Partition(np.array([0, 2]))
