@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .datasets import (_read_rows, _write_rows, gen_half_moons,
+from .datasets import (_floats, _read_rows, _write_rows, gen_half_moons,
                        gen_piecewise_signal, gen_two_line_regression,
                        load_csv, load_signal_csv, save_csv, save_signal_csv)
 from .graph import (complete_graph, knn_gaussian_graph, load_edge_list,
@@ -475,9 +475,8 @@ def _initial_x(spec, losses, graph, solver_spec):
         return losses.all_minimizers()
     if kind == "from-file":
         # a centroids.csv: a header, then per node its index and values
-        x0 = _read("init", lambda file: np.asarray(
-            [[float(c) for c in row[1:]] for row in _read_rows(file)[1:]]),
-            spec["file"])
+        x0 = _read("init", lambda file: _floats(
+            row[1:] for row in _read_rows(file)[1:]), spec["file"])
         if x0.shape != (losses.num_nodes, losses.dim):
             raise ConfigError(f"init file {spec['file']} has shape"
                               f" {x0.shape}, expected"

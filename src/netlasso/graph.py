@@ -137,7 +137,10 @@ def _points(points):
 
 def _gaussian_weights(points, n, edges, alpha):
     """Kernel weight ``exp(-alpha * ||a_i - a_j||^2)`` of each edge (i, j)
-    of the (m, 2) array ``edges``, for ``points`` of n nodes."""
+    of the (m, 2) array ``edges``, for ``points`` of n nodes; None (unit
+    weights) when ``points`` is None."""
+    if points is None:
+        return None
     points = _points(points)
     if len(points) != n:
         raise ValueError("points and num_nodes disagree")
@@ -155,11 +158,7 @@ def complete_graph(num_nodes, points=None, alpha=0.5):
     if num_nodes is None and points is not None:
         num_nodes = len(points)
     n = int(num_nodes)
-    if n < 1:
-        raise ValueError("num_nodes must be at least 1")
     edges = np.column_stack(np.triu_indices(n, k=1))
-    if points is None:
-        return WeightedGraph(n, edges)
     return WeightedGraph(n, edges, _gaussian_weights(points, n, edges, alpha))
 
 
@@ -208,12 +207,8 @@ def path_graph(num_nodes, points=None, alpha=0.5):
     the nodes carry a one-dimensional signal.
     """
     n = int(num_nodes)
-    if n < 1:
-        raise ValueError("num_nodes must be at least 1")
     idx = np.arange(n - 1)
     edges = np.column_stack((idx, idx + 1))
-    if points is None:
-        return WeightedGraph(n, edges)
     return WeightedGraph(n, edges, _gaussian_weights(points, n, edges, alpha))
 
 

@@ -15,6 +15,13 @@ Three concrete families cover the built-in experiments:
 
 ``CustomLoss`` wraps user callables and can finite-difference check the
 supplied gradient before it is trusted.
+
+A family supplies only its formulas: ``_value(i, x)``, ``_gradient(i, x)``
+and ``_minimizer(i)`` (None when f_i has no minimizer), and the per-node
+arrays ``_L`` and ``_alpha``.  It overrides ``total_value``,
+``total_gradient`` and ``quadratic_terms`` where it has a vectorized or
+quadratic form.  The public per-node methods of :class:`Loss` check the
+node index and take ``x`` as a float64 array before calling them.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ __all__ = [
 
 
 class Loss:
-    """Base class; concrete losses fill in the per-node callbacks.
+    """Base class; concrete losses fill in the per-node formulas.
 
     Attributes
     ----------
@@ -46,20 +53,25 @@ class Loss:
     is_convex = True
 
     def value(self, i, x):
-        raise NotImplementedError
+        self._check_node(i)
+        return self._value(i, np.asarray(x, dtype=np.float64))
 
     def gradient(self, i, x):
-        raise NotImplementedError
+        self._check_node(i)
+        return self._gradient(i, np.asarray(x, dtype=np.float64))
 
     def smoothness(self, i):
-        raise NotImplementedError
+        self._check_node(i)
+        return float(self._L[i])
 
     def strong_convexity(self, i):
-        raise NotImplementedError
+        self._check_node(i)
+        return float(self._alpha[i])
 
     def minimizer(self, i):
         """Minimizer of f_i, or None when it does not exist."""
-        raise NotImplementedError
+        self._check_node(i)
+        return self._minimizer(i)
 
     def quadratic_terms(self):
         """Per-node (H, g) with f_i(x) = 0.5 x^T H_i x - g_i^T x + const.
@@ -113,26 +125,16 @@ class SquaredDistance(Loss):
             raise ValueError("points must be a non-empty (n, p) array")
         self.points = points
         self.num_nodes, self.dim = points.shape
+        self._L = self._alpha = np.ones(self.num_nodes)
 
-    def value(self, i, x):
-        self._check_node(i)
-        d = np.asarray(x, dtype=np.float64) - self.points[i]
+    def _value(self, i, x):
+        d = x - self.points[i]
         return 0.5 * float(d @ d)
 
-    def gradient(self, i, x):
-        self._check_node(i)
-        return np.asarray(x, dtype=np.float64) - self.points[i]
+    def _gradient(self, i, x):
+        return x - self.points[i]
 
-    def smoothness(self, i):
-        self._check_node(i)
-        return 1.0
-
-    def strong_convexity(self, i):
-        self._check_node(i)
-        return 1.0
-
-    def minimizer(self, i):
-        self._check_node(i)
+    def _minimizer(self, i):
         return self.points[i].copy()
 
     def quadratic_terms(self):
@@ -180,30 +182,18 @@ class RidgeRegression(Loss):
         self._H[:, 0, 1] = a
         self._H[:, 1, 0] = a
         self._H[:, 1, 1] = a * a + self.epsilon
-        self._eigs = np.linalg.eigvalsh(self._H)
+        eigs = np.linalg.eigvalsh(self._H)
+        self._L, self._alpha = eigs[:, 1], np.maximum(0.0, eigs[:, 0])
 
-    def value(self, i, x):
-        self._check_node(i)
-        x = np.asarray(x, dtype=np.float64)
+    def _value(self, i, x):
         r = self.responses[i] - x[0] - self.inputs[i] * x[1]
         return 0.5 * r * r + 0.5 * self.epsilon * x[1] ** 2
 
-    def gradient(self, i, x):
-        self._check_node(i)
-        x = np.asarray(x, dtype=np.float64)
+    def _gradient(self, i, x):
         r = self.responses[i] - x[0] - self.inputs[i] * x[1]
         return np.array([-r, -self.inputs[i] * r + self.epsilon * x[1]])
 
-    def smoothness(self, i):
-        self._check_node(i)
-        return float(self._eigs[i, 1])
-
-    def strong_convexity(self, i):
-        self._check_node(i)
-        return float(max(self._eigs[i, 0], 0.0))
-
-    def minimizer(self, i):
-        self._check_node(i)
+    def _minimizer(self, i):
         if self.epsilon == 0.0:
             return None
         # (b_i, 0) zeroes both gradient components for any a_i
@@ -246,30 +236,19 @@ class Quadratic(Loss):
         self.A = A
         self.B = B
         self.num_nodes, self.dim = B.shape
-        self._eigs = np.linalg.eigvalsh(A)
-        if self._eigs[:, 0].min() < -1e-10:
+        eigs = np.linalg.eigvalsh(A)
+        if eigs[:, 0].min() < -1e-10:
             raise ValueError("A matrices must be positive semidefinite")
+        self._L, self._alpha = eigs[:, -1], np.maximum(0.0, eigs[:, 0])
 
-    def value(self, i, x):
-        self._check_node(i)
-        x = np.asarray(x, dtype=np.float64)
+    def _value(self, i, x):
         return 0.5 * float(x @ self.A[i] @ x) - float(self.B[i] @ x)
 
-    def gradient(self, i, x):
-        self._check_node(i)
-        return self.A[i] @ np.asarray(x, dtype=np.float64) - self.B[i]
+    def _gradient(self, i, x):
+        return self.A[i] @ x - self.B[i]
 
-    def smoothness(self, i):
-        self._check_node(i)
-        return float(self._eigs[i, -1])
-
-    def strong_convexity(self, i):
-        self._check_node(i)
-        return float(max(self._eigs[i, 0], 0.0))
-
-    def minimizer(self, i):
-        self._check_node(i)
-        if self._eigs[i, 0] <= 1e-12 * max(1.0, self._eigs[i, -1]):
+    def _minimizer(self, i):
+        if self._alpha[i] <= 1e-12 * max(1.0, self._L[i]):
             return None
         return np.linalg.solve(self.A[i], self.B[i])
 
@@ -316,26 +295,14 @@ class CustomLoss(Loss):
         self._minimizer_fn = minimizer_fn
         self.is_convex = bool(convex)
 
-    def value(self, i, x):
-        self._check_node(i)
-        return float(self._value_fn(i, np.asarray(x, dtype=np.float64)))
+    def _value(self, i, x):
+        return float(self._value_fn(i, x))
 
-    def gradient(self, i, x):
-        self._check_node(i)
-        g = np.asarray(self._gradient_fn(i, np.asarray(x, dtype=np.float64)),
-                       dtype=np.float64)
+    def _gradient(self, i, x):
+        g = np.asarray(self._gradient_fn(i, x), dtype=np.float64)
         return g.reshape(self.dim)
 
-    def smoothness(self, i):
-        self._check_node(i)
-        return float(self._L[i])
-
-    def strong_convexity(self, i):
-        self._check_node(i)
-        return float(self._alpha[i])
-
-    def minimizer(self, i):
-        self._check_node(i)
+    def _minimizer(self, i):
         if self._minimizer_fn is None:
             return None
         return np.asarray(self._minimizer_fn(i), dtype=np.float64)

@@ -73,3 +73,26 @@ def test_unresolved_when_the_parent_spreads_wider_than_the_bound():
         == "within_bound"
     assert summary(parent, [0.9] * 5 + [3.5] * 5)["verdict"] \
         == "unresolved"
+
+
+def test_sides_sit_at_equal_length_roots(tmp_path):
+    repo = tmp_path / "repo"
+    (repo / "perfbench" / "out").mkdir(parents=True)
+    (repo / "a.py").write_text("committed\n")
+    (repo / "perfbench" / "run.py").write_text("run\n")
+    bench_ab.git(repo, "init", "-q")
+    bench_ab.git(repo, "add", "-A")
+    bench_ab.git(repo, "-c", "user.name=t", "-c", "user.email=t@t",
+                 "commit", "-q", "-m", "c")
+    (repo / "a.py").write_text("edited\n")
+    (repo / "perfbench" / "out" / "old.json").write_text("{}\n")
+    work = tmp_path / "work"
+    work.mkdir()
+    sides = bench_ab.lay_out(repo, "HEAD", work)
+    assert sides == {"parent": work / "parent", "change": work / "change"}
+    assert (sides["parent"] / "a.py").read_text() == "committed\n"
+    assert (sides["change"] / "a.py").read_text() == "edited\n"
+    for side in sides.values():
+        assert (side / "perfbench" / "run.py").read_text() == "run\n"
+        assert not (side / ".git").exists()
+        assert not (side / "perfbench" / "out").exists()

@@ -1057,6 +1057,24 @@ class TestRunTimeChecks:
         err = capsys.readouterr().err
         assert "config error" in err and str(bad) in err
 
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_init_cell_is_config_error(self, tmp_path, capsys,
+                                                  cell):
+        # such a start used to run and end with a diverged solver
+        data = tmp_path / "four.csv"
+        write_points_csv(data, FOUR_POINTS)
+        init = tmp_path / "init.csv"
+        init.write_text(f"node,dim0\n0,0.0\n1,{cell}\n2,5.0\n3,5.1\n")
+        for task in ("solve-ntl", "k-path"):
+            cfg = tmp_path / f"{task}.json"
+            cfg.write_text(json.dumps(minimal_config(
+                task, data={"file": str(data)},
+                init={"kind": "from-file", "file": str(init)},
+                output={"dir": str(tmp_path / task)})))
+            assert main([task, "--config", str(cfg)]) == 2
+            err = capsys.readouterr().err
+            assert "config error" in err and str(init) in err
+
     @pytest.mark.parametrize("labels", [["a", "b"], [[0], [1, 0]]])
     def test_malformed_json_labels_are_config_error(self, tmp_path, capsys,
                                                     labels):

@@ -260,3 +260,31 @@ class TestValidation:
         loss = SquaredDistance(np.zeros((3, 1)))
         with pytest.raises(IndexError):
             loss.value(3, np.zeros(1))
+
+    @pytest.mark.parametrize("method", ["value", "gradient", "smoothness",
+                                        "strong_convexity", "minimizer"])
+    @pytest.mark.parametrize("family", ["squared", "ridge", "quadratic",
+                                        "custom"])
+    def test_per_node_protocol(self, family, method):
+        rng = np.random.default_rng(0)
+        loss = {
+            "squared": lambda: SquaredDistance(rng.normal(size=(4, 2))),
+            "ridge": lambda: RidgeRegression(rng.normal(size=4),
+                                             rng.normal(size=4)),
+            "quadratic": lambda: random_quadratic(rng, 4, 2),
+            "custom": lambda: CustomLoss(
+                4, 2, lambda i, x: float(x @ x) + i, lambda i, x: 2 * x,
+                2.0, 2.0, minimizer_fn=lambda i: [0.0, 0.0]),
+        }[family]()
+        call = getattr(loss, method)
+        x = rng.normal(size=2)
+        args = (x,) if method in ("value", "gradient") else ()
+        for bad in (loss.num_nodes, -1):
+            with pytest.raises(IndexError):
+                call(bad, *args)
+        for i in range(loss.num_nodes):
+            want = np.asarray(call(i, *args))
+            assert want.dtype == np.float64
+            if args:
+                got = np.asarray(call(i, list(x)))
+                assert got.tobytes() == want.tobytes()

@@ -4,8 +4,11 @@
         --workload moons-certify --seeds 7 8 --pairs 10
 
 Run from anywhere inside a checkout.  ``--parent`` is exported with
-``git archive`` into a temporary directory; the change is the checkout
-as it stands, uncommitted edits included.  For each workload and seed,
+``git archive`` into ``<tmp>/parent``, and the checkout as it stands,
+uncommitted edits included, is copied to ``<tmp>/change`` (without
+``.git`` and ``perfbench/out``), so that both sides run from paths of
+equal length; ``config.json`` records paths under the checkout, and
+``cli.artifact_bytes`` counts them.  For each workload and seed,
 each side's own ``perfbench/run.py --trace 0``, at the run length of
 ``BENCHMARK.json``, runs in ``--pairs`` (at least 10) alternating pairs
 (the parent first in even pairs, the change first in odd ones), and
@@ -36,6 +39,7 @@ keeps what it finished.
 import argparse
 import json
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -54,6 +58,19 @@ def export(root, rev, dest):
                              cwd=root, check=True, capture_output=True)
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive.stdout,
                    check=True)
+
+
+def lay_out(root, rev, tmp):
+    """The two side roots: ``rev`` exported to ``tmp/parent`` and the
+    working tree at ``root`` copied to ``tmp/change``."""
+    sides = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
+    sides["parent"].mkdir()
+    export(root, rev, sides["parent"])
+    skip = {Path(root) / ".git", Path(root) / "perfbench" / "out"}
+    shutil.copytree(root, sides["change"], symlinks=True,
+                    ignore=lambda d, names: [n for n in names
+                                             if Path(d) / n in skip])
+    return sides
 
 
 def bench(side_root, workload, seed, seconds, trace):
@@ -166,8 +183,7 @@ def main(argv=None):
         "runs": [],
     }
     with tempfile.TemporaryDirectory() as tmp:
-        export(root, parent_sha, Path(tmp))
-        sides = {"parent": Path(tmp), "change": root}
+        sides = lay_out(root, parent_sha, tmp)
         for workload in workloads:
             for seed in args.seeds:
                 pairs = []
