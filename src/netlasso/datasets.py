@@ -180,8 +180,14 @@ def _read_rows(source):
 
 
 def _floats(rows):
-    """The cells of ``rows`` as a float array; a cell that is not a
-    finite number is a ValueError naming its row."""
+    """The cells of ``rows`` as a float array; a row whose width differs
+    from the first row's, or a cell that is not a finite number, is a
+    ValueError naming its row."""
+    rows = list(rows)
+    for idx, row in enumerate(rows):
+        if len(row) != len(rows[0]):
+            raise ValueError(f"ragged row {idx}: {len(row)} cells, "
+                             f"expected {len(rows[0])}")
     try:
         values = np.array([[float(c) for c in row] for row in rows])
     except ValueError as exc:
@@ -232,16 +238,12 @@ def load_csv(source, has_labels=False, has_responses=False):
     rows = _read_rows(source)
     if not rows:
         raise ValueError("empty CSV")
+    values = _floats(rows)
     width = len(rows[0])
-    for idx, row in enumerate(rows):
-        if len(row) != width:
-            raise ValueError(f"ragged row {idx}: {len(row)} cells, "
-                             f"expected {width}")
     trailing = int(has_labels) + int(has_responses)
     if width <= trailing:
         raise ValueError("no point columns left after label/response "
                          "columns")
-    values = _floats(rows)
     labels = None
     responses = None
     end = width
@@ -279,9 +281,10 @@ def save_signal_csv(signal, target):
 def load_signal_csv(source, noise_sd=0.0):
     """Read a two-column signal CSV written by save_signal_csv."""
     rows = _read_rows(source)
-    if any(len(row) != 2 for row in rows):
+    values = _floats(rows)
+    if rows and len(rows[0]) != 2:
         raise ValueError("signal CSV must have exactly two columns")
-    original, noisy = _floats(rows).reshape(-1, 2).T
+    original, noisy = values.reshape(-1, 2).T
     jumps = np.flatnonzero(np.diff(original) != 0.0) + 1
     return SignalInstance(original=original, noisy=noisy,
                           noise_sd=float(noise_sd), jumps=jumps)

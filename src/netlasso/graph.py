@@ -295,17 +295,20 @@ class DifferenceOperator:
         return np.kron(E, np.eye(self.block_dim))
 
 
-def merged_components(graph, x, merge_tol):
+def merged_components(graph, x, merge_tol, blocks=None):
     """Merged edges of node centroids ``x`` (n, p) and their clusters.
 
-    Edge (i, j) is merged when ``||x_i - x_j|| <= merge_tol * (1 + max_v
-    ||x_v||)``.  Returns the boolean mask over edges and, per node, the
-    id of its connected component in the merged subgraph.
+    Edge e = (i, j) is merged when its block, ``blocks[e]`` or by default
+    ``x_i - x_j``, has norm at most ``merge_tol * (1 + max_v ||x_v||)``.
+    Returns the boolean mask over edges and, per node, the id of its
+    connected component in the merged subgraph.
     """
     n = graph.num_nodes
     i, j = graph.edges[:, 0], graph.edges[:, 1]
     scale = 1.0 + float(row_norms(x).max())
-    merged = row_norms(x[i] - x[j]) <= merge_tol * scale
+    if blocks is None:
+        blocks = x[i] - x[j]
+    merged = row_norms(blocks) <= merge_tol * scale
     adj = sp.csr_matrix((np.ones(int(merged.sum())), (i[merged], j[merged])),
                         shape=(n, n))
     return merged, _cc(adj, directed=False)[1]

@@ -198,12 +198,14 @@ class PathResult:
                 "steps": [s.to_json_dict() for s in self.steps]}
 
 
-def _path_step(parameter, state, graph, merge_tol):
-    """The step at ``parameter`` of a path solve's final state."""
+def _path_step(parameter, state, graph, merge_tol, blocks=None):
+    """The step at ``parameter`` of a path solve's final state, its
+    partition read from the edge ``blocks`` (by default D x)."""
     return PathStep(
         parameter=parameter,
         centroids=state.x,
-        partition=extract_partition(state.x, graph, merge_tol),
+        partition=Partition(
+            merged_components(graph, state.x, merge_tol, blocks)[1]),
         objective=state.objectives[-1],
         iterations=state.iterations,
         stop_reason=state.stop_reason,
@@ -248,14 +250,16 @@ def gamma_path(losses, graph, gamma_sequence, x0=None, warm_start=True,
     """Increasing-strength sweep of the convex solver.
 
     With ``warm_start`` each step starts from the previous step's
-    centroids and dual variable; a dual feasible at a smaller strength
-    stays feasible at a larger one.  Without it every step starts from
-    ``x0`` (or the per-node minimizers) and a zero dual.  Each step's rho
-    starts at the configured value, and :func:`netlasso.solver.solve_nl`
-    balances it from there.  With ``stop_on_full_merge`` the sweep ends
-    at the first step whose partition is a single cluster (that step is
-    kept).  As in :func:`k_path`, each x-system is factorized once: once
-    per distinct rho the balancing visits.
+    centroids, dual variable and final rho; a dual feasible at a smaller
+    strength stays feasible at a larger one.  Without it every step
+    starts from ``x0`` (or the per-node minimizers), a zero dual and the
+    configured rho.  Each step's partition is read from the solver's
+    final z, whose merged blocks the z-step sets to exactly zero, by the
+    rule of :func:`netlasso.graph.merged_components`.  With
+    ``stop_on_full_merge`` the sweep ends at the first step whose
+    partition is a single cluster (that step is kept).  As in
+    :func:`k_path`, each x-system is factorized once: once per distinct
+    rho the balancing visits.
     """
     gammas = [float(g) for g in gamma_sequence]
     if not gammas:
@@ -269,14 +273,15 @@ def gamma_path(losses, graph, gamma_sequence, x0=None, warm_start=True,
     steps = []
     x = None if x0 is None else np.asarray(x0, dtype=np.float64)
     y = None
+    options = solver_options
     factors = _Factors(losses, graph)
     for gamma in gammas:
         state, _ = solve_nl(losses, graph, gamma, x0=x, y0=y,
-                            _factors=factors, _histories=False,
-                            **solver_options)
+                            _factors=factors, _histories=False, **options)
         if warm_start:
             x, y = state.x, state.y
-        steps.append(_path_step(gamma, state, graph, merge_tol))
+            options = {**solver_options, "rho": state.rho}
+        steps.append(_path_step(gamma, state, graph, merge_tol, state.z))
         if stop_on_full_merge and steps[-1].partition.num_clusters == 1:
             break
     return PathResult(kind="strength", steps=steps, merge_tol=merge_tol)

@@ -90,15 +90,17 @@ class RhoSchedule:
     def apply(self, rho):
         return max(rho, min(self.multiplier * rho, self.cap))
 
-    def next(self, rho, primal, dual):
+    def next(self, rho, primal, primal_scale, dual):
         """The rho after a check: the schedule reads no residual."""
         return self.apply(rho)
 
 
-# Residual balancing, the convex solver's penalty rule (Boyd et al. 2011,
-# "Distributed optimization and statistical learning via ADMM",
-# section 3.4.1): every _BALANCE_PERIOD iterations rho doubles when the
-# primal residual exceeds _BALANCE_RATIO times the dual residual, and
+# Residual balancing, the convex solver's penalty rule, on the relative
+# residuals its stopping test reads (Wohlberg 2017, "ADMM penalty
+# parameter selection by residual balancing", arXiv:1704.06209; Boyd et
+# al. 2011, section 3.4.1, balance the absolute ones): every
+# _BALANCE_PERIOD iterations rho doubles when the relative primal
+# residual exceeds _BALANCE_RATIO times the relative dual residual, and
 # halves in the opposite case, within rho0 * 2^[-_BALANCE_STEPS,
 # _BALANCE_STEPS].  Powers of two keep a path's rho values few, and
 # each is factorized once.
@@ -109,8 +111,9 @@ _BALANCE_STEPS = 30
 
 class _Balance:
     """Residual balancing from the starting value ``rho0``; ``next`` has
-    the interface of :meth:`RhoSchedule.next`, with ``dual`` a function
-    that returns rho ||D (x_t - x_{t-1})||."""
+    the interface of :meth:`RhoSchedule.next`: ``primal`` is ||z - D x||
+    and ``primal_scale`` max(||z||, ||D x||), and ``dual`` a function
+    that returns rho ||D (x_t - x_{t-1})|| and its scale ||y||."""
 
     period = _BALANCE_PERIOD
 
@@ -120,11 +123,13 @@ class _Balance:
         self.lo = max(rho0 / 2.0 ** _BALANCE_STEPS, sys.float_info.min)
         self.hi = min(rho0 * 2.0 ** _BALANCE_STEPS, sys.float_info.max)
 
-    def next(self, rho, primal, dual):
-        s = dual()
-        if primal > _BALANCE_RATIO * s:
+    def next(self, rho, primal, primal_scale, dual):
+        s, s_scale = dual()
+        # primal / primal_scale against s / s_scale, cross-multiplied so
+        # that a zero scale divides nothing; NaN fails both tests
+        if primal * s_scale > _BALANCE_RATIO * s * primal_scale:
             new = 2.0 * rho
-        elif s > _BALANCE_RATIO * primal:
+        elif s * primal_scale > _BALANCE_RATIO * primal * s_scale:
             new = 0.5 * rho
         else:
             return rho
@@ -438,8 +443,9 @@ def _admm(losses, graph, config, x0, y0, zstep_at, penalty, bound_coeff,
     joins the shared primal-residual test (it gets the new and the
     previous iterate), and ``rule``, if given, moves rho: every
     ``rule.period`` iterations, after the stopping test and before the
-    last iteration, rho becomes ``rule.next(rho, primal, dual)``, with
-    ``dual()`` the scaled dual residual rho ||D (x_t - x_{t-1})||.  A new
+    last iteration, rho becomes ``rule.next(rho, primal, primal_scale,
+    dual)``, with ``primal_scale`` = max(||z||, ||D x||) and ``dual()``
+    the scaled dual residual rho ||D (x_t - x_{t-1})|| and ||y||.  A new
     rho gets its x-step from ``factors`` and a new z-step; y is the
     unscaled multiplier and carries over as it is.  D x_new is computed
     once per iteration and serves the dual update, the primal residual,
@@ -509,13 +515,14 @@ def _admm(losses, graph, config, x0, y0, zstep_at, penalty, bound_coeff,
         if obj is not None and (not math.isfinite(obj) or obj > guard):
             reason = DIVERGED
             break
-        if (primal <= primal_abs + eps_rel * max(_norm(z), norm_Dx)
+        scale = max(_norm(z), norm_Dx)
+        if (primal <= primal_abs + eps_rel * scale
                 and small_step(config, op, x, x_old, y, rho)):
             reason = CONVERGED
             break
         if period and t % period == 0 and t < last:
-            new_rho = rule.next(rho, primal,
-                                lambda: rho * _norm(diff(x - x_old)))
+            new_rho = rule.next(rho, primal, scale, lambda: (
+                rho * _norm(diff(x - x_old)), _norm(y)))
             if new_rho != rho:
                 rho = new_rho
                 xstep = factors.x_step(mode, rho, config.smoothness)
@@ -593,13 +600,16 @@ def solve_nl(losses, graph, gamma, x0=None, y0=None, rho=1.0,
     ``_factors`` and ``_histories`` are private, as in :func:`solve_ntl`.
 
     ``rho`` is the starting penalty.  Every 50 iterations that do not
-    stop the solve, rho doubles when the primal residual ||z - D x|| is
-    more than 10 times the dual residual, and halves in the opposite
-    case (residual balancing, Boyd et al. 2011, section 3.4.1).  rho
-    therefore stays on the grid ``rho * 2^j``, |j| <= 30, and
-    ``state.rhos`` records it.  ``y0`` warm-starts the dual: a dual of
-    the solve at a smaller gamma is a good start at a larger one, which
-    is how :func:`netlasso.path.gamma_path` chains its steps.
+    stop the solve, rho doubles when the relative primal residual
+    ||z - D x|| / max(||z||, ||D x||) is more than 10 times the relative
+    dual residual rho ||D (x_t - x_{t-1})|| / ||y||, and halves in the
+    opposite case: residual balancing (Boyd et al. 2011, section 3.4.1)
+    on the relative residuals that the stopping test reads (Wohlberg
+    2017).  rho therefore stays on the grid ``rho * 2^j``, |j| <= 30,
+    and ``state.rhos`` records it.  ``y0`` warm-starts the dual: a dual
+    of the solve at a smaller gamma is a good start at a larger one.
+    :func:`netlasso.path.gamma_path` chains its steps so, and starts
+    each at the previous step's final rho, ``state.rho``.
 
     Returns (SolverState, str).
     """

@@ -124,6 +124,28 @@ def incidence_apply(graph, x):
     return graph.incidence() @ x
 
 
+def merged_labels_reference(graph, x, blocks, merge_tol=1e-6):
+    """Cluster labels, numbered by first node, of the graph whose edges
+    have ``||blocks[e]|| <= merge_tol * (1 + max_v ||x_v||)``; by union
+    find over the edge list."""
+    x = np.asarray(x, dtype=np.float64).reshape(graph.num_nodes, -1)
+    scale = 1.0 + np.linalg.norm(x, axis=1).max()
+    parent = list(range(graph.num_nodes))
+
+    def root(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for (i, j), norm in zip(graph.edges.tolist(),
+                            np.linalg.norm(blocks, axis=1)):
+        if norm <= merge_tol * scale:
+            parent[root(i)] = root(j)
+    ids = {}
+    return np.array([ids.setdefault(root(i), len(ids))
+                     for i in range(graph.num_nodes)])
+
+
 def pair_count_ari(labels_a, labels_b):
     """Adjusted Rand index by direct O(n^2) pair counting."""
     labels_a = np.asarray(labels_a)
@@ -535,9 +557,12 @@ def admm_reference(losses, graph, config, x0, y0, prox, penalty,
     rho changes.  ``config.rho_schedule`` raises rho at the start of
     every period's first iteration.  With ``balance``, after the
     stopping test of every 50th iteration but the last, rho doubles
-    when the primal residual exceeds 10 times rho ||E (x_t - x_{t-1})||
-    and halves in the opposite case, unless that leaves the grid
-    config.rho * 2^j, |j| <= 30, or the normal floats.
+    when the relative primal residual ||z - E x|| / max(||z||, ||E x||)
+    exceeds 10 times the relative dual residual
+    rho ||E (x_t - x_{t-1})|| / ||y||, and halves in the opposite case,
+    unless that leaves the grid config.rho * 2^j, |j| <= 30, or the
+    normal floats.  A zero denominator makes its ratio inf (NaN for
+    0 / 0), and a NaN ratio moves nothing.
     """
     from netlasso.graph import DifferenceOperator
     from netlasso.solver import _resolve_mode, _x_step
@@ -599,10 +624,14 @@ def admm_reference(losses, graph, config, x0, y0, prox, penalty,
         if balance and t % 50 == 0 and t < config.max_iters:
             dual = rho * float(np.linalg.norm(incidence_apply(graph,
                                                               x - x_old)))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                rel_primal = np.float64(primal) / max(np.linalg.norm(z),
+                                                      np.linalg.norm(Dx))
+                rel_dual = np.float64(dual) / np.linalg.norm(y)
             new = rho
-            if primal > 10.0 * dual:
+            if rel_primal > 10.0 * rel_dual:
                 new = rho * 2.0
-            elif dual > 10.0 * primal:
+            elif rel_dual > 10.0 * rel_primal:
                 new = rho / 2.0
             mantissa, exponent = math.frexp(new / config.rho)
             if (new != rho and mantissa == 0.5 and abs(exponent - 1) <= 30

@@ -1075,7 +1075,30 @@ class TestRunTimeChecks:
             err = capsys.readouterr().err
             assert "config error" in err and str(init) in err
 
-    @pytest.mark.parametrize("labels", [["a", "b"], [[0], [1, 0]]])
+    def test_ragged_init_and_signal_files_name_the_row(self, tmp_path,
+                                                       capsys):
+        # these used to pass on numpy's "inhomogeneous shape" text
+        data = tmp_path / "four.csv"
+        write_points_csv(data, FOUR_POINTS)
+        init = tmp_path / "init.csv"
+        init.write_text("node,dim0\n0,0.0\n1,0.1,0.2\n2,5.0\n3,5.1\n")
+        signal = tmp_path / "signal.csv"
+        signal.write_text("0.0,0.0\n0.0,0.1\n1.0\n1.0,0.9\n")
+        runs = (("solve-ntl", {"data": {"file": str(data)},
+                               "init": {"kind": "from-file",
+                                        "file": str(init)}}, init),
+                ("piecewise", {"signal": {"file": str(signal)}}, signal))
+        for task, sections, bad in runs:
+            cfg = tmp_path / f"{task}.json"
+            cfg.write_text(json.dumps(minimal_config(
+                task, output={"dir": str(tmp_path / task)}, **sections)))
+            assert main([task, "--config", str(cfg)]) == 2
+            err = capsys.readouterr().err
+            assert f"config error: bad {bad.stem} file {bad}: ragged row" \
+                in err
+            assert "inhomogeneous" not in err
+
+    @pytest.mark.parametrize("labels",[["a", "b"], [[0], [1, 0]]])
     def test_malformed_json_labels_are_config_error(self, tmp_path, capsys,
                                                     labels):
         a = tmp_path / "a.json"

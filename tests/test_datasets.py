@@ -219,6 +219,11 @@ class TestSignalCsv:
         with pytest.raises(ValueError):
             load_signal_csv(io.StringIO("1,2,3\n"))
 
+    def test_ragged_row_named(self):
+        with pytest.raises(ValueError,
+                           match="ragged row 1: 1 cells, expected 2"):
+            load_signal_csv(io.StringIO("0,1\n2\n0,1\n"))
+
     @pytest.mark.parametrize("text", ["0,1\nnan,1\n", "0,1\n0,inf\n"])
     def test_non_finite_rejected(self, text):
         with pytest.raises(ValueError, match="non-finite cell in row 1"):

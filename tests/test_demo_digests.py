@@ -13,6 +13,8 @@ scipy or OpenBLAS builds, so the manifest records the versions it was
 made with, and a mismatch fails with the command that regenerates it:
 
     PYTHONPATH=src python tests/test_demo_digests.py
+
+which prints each file whose digest changed, was added or was removed.
 """
 
 import hashlib
@@ -60,6 +62,27 @@ def demo_digests(workdir):
             if p.is_file()}
 
 
+def regenerate(manifest, digests):
+    """Run ``digests`` in a temporary directory, write its result to the
+    ``manifest`` file and print to stderr every file whose digest
+    changed, was added or was removed."""
+    old = json.loads(manifest.read_text())["files"] \
+        if manifest.exists() else {}
+    with tempfile.TemporaryDirectory() as workdir:
+        files = digests(workdir)
+    manifest.write_text(json.dumps(
+        {"versions": library_versions(), "files": files},
+        sort_keys=True, indent=2) + "\n")
+    for name in sorted(old.keys() | files.keys()):
+        if name not in files:
+            print(f"removed {name}", file=sys.stderr)
+        elif name not in old:
+            print(f"added   {name}", file=sys.stderr)
+        elif old[name] != files[name]:
+            print(f"changed {name}", file=sys.stderr)
+    print(f"wrote {len(files)} digests to {manifest}", file=sys.stderr)
+
+
 def test_demo_artifacts_match_golden_digests(tmp_path):
     manifest = json.loads(MANIFEST.read_text())
     versions = library_versions()
@@ -72,9 +95,4 @@ def test_demo_artifacts_match_golden_digests(tmp_path):
 
 
 if __name__ == "__main__":
-    with tempfile.TemporaryDirectory() as workdir:
-        files = demo_digests(workdir)
-    MANIFEST.write_text(json.dumps(
-        {"versions": library_versions(), "files": files},
-        sort_keys=True, indent=2) + "\n")
-    print(f"wrote {len(files)} digests to {MANIFEST}", file=sys.stderr)
+    regenerate(MANIFEST, demo_digests)

@@ -55,19 +55,32 @@ class TestOracle:
         np.testing.assert_array_equal(tv1d_exact([2.5], []), [2.5])
 
 
+# (signal, gammas, rho, max_iters): criterion 07's convex path, seed 0
+# (every step within 8.0e-5 of the exact solution), and a longer signal
+# started at rho 1 (2.4e-4).  On the second, balancing absolute
+# residuals from rho 1 at every step left 22 of 80 steps at max-iters,
+# 4.5e-3 from the exact solution and with 41 jump counts wrong.
+PATHS = [
+    (gen_piecewise_signal(200, LEVELS, noise_sd=0.2, seed=0),
+     [1e-3 * 1.2 ** t for t in range(100)], 200.0, 500),
+    (gen_piecewise_signal(500, [(100, 0.0), (150, 1.5), (100, 0.5),
+                                (150, 2.0)], noise_sd=0.3, seed=0),
+     [1e-3 * 1.15 ** t for t in range(80)], 1.0, 1000),
+]
+
+
 def test_gamma_path_reaches_the_exact_solutions():
-    # criterion 07's convex path, seed 0: every step within 1e-3 of the
-    # exact solution (about 9e-5 today) and with the exact jump count
-    sig = gen_piecewise_signal(200, LEVELS, noise_sd=0.2, seed=0)
-    xhat = sig.noisy.reshape(-1, 1)
-    graph = path_graph(200, points=xhat, alpha=0.5)
-    gammas = [1e-3 * 1.2 ** t for t in range(100)]
-    result = gamma_path(SquaredDistance(xhat), graph, gammas, x0=xhat,
-                        warm_start=True, rho=200.0, max_iters=500,
-                        eps_abs=1e-6, eps_rel=1e-6)
-    assert len(result.steps) == 100
-    for gamma, step in zip(gammas, result.steps):
-        exact = tv1d_exact(xhat[:, 0], gamma * graph.weights)
-        assert np.abs(step.centroids[:, 0] - exact).max() < 1e-3
-        assert step.partition.num_clusters \
-            == extract_partition(exact, graph).num_clusters
+    # every step within 1e-3 of the exact solution and with the exact
+    # jump count
+    for sig, gammas, rho, max_iters in PATHS:
+        xhat = sig.noisy.reshape(-1, 1)
+        graph = path_graph(len(xhat), points=xhat, alpha=0.5)
+        result = gamma_path(SquaredDistance(xhat), graph, gammas, x0=xhat,
+                            warm_start=True, rho=rho, max_iters=max_iters,
+                            eps_abs=1e-6, eps_rel=1e-6)
+        assert len(result.steps) == len(gammas)
+        for gamma, step in zip(gammas, result.steps):
+            exact = tv1d_exact(xhat[:, 0], gamma * graph.weights)
+            assert np.abs(step.centroids[:, 0] - exact).max() < 1e-3
+            assert step.partition.num_clusters \
+                == extract_partition(exact, graph).num_clusters

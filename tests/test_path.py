@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from oracles import dense_table_ari, pair_count_ari
 
-from netlasso.graph import WeightedGraph, complete_graph, path_graph
+from netlasso.graph import (WeightedGraph, complete_graph, merged_components,
+                            path_graph)
 from netlasso.losses import SquaredDistance
 from netlasso.path import (
     Partition,
@@ -463,16 +464,22 @@ class TestSharedFactorization:
         result = gamma_path(losses, g, gammas, warm_start=warm_start,
                             **options)
         x = y = None
+        rho = options["rho"]
         for gamma, step in zip(gammas, result.steps):
-            state, reason = solve_nl(losses, g, gamma, x0=x, y0=y, **options)
+            state, reason = solve_nl(losses, g, gamma, x0=x, y0=y,
+                                     **{**options, "rho": rho})
             assert_step_equals_solve(step, state, reason)
+            # the partition comes from the final z, by the rule of x's
+            assert step.partition.same_as(Partition(
+                merged_components(g, state.x, 1e-6, state.z)[1]))
             if warm_start:
-                x, y = state.x, state.y
+                x, y, rho = state.x, state.y, state.rho
 
     @pytest.mark.parametrize("x_update", ["exact", "linearized"])
     def test_constant_rho_path_factorizes_once(self, monkeypatch, x_update):
         # once per distinct rho: k_path keeps the configured rho, and
-        # gamma_path starts each step there and balances it
+        # gamma_path starts each step at the last step's rho and balances
+        # it
         losses, g = cache_instance()
         calls = count_factorizations(monkeypatch)
         k_path(losses, g, 1.5, [40, 20, 8, 3, 1, 0], rho=20.0,
@@ -481,11 +488,12 @@ class TestSharedFactorization:
         gammas = [0.01, 0.1, 1.0]
         visited = set()
         x = y = None
+        rho = 2.0
         for gamma in gammas:
-            state, _ = solve_nl(losses, g, gamma, x0=x, y0=y, rho=2.0,
+            state, _ = solve_nl(losses, g, gamma, x0=x, y0=y, rho=rho,
                                 max_iters=100, x_update=x_update)
             visited.update(state.rhos)
-            x, y = state.x, state.y
+            x, y, rho = state.x, state.y, state.rho
         assert len(visited) > 1
         calls.clear()
         gamma_path(losses, g, gammas, rho=2.0, max_iters=100,

@@ -7,7 +7,7 @@ import scipy.linalg
 import scipy.sparse as sp
 from oracles import (brute_force_prox_trimmed, dense_certificate_slow,
                      enumerate_set_partitions, exact_x_step_kron,
-                     polish_reference,
+                     merged_labels_reference, polish_reference,
                      prox_trimmed_objective, solve_nl_reference,
                      solve_ntl_reference)
 
@@ -700,16 +700,20 @@ class TestReferenceLoop:
             config = SolverConfig(gamma=0.4, cardinality=K, **options)
             x, _, _, _, iterations, reason, hist = solve_ntl_reference(
                 losses, g, config, x0=x)
-            self.assert_step(step, x, iterations, reason, hist)
+            self.assert_step(step, x, iterations, reason, hist, g)
         gammas = [0.01, 0.1, 0.5, 2.0]
         x = y = None
+        rhos = set()
         for gamma, step in zip(gammas,
                                gamma_path(losses, g, gammas,
                                           **options).steps):
             config = SolverConfig(gamma=gamma, cardinality=0, **options)
-            x, _, y, _, iterations, reason, hist = solve_nl_reference(
-                losses, g, config, x0=x, y0=y)
-            self.assert_step(step, x, iterations, reason, hist)
+            x, z, y, options["rho"], iterations, reason, hist = \
+                solve_nl_reference(losses, g, config, x0=x, y0=y)
+            rhos.add(options["rho"])
+            self.assert_step(step, x, iterations, reason, hist, g, z)
+        # the steps do not all end at the configured rho
+        assert rhos != {5.0}
 
     @pytest.mark.parametrize("x_update", ["exact", "linearized"])
     @pytest.mark.parametrize("factor", [math.inf, 1e12, 1.0 + 1e-9])
@@ -747,8 +751,9 @@ class TestReferenceLoop:
 
     def assert_paths_match(self, losses, g, gamma, ks, gammas, options):
         """k_path and gamma_path steps against reference solves chained
-        as the paths chain them (x for k_path, x and y for gamma_path);
-        returns the stop reasons."""
+        as the paths chain them (x for k_path; x, y and the final rho for
+        gamma_path, whose partitions come from z); returns the stop
+        reasons."""
         reasons = []
         x = None
         for K, step in zip(ks, k_path(losses, g, gamma, ks,
@@ -756,33 +761,40 @@ class TestReferenceLoop:
             config = SolverConfig(gamma=gamma, cardinality=K, **options)
             x, _, _, _, iterations, reason, hist = solve_ntl_reference(
                 losses, g, config, x0=x)
-            self.assert_step(step, x, iterations, reason, hist)
+            self.assert_step(step, x, iterations, reason, hist, g)
             reasons.append(reason)
         x = y = None
-        for gamma, step in zip(gammas, gamma_path(losses, g, gammas,
-                                                  **options).steps):
+        path = gamma_path(losses, g, gammas, **options)
+        options = dict(options)
+        for gamma, step in zip(gammas, path.steps):
             config = SolverConfig(gamma=gamma, cardinality=0, **options)
-            x, _, y, _, iterations, reason, hist = solve_nl_reference(
-                losses, g, config, x0=x, y0=y)
-            self.assert_step(step, x, iterations, reason, hist)
+            x, z, y, options["rho"], iterations, reason, hist = \
+                solve_nl_reference(losses, g, config, x0=x, y0=y)
+            self.assert_step(step, x, iterations, reason, hist, g, z)
             reasons.append(reason)
         assert len(reasons) == len(ks) + len(gammas)
         return reasons
 
     @staticmethod
-    def assert_step(step, x, iterations, reason, hist):
+    def assert_step(step, x, iterations, reason, hist, g, blocks=None):
+        """``step`` against a reference solve, its partition read from
+        ``blocks``: D x by default (k_path), the final z for gamma_path."""
         assert_same_bits(step.centroids, x)
         assert (step.iterations, step.stop_reason) == (iterations, reason)
         assert_same_bits(step.objective, hist["objectives"][-1])
         assert_same_bits(step.primal_residual, hist["primal_residuals"][-1])
+        if blocks is None:
+            blocks = g.incidence() @ x
+        np.testing.assert_array_equal(
+            step.partition.labels, merged_labels_reference(g, x, blocks))
 
 
 class TestResidualBalancing:
     """solve_nl balances rho on the grid rho0 * 2^j, |j| <= 30; solve_ntl
     keeps its fixed rho or its schedule."""
 
-    def instance(self):
-        rng = np.random.default_rng(5)
+    def instance(self, seed=5):
+        rng = np.random.default_rng(seed)
         pts = np.concatenate([rng.normal(size=(6, 2)),
                               rng.normal(size=(5, 2)) + 3.0])
         return SquaredDistance(pts), complete_graph(11, points=pts,
@@ -801,7 +813,8 @@ class TestResidualBalancing:
     @pytest.mark.parametrize("rho0, extreme", [(1e-12, 30), (1.0, None),
                                                (1e12, -30)])
     def test_rho_stays_on_the_clamped_grid(self, rho0, extreme):
-        losses, g = self.instance()
+        # from rho 1, rho moves 6 times on seed 6 and 3 times on seed 5
+        losses, g = self.instance(5 if extreme is not None else 6)
         state, _ = solve_nl(losses, g, 0.2, rho=rho0, max_iters=3000,
                             eps_abs=0.0, eps_rel=0.0)
         steps = self.grid_steps(state.rhos, rho0)
@@ -819,21 +832,34 @@ class TestResidualBalancing:
             assert steps.count(extreme) > 500
 
     def test_clamp_keeps_rho_finite_and_normal(self):
+        # next(rho, primal, primal_scale, dual), dual() giving the dual
+        # residual and its scale ||y||
         top = solver._Balance(1e300)
-        assert top.next(1e300 * 2.0 ** 27, 1.0, lambda: 0.0) \
+        assert top.next(1e300 * 2.0 ** 27, 1.0, 1.0, lambda: (0.0, 1.0)) \
             == 1e300 * 2.0 ** 27
         bottom = solver._Balance(1e-300)
-        assert bottom.next(1e-300 / 2.0 ** 25, 0.0, lambda: 1.0) \
-            == 1e-300 / 2.0 ** 25
+        assert bottom.next(1e-300 / 2.0 ** 25, 0.0, 1.0,
+                           lambda: (1.0, 1.0)) == 1e-300 / 2.0 ** 25
         rule = solver._Balance(3.0)
-        assert rule.next(3.0 * 2.0 ** 30, 1.0, lambda: 0.0) == 3.0 * 2 ** 30
-        assert rule.next(3.0 / 2.0 ** 30, 0.0, lambda: 1.0) == 3.0 / 2 ** 30
-        assert rule.next(3.0, 1.0, lambda: 0.05) == 6.0
-        assert rule.next(3.0, 0.05, lambda: 1.0) == 1.5
+        assert rule.next(3.0 * 2.0 ** 30, 1.0, 1.0, lambda: (0.0, 1.0)) \
+            == 3.0 * 2 ** 30
+        assert rule.next(3.0 / 2.0 ** 30, 0.0, 1.0, lambda: (1.0, 1.0)) \
+            == 3.0 / 2 ** 30
+        assert rule.next(3.0, 1.0, 1.0, lambda: (0.05, 1.0)) == 6.0
+        assert rule.next(3.0, 0.05, 1.0, lambda: (1.0, 1.0)) == 1.5
         # within a factor of 10 either way, and NaN residuals: no move
-        assert rule.next(3.0, 1.0, lambda: 0.1) == 3.0
-        assert rule.next(3.0, 0.1, lambda: 1.0) == 3.0
-        assert rule.next(3.0, math.nan, lambda: 1.0) == 3.0
+        assert rule.next(3.0, 1.0, 1.0, lambda: (0.1, 1.0)) == 3.0
+        assert rule.next(3.0, 0.1, 1.0, lambda: (1.0, 1.0)) == 3.0
+        assert rule.next(3.0, math.nan, 1.0, lambda: (1.0, 1.0)) == 3.0
+        assert rule.next(3.0, 1.0, 1.0, lambda: (1.0, math.nan)) == 3.0
+        # equal absolute residuals, relative ones 100 apart either way
+        assert rule.next(3.0, 1.0, 100.0, lambda: (1.0, 1.0)) == 1.5
+        assert rule.next(3.0, 1.0, 1.0, lambda: (1.0, 100.0)) == 6.0
+        # zero scales divide nothing: 0 / 0 moves nothing, and y = 0
+        # makes the relative dual residual the larger
+        assert rule.next(3.0, 0.0, 0.0, lambda: (1.0, 1.0)) == 3.0
+        assert rule.next(3.0, 1.0, 1.0, lambda: (1.0, 0.0)) == 1.5
+        assert rule.next(3.0, 0.0, 0.0, lambda: (0.0, 0.0)) == 3.0
 
     @pytest.mark.filterwarnings("error")
     def test_huge_rho_runs_without_overflow(self):

@@ -13,16 +13,16 @@ file, ``config.json`` included, is compared against
 code did not change the artifacts, with:
 
     PYTHONPATH=src python tests/test_task_digests.py
+
+which prints each file whose digest changed, was added or was removed.
 """
 
 import hashlib
 import json
 import os
-import sys
-import tempfile
 from pathlib import Path
 
-from test_demo_digests import CONFIGS, ROOT, library_versions
+from test_demo_digests import CONFIGS, ROOT, library_versions, regenerate
 
 MANIFEST = ROOT / "demos" / "task_digests.json"
 RUNS = (("gen-data", "moons_gen.json"),
@@ -73,9 +73,4 @@ def test_task_artifacts_match_golden_digests(tmp_path):
 
 
 if __name__ == "__main__":
-    with tempfile.TemporaryDirectory() as workdir:
-        files = task_digests(workdir)
-    MANIFEST.write_text(json.dumps(
-        {"versions": library_versions(), "files": files},
-        sort_keys=True, indent=2) + "\n")
-    print(f"wrote {len(files)} digests to {MANIFEST}", file=sys.stderr)
+    regenerate(MANIFEST, task_digests)
