@@ -5,8 +5,8 @@ individual config entries, the merged document is validated against a
 strict per-task schema (unknown keys are errors), and the run writes
 its artifacts into the configured output directory.  All numeric
 output goes through ``repr``-precision floats and sorted JSON keys, so
-re-running the same config and seed reproduces every artifact byte for
-byte.  Plotting is left to external tools.
+re-running the same config reproduces every artifact byte for byte.
+Plotting is left to external tools.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure.
 """
@@ -278,8 +278,6 @@ _INSTANCE = {
                                     type=float)},
     }), {"kind": "squared-distance"}),
 }
-# the last entries of a solving task's schema
-_RUN = {"merge_tol": _MERGE_TOL, "seed": _SEED}
 _OUTPUT = _Field(_Section({"dir": _Field(_str(), REQUIRED, "--out-dir")}))
 
 
@@ -602,7 +600,7 @@ def cmd_solve_ntl(config, out):
     _check_cardinality(K, graph.num_edges)
     gamma, state, reason, part = _solve_trimmed(config, losses, graph, K)
     report = stationarity_check(state.x, losses, graph, gamma, K,
-                                seed=config["seed"])
+                                merge_tol=config["merge_tol"])
     _write_solve(out, config, state, reason, part,
                  "directional-stationarity", report, gamma=gamma)
 
@@ -805,12 +803,12 @@ TASKS = {
         "seed": _SEED}, cmd_gen_data),
     "solve-nl": Task("solve the convex weighted problem", {
         **_INSTANCE, "gamma": _gamma(allow_auto=False), "solver": _solver(),
-        **_RUN}, cmd_solve_nl),
+        "merge_tol": _MERGE_TOL}, cmd_solve_nl),
     "solve-ntl": Task("solve the trimmed problem", {
         **_INSTANCE, "gamma": _gamma(), "solver": _solver(1e4, _SCHEDULE),
         "cardinality": _Field(_num(minimum=0, integer=True), REQUIRED,
                               "--cardinality", "-K", type=int),
-        "init": _INIT, **_RUN}, cmd_solve_ntl),
+        "init": _INIT, "merge_tol": _MERGE_TOL}, cmd_solve_ntl),
     "k-path": Task("sweep the exemption budget downward", {
         **_INSTANCE, "gamma": _gamma(),
         "k_sequence": _Field(_Either({
@@ -819,8 +817,8 @@ TASKS = {
             "stop": _Field(_num(minimum=0, integer=True), 0),
             "step": _Field(_num(maximum=-1, integer=True), -1)}), REQUIRED,
             "--k-values", type=_int_list_flag),
-        "init": _INIT, "solver": _solver(1e4, _SCHEDULE), **_RUN},
-        cmd_k_path),
+        "init": _INIT, "solver": _solver(1e4, _SCHEDULE),
+        "merge_tol": _MERGE_TOL}, cmd_k_path),
     "gamma-path": Task("sweep the penalty strength upward", {
         **_INSTANCE,
         "gamma_sequence": _Field(_GRID, REQUIRED, "--gamma-grid",
@@ -829,7 +827,7 @@ TASKS = {
                              action="store_const", const=False),
         "stop_on_full_merge": _Field(_bool, False, "--stop-on-full-merge",
                                      **_SET_TRUE),
-        "solver": _solver(), **_RUN}, cmd_gamma_path),
+        "solver": _solver(), "merge_tol": _MERGE_TOL}, cmd_gamma_path),
     "thresholds": Task("report penalty and recovery thresholds", _INSTANCE,
                        cmd_thresholds),
     "recovery-check": Task(

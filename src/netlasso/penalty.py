@@ -209,49 +209,6 @@ def prox_trimmed(a, K, lam):
     return _scale_rows(a, scale), TrimSelection(keep)
 
 
-def _derivative_at(z, K, tie_tol=0.0):
-    """:func:`directional_derivative` at a fixed (m, p) block vector z,
-    as a function of the direction v.
-
-    What depends on z alone is computed here once: its norms, the K-th
-    largest, the masks of the blocks below and at it, and the nonzero
-    blocks.  Each call only takes the slopes of v.
-    """
-    m = len(z)
-    K = _check_k(K, m)
-    norms = row_norms(z)
-    nz = norms > 0
-    z_nz, norms_nz = z[nz], norms[nz]
-
-    def slopes(v):
-        # delta(z_k, v_k)^T v_k, with delta z/||z|| when z != 0, v/||v||
-        # when z = 0 != v, and 0 when both vanish
-        vnorms = row_norms(v)
-        s = np.zeros(m)
-        s[nz] = np.einsum("ij,ij->i", z_nz, v[nz]) / norms_nz
-        both = (~nz) & (vnorms > 0)
-        s[both] = vnorms[both]
-        return s
-
-    if K == 0:
-        return lambda v: float(slopes(v).sum())
-    if K >= m:
-        return lambda v: 0.0
-    kth = np.sort(norms)[m - K]  # K-th largest block norm
-    below = norms < kth - tie_tol
-    at = np.abs(norms - kth) <= tie_tol
-    need = m - K - int(below.sum())
-
-    def derivative(v):
-        s = slopes(v)
-        total = float(s[below].sum())
-        if need > 0:
-            total += float(np.sort(s[at])[:need].sum())
-        return total
-
-    return derivative
-
-
 def directional_derivative(z, v, K, tie_tol=0.0):
     """One-sided directional derivative of ``trimmed_norm(., K)`` at z.
 
@@ -279,4 +236,25 @@ def directional_derivative(z, v, K, tie_tol=0.0):
     v = _as_blocks(v)
     if z.shape != v.shape:
         raise ValueError("z and v must have the same shape")
-    return _derivative_at(z, K, tie_tol)(v)
+    m = len(z)
+    K = _check_k(K, m)
+    if K >= m:
+        return 0.0
+    # delta(z_k, v_k)^T v_k, with delta z/||z|| when z != 0, v/||v|| when
+    # z = 0 != v, and 0 when both vanish
+    norms, vnorms = row_norms(z), row_norms(v)
+    nz = norms > 0
+    s = np.zeros(m)
+    s[nz] = np.einsum("ij,ij->i", z[nz], v[nz]) / norms[nz]
+    both = (~nz) & (vnorms > 0)
+    s[both] = vnorms[both]
+    if K == 0:
+        return float(s.sum())
+    kth = np.sort(norms)[m - K]  # K-th largest block norm
+    below = norms < kth - tie_tol
+    at = np.abs(norms - kth) <= tie_tol
+    need = m - K - int(below.sum())
+    total = float(s[below].sum())
+    if need > 0:
+        total += float(np.sort(s[at])[:need].sum())
+    return total

@@ -19,9 +19,11 @@ which the trimmed iteration provably descends a Lyapunov function (the
 augmented Lagrangian plus a multiple of the squared x-step), and reports
 the smallest admissible penalty parameter rho.
 
-``stationarity_check`` certifies directional stationarity of a candidate
-trimmed-problem solution, and ``nl_certificate`` builds an explicit
-subgradient certificate of optimality for the convex problem.
+``nl_certificate`` builds an explicit subgradient certificate of
+optimality for the convex problem.  ``stationarity_check`` decides
+directional stationarity of a trimmed-problem solution exactly: where
+the trimmed blocks are unique near the point, it is ``nl_certificate``
+on their subgraph.
 """
 
 from __future__ import annotations
@@ -35,8 +37,9 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import eigsh, factorized, splu
 
-from .graph import DifferenceOperator, merged_components, sigma_min_DDt
-from .penalty import (_derivative_at, _scale_rows, group_shrink, prox_trimmed,
+from .graph import (DifferenceOperator, WeightedGraph, merged_components,
+                    sigma_min_DDt)
+from .penalty import (_check_k, _scale_rows, group_shrink, prox_trimmed,
                       row_norms, trimmed_norm)
 
 __all__ = [
@@ -740,103 +743,6 @@ def validate_convergence_params(losses, graph, config):
 
 
 @dataclass
-class StationarityReport:
-    """Result of sampling directional derivatives at a candidate point."""
-
-    min_value: float
-    worst_kind: str
-    num_directions: int
-    tolerance: float
-
-    @property
-    def passed(self):
-        return self.min_value >= -self.tolerance
-
-
-def stationarity_check(x, losses, graph, gamma, cardinality,
-                       num_random=50, tolerance=1e-6, seed=0, tie_tol=0.0,
-                       zero_tol=1e-8):
-    """Directional-stationarity test for the trimmed problem.
-
-    Samples unit directions v (random, coordinate, edge-aligned, and the
-    negative gradient) and evaluates
-
-        grad f(x)^T v + gamma * d trimmed_norm(D x; D v)
-
-    reporting the minimum.  A non-negative minimum (within tolerance) is
-    consistent with local optimality; any clearly negative value
-    certifies a descent direction.
-
-    Difference blocks with norm below ``zero_tol * (1 + max block norm)``
-    are treated as exactly merged before the slope is evaluated.  Solver
-    iterates carry residuals at roundoff scale on merged edges, and the
-    slope of a block norm flips sign discontinuously there; the snapped
-    point is the limit the iterate approximates.
-    """
-    op = DifferenceOperator(graph, losses.dim)
-    x = np.asarray(x, dtype=np.float64)
-    n, p = losses.num_nodes, losses.dim
-    K = cardinality
-    g = losses.total_gradient(x)
-    dx = op.apply(x)
-    if dx.size:
-        norms = row_norms(dx)
-        dx = dx.copy()
-        dx[norms <= zero_tol * (1.0 + norms.max())] = 0.0
-    rng = np.random.default_rng(seed)
-
-    def directions():
-        """The sampled directions, each built when the loop takes it
-        rather than all up front.  Evaluating one draws nothing from
-        ``rng``, so the draws come in the order of building all first."""
-        gn = float(np.linalg.norm(g))
-        if gn > 0:
-            yield "neg-gradient", -g / gn
-        for _ in range(num_random):
-            v = rng.normal(size=(n, p))
-            yield "random", v / np.linalg.norm(v)
-        coords = [(i, c) for i in range(n) for c in range(p)]
-        if len(coords) > 60:
-            pick = rng.choice(len(coords), size=60, replace=False)
-            coords = [coords[int(t)] for t in pick]
-        for i, c in coords:
-            v = np.zeros((n, p))
-            v[i, c] = 1.0
-            yield "coordinate", v
-            yield "coordinate", -v
-        edge_ids = range(graph.num_edges)
-        if graph.num_edges > 60:
-            edge_ids = sorted(
-                int(t) for t in rng.choice(graph.num_edges, size=60,
-                                           replace=False))
-        for k in edge_ids:
-            i, j = graph.edges[k]
-            d = dx[k]
-            dn = float(np.linalg.norm(d))
-            u = d / dn if dn > 0 else np.eye(p)[0]
-            v = np.zeros((n, p))
-            v[i] = u
-            v[j] = -u
-            v /= np.linalg.norm(v)
-            yield "edge", v
-            yield "edge", -v
-
-    # the norms of D x, the K-th largest and the ties are fixed: taken
-    # once, so that each direction costs one D v and its slopes
-    derivative = _derivative_at(dx, K, tie_tol)
-    best = math.inf
-    worst_kind = "none"
-    count = 0
-    for count, (kind, v) in enumerate(directions(), 1):
-        val = float((g * v).sum()) + gamma * derivative(op.apply(v))
-        if val < best:
-            best = val
-            worst_kind = kind
-    return StationarityReport(min_value=best, worst_kind=worst_kind,
-                              num_directions=count, tolerance=tolerance)
-
-
-@dataclass
 class CertificateReport:
     """Subgradient certificate for a convex-problem solution.
 
@@ -1026,3 +932,58 @@ def nl_certificate(x, losses, graph, gamma, merge_tol=1e-6,
         merged_edges=int(merged.sum()),
         residual_tol=residual_tol,
         norm_slack=norm_slack)
+
+
+@dataclass
+class StationarityReport(CertificateReport):
+    """:func:`nl_certificate` on the subgraph of the trimmed blocks, and
+    how those blocks were selected: ``unique``, ``slack`` or ``tie`` (see
+    :func:`stationarity_check`).  Only a unique selection with a passing
+    certificate passes."""
+
+    selection: str
+
+    @property
+    def passed(self):
+        return self.selection == "unique" and super().passed
+
+
+def stationarity_check(x, losses, graph, gamma, cardinality, merge_tol=1e-6):
+    """Exact directional-stationarity test for the trimmed problem at x.
+
+    Blocks of D x merged by the rule of
+    :func:`netlasso.graph.merged_components` count as zero.  When the
+    K-th and (K+1)-th largest block norms differ (``unique``; always for
+    K = 0 and K >= m), the set S of the m - K smallest blocks is the same
+    at every point near x, where the objective is the convex one
+    f + gamma * sum_{e in S} ||(D x)_e|| of the subgraph S with unit
+    weights.  x is then d-stationary exactly when :func:`nl_certificate`
+    passes on that subgraph (Pang, Razaviyayn & Alvarado 2017, Math.
+    Oper. Res.).
+
+    Otherwise the convex objective of S lies above the trimmed one near
+    x and equals it at x, so a failing certificate still proves that x
+    is not stationary, and a passing one proves nothing.  With fewer than
+    K nonzero blocks (``slack``) S is every zero block; at a tie of
+    positive norms (``tie``) S is the m - K smallest with ties broken
+    toward the higher block index, as :func:`netlasso.penalty.prox_trimmed`
+    keeps the lower ones.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    m = graph.num_edges
+    K = _check_k(cardinality, m)
+    blocks = x[graph.edges[:, 0]] - x[graph.edges[:, 1]]
+    norms = row_norms(blocks)
+    norms[merged_components(graph, x, merge_tol, blocks)[0]] = 0.0
+    order = np.argsort(-norms, kind="stable")
+    S = np.ones(m, dtype=bool)
+    S[order[:K]] = False
+    selection = "unique"
+    if 0 < K < m and norms[order[K - 1]] == norms[order[K]]:
+        selection = "tie" if norms[order[K]] > 0 else "slack"
+    if selection == "slack":
+        S = norms == 0
+    report = nl_certificate(x, losses, WeightedGraph(graph.num_nodes,
+                                                     graph.edges[S]),
+                            gamma, merge_tol=merge_tol)
+    return StationarityReport(**vars(report), selection=selection)

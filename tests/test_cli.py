@@ -129,8 +129,9 @@ class TestConfigHandling:
             node = node[key]
         assert node == expected
 
-    @pytest.mark.parametrize("task", ["thresholds", "recovery-check",
-                                      "metrics"])
+    @pytest.mark.parametrize("task", ["solve-nl", "solve-ntl", "k-path",
+                                      "gamma-path", "thresholds",
+                                      "recovery-check", "metrics"])
     def test_seed_rejected_where_nothing_is_seeded(self, task, capsys):
         with pytest.raises(SystemExit) as exc:
             main([task, "--seed", "1", "--out-dir", "o"])

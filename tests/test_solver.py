@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 from oracles import (brute_force_prox_trimmed, dense_certificate_slow,
+                     directional_derivative_reference,
                      enumerate_set_partitions, exact_x_step_kron,
                      merged_labels_reference, polish_reference,
                      prox_trimmed_objective, solve_nl_reference,
@@ -1147,7 +1148,8 @@ class TestStationarity:
         g = complete_graph(4)
         report = stationarity_check(pts, losses, g, gamma=2.0,
                                     cardinality=g.num_edges)
-        assert report.min_value >= -1e-9
+        assert report.selection == "unique"
+        assert report.max_rel_residual <= 1e-9
         assert report.passed
 
     def test_descent_direction_detected(self):
@@ -1158,7 +1160,8 @@ class TestStationarity:
         x_bad = pts + 1.0
         report = stationarity_check(x_bad, losses, g, gamma=0.1,
                                     cardinality=g.num_edges)
-        assert report.min_value < -1e-3
+        assert report.selection == "unique"
+        assert report.max_rel_residual > 1e-3
         assert not report.passed
 
     def test_solver_output_is_stationary(self):
@@ -1168,8 +1171,97 @@ class TestStationarity:
                            eps_abs=1e-12, eps_rel=1e-12, max_iters=5000)
         state, _ = solve_ntl(losses, g, cfg)
         report = stationarity_check(state.x, losses, g, gamma=gamma,
-                                    cardinality=1, tolerance=1e-6)
+                                    cardinality=1)
         assert report.passed
+
+    def test_k_zero_is_the_unit_weight_certificate(self):
+        # K = 0 trims nothing: the convex problem with every weight 1
+        rng = np.random.default_rng(27)
+        pts = rng.normal(size=(30, 2))
+        losses = SquaredDistance(pts)
+        g = knn_gaussian_graph(pts, 4, alpha=2.0)
+        unit = WeightedGraph(g.num_nodes, g.edges)
+        solved = solve_nl(losses, unit, 0.3, rho=1.0, eps_abs=1e-10,
+                          eps_rel=1e-10, max_iters=20000)[0].x
+        for x in (solved, pts + rng.normal(size=pts.shape)):
+            report = stationarity_check(x, losses, g, 0.3, 0)
+            cert = nl_certificate(x, losses, unit, 0.3)
+            assert vars(report) == {**vars(cert), "selection": "unique"}
+            assert report.passed == cert.passed
+
+    def test_all_merged_two_line_fit_passes(self):
+        # the two-line demo data: ridge, complete graph, gamma "auto"
+        from netlasso.datasets import gen_two_line_regression
+        from netlasso.losses import sum_loss_minimizer
+        from netlasso.thresholds import (bound_C_quadratic,
+                                         exact_penalty_threshold)
+        data = gen_two_line_regression(100, noise_sd=0.1, seed=2)
+        losses = RidgeRegression(data.points[:, 0], data.responses, 0.01)
+        g = complete_graph(100)
+        gamma = exact_penalty_threshold(
+            losses, bound_C_quadratic(losses),
+            method="quadratic").gamma_star * 1.001
+        assert gamma == pytest.approx(22147.5, rel=1e-6)
+        x = np.tile(sum_loss_minimizer(losses, np.arange(100)), (100, 1))
+        op = DifferenceOperator(g, losses.dim)
+        assert objective_trimmed(losses, op, x, gamma, 0) \
+            == pytest.approx(16.4913, rel=1e-5)
+        report = stationarity_check(x, losses, g, gamma, 0)
+        assert report.selection == "unique"
+        assert report.max_rel_residual <= 1e-12
+        assert report.passed
+
+    def test_slack_grand_mean(self):
+        # no nonzero block, K = 1: the certificate runs on every edge
+        rng = np.random.default_rng(28)
+        pts = rng.normal(size=(6, 2))
+        losses = SquaredDistance(pts)
+        g = complete_graph(6)
+        op = DifferenceOperator(g, 2)
+        x = np.tile(pts.mean(axis=0), (6, 1))
+        for gamma, certified in ((10.0, True), (0.01, False)):
+            report = stationarity_check(x, losses, g, gamma, 1)
+            assert report.selection == "slack"
+            assert not report.passed
+            rel, norm, merged = dense_certificate_slow(x, losses, g, gamma)
+            assert report.max_rel_residual == pytest.approx(rel, rel=1e-9,
+                                                            abs=1e-15)
+            assert (report.max_rel_residual <= report.residual_tol) \
+                == certified
+        # at the small gamma, -grad is a descent direction of the trimmed
+        # objective itself
+        v = -losses.total_gradient(x)
+        slope = float((losses.total_gradient(x) * v).sum()) + 0.01 * \
+            directional_derivative_reference(op.apply(x), op.apply(v), 1)
+        assert slope < 0
+
+    def test_tie_never_passes(self):
+        # blocks 1 and 1 at K = 1: either one may be the kept block
+        losses = SquaredDistance(np.array([0.0, 1.0, 2.0]))
+        report = stationarity_check(np.array([[0.0], [1.0], [2.0]]),
+                                    losses, path_graph(3), 1.0, 1)
+        assert report.selection == "tie"
+        assert not report.passed
+
+    def test_node_order_does_not_change_the_verdict(self):
+        # half moons, n = 1500, trimmed at K = 50: node orders 7 and 8
+        # stop at the same point, which a sampled check told apart
+        from netlasso.thresholds import clustering_threshold
+        data = gen_half_moons(1500, noise_sd=0.08, seed=7)
+        reports = []
+        for order in (7, 8):
+            pts = data.points[np.random.default_rng(order).permutation(1500)]
+            losses = SquaredDistance(pts)
+            g = knn_gaussian_graph(pts, 10, alpha=15.0)
+            gamma = clustering_threshold(pts) * 1.001
+            cfg = SolverConfig(gamma=gamma, cardinality=50, rho=1e4,
+                               max_iters=300)
+            state, _ = solve_ntl(losses, g, cfg)
+            reports.append(stationarity_check(state.x, losses, g, gamma, 50))
+        assert [r.passed for r in reports] == [False, False]
+        assert [r.selection for r in reports] == ["unique", "unique"]
+        assert reports[0].max_rel_residual == pytest.approx(
+            reports[1].max_rel_residual, rel=1e-6)
 
     def test_values_match_objective_finite_differences(self):
         rng = np.random.default_rng(25)
