@@ -232,22 +232,11 @@ class DifferenceOperator:
         # kept as CSR: ``self._E.T`` would build a new matrix every call
         self._Et = self._E.T.tocsr()
 
-    @property
-    def shape(self):
-        m = self.graph.num_edges * self.block_dim
-        n = self.graph.num_nodes * self.block_dim
-        return (m, n)
-
     def apply(self, x):
         """Edge differences of node array ``x``; (n, p) -> (m, p)."""
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.graph.num_nodes, self.block_dim):
             raise ValueError("x has wrong shape for this operator")
-        return self._diff(x)
-
-    def _diff(self, x):
-        """``apply`` without its checks, for a float64 (n, p) array of
-        either memory order: the solver's per-iteration form."""
         # two gathers beat the CSR product E @ x and give its bits: the
         # "+ 0.0" turns the -0.0 of (-0.0) - (+0.0) into the +0.0 that
         # E @ x, which starts each row sum from +0.0, returns
@@ -256,22 +245,33 @@ class DifferenceOperator:
         d += 0.0
         return d
 
-    def apply_adjoint(self, z):
-        """Adjoint map; (m, p) -> (n, p)."""
+    def apply_adjoint(self, z, start=None):
+        """Adjoint map; (m, p) -> (n, p).  With ``start`` (n, p) given,
+        returns ``start + D^T z``, each node's edge terms added onto its
+        start one at a time in edge order, as a loop over the edges
+        would add them; ``start`` itself is left as it is."""
         z = np.asarray(z, dtype=np.float64)
+        shape = (self.graph.num_nodes, self.block_dim)
         if z.shape != (self.graph.num_edges, self.block_dim):
             raise ValueError("z has wrong shape for this operator")
+        if start is None:
+            out = np.zeros(shape)
+        else:
+            out = np.array(start, dtype=np.float64, order="C")
+            if out.shape != shape:
+                raise ValueError("start has wrong shape for this operator")
         # ``E^T @ z`` reaches scipy's csr_matvec (p = 1) or csr_matvecs
         # after a dispatch that costs more than the product on small
-        # graphs; calling the same kernel here gives the same bits.
-        # Scatter-adds by np.bincount or np.add.at are several times
-        # slower.
+        # graphs; calling the same kernel here gives the same bits.  The
+        # kernels add each row's terms onto the output in column order,
+        # which is edge order.  Scatter-adds by np.bincount or np.add.at
+        # are several times slower.
         Et, p = self._Et, self.block_dim
         kernel = getattr(_sparsetools, "csr_matvecs" if p > 1
                          else "csr_matvec", None)
         if kernel is None:
-            return Et @ z
-        out = np.zeros((Et.shape[0], p))
+            out += Et @ z
+            return out
         dims = Et.shape + (p,) if p > 1 else Et.shape
         kernel(*dims, Et.indptr, Et.indices, Et.data,
                np.ascontiguousarray(z).ravel(), out.ravel())
@@ -307,7 +307,7 @@ def merged_components(graph, x, merge_tol, blocks=None):
     i, j = graph.edges[:, 0], graph.edges[:, 1]
     scale = 1.0 + float(row_norms(x).max())
     if blocks is None:
-        blocks = x[i] - x[j]
+        blocks = DifferenceOperator(graph, x.shape[1]).apply(x)
     merged = row_norms(blocks) <= merge_tol * scale
     adj = sp.csr_matrix((np.ones(int(merged.sum())), (i[merged], j[merged])),
                         shape=(n, n))

@@ -198,9 +198,9 @@ class PathResult:
                 "steps": [s.to_json_dict() for s in self.steps]}
 
 
-def _path_step(parameter, state, graph, merge_tol, blocks=None):
+def _path_step(parameter, state, graph, merge_tol, blocks):
     """The step at ``parameter`` of a path solve's final state, its
-    partition read from the edge ``blocks`` (by default D x)."""
+    partition read from the edge ``blocks``."""
     return PathStep(
         parameter=parameter,
         centroids=state.x,
@@ -241,7 +241,8 @@ def k_path(losses, graph, gamma, k_sequence, x0=None, merge_tol=1e-6,
         state, _ = solve_ntl(losses, graph, config, x0=x, _factors=factors,
                              _histories=False)
         x = state.x
-        steps.append(_path_step(K, state, graph, merge_tol))
+        steps.append(_path_step(K, state, graph, merge_tol,
+                                factors.op.apply(x)))
     return PathResult(kind="cardinality", steps=steps, merge_tol=merge_tol)
 
 

@@ -422,7 +422,7 @@ def _dual_small(config, op, x_new, x, y, rho):
     """Convex stopping test: the scaled dual residual
     rho ||D (x_t - x_{t-1})|| is small against ||y||."""
     m, p = y.shape
-    dual = rho * _norm(op._diff(x_new - x))
+    dual = rho * _norm(op.apply(x_new - x))
     return dual <= math.sqrt(p * m) * config.eps_abs \
         + config.eps_rel * _norm(y)
 
@@ -469,7 +469,6 @@ def _admm(losses, graph, config, x0, y0, zstep_at, penalty, bound_coeff,
     elif factors.losses is not losses or factors.graph is not graph:
         raise ValueError("factors belong to another problem")
     op = factors.op
-    diff = op._diff
     gamma, rho = config.gamma, config.rho
     mode = _resolve_mode(losses, config.x_update)
     xstep = factors.x_step(mode, rho, config.smoothness)
@@ -489,7 +488,7 @@ def _admm(losses, graph, config, x0, y0, zstep_at, penalty, bound_coeff,
     for t in range(1, last + 1):
         z = zstep(Dx - y / rho)
         x_new = xstep(x, z, y)
-        Dx_new = diff(x_new)
+        Dx_new = op.apply(x_new)
         gap = z - Dx_new
         y = y + rho * gap
 
@@ -525,7 +524,7 @@ def _admm(losses, graph, config, x0, y0, zstep_at, penalty, bound_coeff,
             break
         if period and t % period == 0 and t < last:
             new_rho = rule.next(rho, primal, scale, lambda: (
-                rho * _norm(diff(x - x_old)), _norm(y)))
+                rho * _norm(op.apply(x - x_old)), _norm(y)))
             if new_rho != rho:
                 rho = new_rho
                 xstep = factors.x_step(mode, rho, config.smoothness)
@@ -719,23 +718,24 @@ def validate_convergence_params(losses, graph, config):
     else:
         f_inf = None
     zeta = L_f
-    boundedness_ok = False
-    if applicable and curvature_ok and f_inf is not None:
-        # need some r in (0,1) with rho above the threshold and
-        # sigma * rho * r > zeta
-        r_lo = zeta / (sigma * config.rho)
-        if r_lo < 1.0:
-            grid = np.linspace(max(r_lo, 1e-6), 1.0 - 1e-9, 2001)[1:]
-            coeff = 2.0 / (sigma * (alpha1 + alpha2))
-            bounds = coeff * (L1 ** 2 / grid + L2 ** 2 / (1.0 - grid))
-            boundedness_ok = bool(np.any(config.rho > bounds))
-
-    return ConvergenceParams(
+    params = ConvergenceParams(
         sigma=sigma, L1=L1, L2=L2, alpha1=alpha1, alpha2=alpha2,
         rho=config.rho, rho_min=rho_min, r_star=r_star,
         applicable=applicable, convex_ok=convex_ok,
         curvature_ok=curvature_ok, rho_ok=rho_ok, zeta=zeta, f_inf=f_inf,
-        boundedness_ok=boundedness_ok, mode=mode)
+        boundedness_ok=False, mode=mode)
+    if applicable and curvature_ok and f_inf is not None:
+        # need some r in (r_lo, 1) with rho > B(r) = rho_lower_bound(r),
+        # that is, rho above the infimum of B over (r_lo, 1).  B is convex
+        # on (0, 1) with its minimum rho_min at r_star (its limit at 1
+        # when L2 = 0), so that infimum is rho_min when r_lo < r_star and
+        # B(r_lo) otherwise
+        r_lo = zeta / (sigma * config.rho)
+        if r_lo < 1.0:
+            top = 1.0 if r_star is None else r_star
+            params.boundedness_ok = config.rho > (
+                rho_min if r_lo < top else params.rho_lower_bound(r_lo))
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -777,18 +777,6 @@ def _members(labels):
     """Sparse (labels.max() + 1, len(labels)) 0/1 matrix of the labels."""
     return sp.csr_matrix((np.ones(len(labels)),
                           (labels, np.arange(len(labels)))))
-
-
-def _add_edge_terms(node_sums, edges, c):
-    """Add ``c[e]`` to node i and subtract it from node j of edge e.
-
-    Edges apply in the given order, i before j, as in a loop over them;
-    a sparse incidence product would regroup the sums.
-    """
-    p = node_sums.shape[1]
-    np.add.at(node_sums, edges.reshape(-1),
-              np.stack((c, -c), axis=1).reshape(-1, p))
-    return node_sums
 
 
 def _polish(A, u, b, step, iters):
@@ -854,21 +842,23 @@ def nl_certificate(x, losses, graph, gamma, merge_tol=1e-6,
     x = np.asarray(x, dtype=np.float64)
     n, p, m = losses.num_nodes, losses.dim, graph.num_edges
     grad = losses.total_gradient(x)
-    merged, labels = merged_components(graph, x, merge_tol)
+    d = op.apply(x)
+    merged, labels = merged_components(graph, x, merge_tol, d)
     free = ~merged
-    d = op.apply(x)[free]
     g_edges = np.zeros((m, p))
-    g_edges[free] = d / row_norms(d)[:, None]
+    g_edges[free] = d[free] / row_norms(d[free])[:, None]
     gw = gamma * graph.weights
 
-    # residual contribution of the fixed (unmerged) edges
-    b = -_add_edge_terms(grad.copy(), graph.edges[free],
-                         gw[free][:, None] * g_edges[free])
+    # residual contribution of the fixed (unmerged) edges; merged rows
+    # stay zero rather than gw * 0, which is NaN where gw overflowed
+    c = np.zeros((m, p))
+    c[free] = gw[free][:, None] * g_edges[free]
+    b = -op.apply_adjoint(c, start=grad)
 
     eids = np.flatnonzero(merged)
     ecomp = labels[graph.edges[eids, 0]]
     w = gw[eids]
-    inc = graph.incidence()[eids].T.tocsr()  # (n, k)
+    inc = op._E[eids].T.tocsr()  # (n, k)
     A = (inc @ sp.diags(w)).tocsr()
     # Positive merged edges fall in bands 2^20 (about 1e6) apart below
     # their component's strongest.  Weakest band first, each band's u is
@@ -923,7 +913,7 @@ def nl_certificate(x, losses, graph, gamma, merge_tol=1e-6,
     g_edges[eids] = u
 
     # final residuals with every edge contribution in place
-    final = _add_edge_terms(grad.copy(), graph.edges, gw[:, None] * g_edges)
+    final = op.apply_adjoint(gw[:, None] * g_edges, start=grad)
     rel = row_norms(final) / (1.0 + row_norms(grad))
     max_norm = float(row_norms(g_edges).max()) if m else 0.0
     return CertificateReport(
@@ -972,7 +962,7 @@ def stationarity_check(x, losses, graph, gamma, cardinality, merge_tol=1e-6):
     x = np.asarray(x, dtype=np.float64)
     m = graph.num_edges
     K = _check_k(cardinality, m)
-    blocks = x[graph.edges[:, 0]] - x[graph.edges[:, 1]]
+    blocks = DifferenceOperator(graph, losses.dim).apply(x)
     norms = row_norms(blocks)
     norms[merged_components(graph, x, merge_tol, blocks)[0]] = 0.0
     order = np.argsort(-norms, kind="stable")

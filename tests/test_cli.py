@@ -13,6 +13,7 @@ from netlasso import cli, solver
 from netlasso.cli import (ConfigError, build_parser, main, normalize_config,
                           serialize_config)
 from netlasso.datasets import gen_half_moons, load_signal_csv, save_csv
+from netlasso.graph import path_graph, save_edge_list
 
 FOUR_POINTS = [0.0, 0.1, 5.0, 5.1]
 PATH_EDGES_4 = [(0, 1), (1, 2), (2, 3)]
@@ -439,6 +440,67 @@ class TestSolveCommands:
         code, _ = self.run_four_node(
             tmp_path, init={"kind": "from-file", "file": str(init_file)})
         assert code == 2
+
+
+class TestInstanceChecks:
+    """The graph and loss sections against the data they are built on."""
+
+    def run(self, tmp_path, name="out", **updates):
+        data = tmp_path / "four.csv"
+        if not data.exists():
+            write_points_csv(data, FOUR_POINTS)
+        out = tmp_path / name
+        cfg_dict = {**base_solve_config(data, out), **updates}
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps(cfg_dict))
+        return main(["solve-ntl", "--config", str(cfg)]), out
+
+    def test_edge_list_node_count_must_match_the_data(self, tmp_path,
+                                                      capsys):
+        graph_file = tmp_path / "graph.txt"
+        save_edge_list(path_graph(5), graph_file)
+        data = tmp_path / "four.csv"
+        write_points_csv(data, FOUR_POINTS + [9.0, 9.1])
+        code, _ = self.run(tmp_path, graph={"kind": "edge-list",
+                                            "file": str(graph_file)})
+        assert code == 2
+        assert "graph file has 5 nodes, data has 6" in capsys.readouterr().err
+
+    def test_missing_edge_list_is_config_error(self, tmp_path, capsys):
+        code, _ = self.run(tmp_path, graph={
+            "kind": "edge-list", "file": str(tmp_path / "nope.txt")})
+        assert code == 2
+        assert "cannot read graph file" in capsys.readouterr().err
+
+    def test_edge_list_of_the_chain_solves_as_the_chain(self, tmp_path):
+        graph_file = tmp_path / "graph.txt"
+        save_edge_list(path_graph(len(FOUR_POINTS)), graph_file)
+        code, chain = self.run(tmp_path, "chain")
+        assert code == 0
+        code, listed = self.run(tmp_path, "listed", graph={
+            "kind": "edge-list", "file": str(graph_file)})
+        assert code == 0
+        for name in ("centroids.csv", "partition.json", "optimality.json"):
+            assert (listed / name).read_bytes() == (chain / name).read_bytes()
+
+    def test_knn_k_must_be_below_the_node_count(self, tmp_path, capsys):
+        code, _ = self.run(tmp_path, graph={"kind": "knn", "k": 4})
+        assert code == 2
+        assert "graph.k must be < number of nodes (4)" \
+            in capsys.readouterr().err
+
+    @pytest.mark.parametrize("columns, message", [
+        (1, "ridge loss needs data.has_responses"),
+        (3, "ridge loss expects one input column")])
+    def test_ridge_needs_one_input_and_a_response(self, tmp_path, capsys,
+                                                  columns, message):
+        data = tmp_path / "four.csv"
+        data.write_text("".join(
+            ",".join([repr(v)] * columns) + "\n" for v in FOUR_POINTS))
+        code, _ = self.run(tmp_path, loss={"kind": "ridge"}, data={
+            "file": str(data), "has_responses": columns > 1})
+        assert code == 2
+        assert message in capsys.readouterr().err
 
 
 class TestPathCommands:

@@ -42,14 +42,15 @@ def library_versions():
             "openblas": blas["version"]}
 
 
-def demo_digests(workdir):
-    """Run the three demo configs inside ``workdir``; sha256 per file."""
+def run_digests(workdir, runs):
+    """Run the (task, config name) pairs ``runs`` in order inside
+    ``workdir``; sha256 per file they write."""
     from netlasso.cli import main
 
     cwd = os.getcwd()
     os.chdir(workdir)
     try:
-        for task, name in RUNS:
+        for task, name in runs:
             code = main([task, "--config", str(CONFIGS / name)])
             if code != 0:
                 raise RuntimeError(f"{task} on {name} exited {code}")
@@ -60,6 +61,11 @@ def demo_digests(workdir):
             hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted((out / "demos" / "out").rglob("*"))
             if p.is_file()}
+
+
+def demo_digests(workdir):
+    """Run the three demo configs inside ``workdir``; sha256 per file."""
+    return run_digests(workdir, RUNS)
 
 
 def regenerate(manifest, digests):

@@ -255,6 +255,32 @@ class TestDifferenceOperator:
                 np.testing.assert_array_equal(got.view(np.int64),
                                               want.view(np.int64))
 
+    def test_adjoint_from_start_adds_terms_in_edge_order(self):
+        # the bits of a loop over the edges that adds z_e onto node i and
+        # -z_e onto node j, which np.add.at is; a NaN's sign bit is the
+        # one difference (np.add.at negates a NaN, the kernel's product
+        # with -1 keeps its sign)
+        rng = np.random.default_rng(15)
+        for g, p, z in self.adjoint_cases(rng):
+            start = rng.normal(size=(g.num_nodes, p))
+            start[rng.random(start.shape) < 0.2] = -0.0
+            want = start.copy()
+            with np.errstate(invalid="ignore", over="ignore"):
+                np.add.at(want, g.edges.reshape(-1),
+                          np.stack((z, -z), axis=1).reshape(-1, p))
+            kept = start.copy()
+            op = DifferenceOperator(g, p)
+            for first in (start, np.asfortranarray(start)):
+                got = op.apply_adjoint(z, start=first)
+                np.testing.assert_array_equal(
+                    np.where(np.isnan(got), np.nan, got).view(np.int64),
+                    np.where(np.isnan(want), np.nan, want).view(np.int64))
+                np.testing.assert_array_equal(first.view(np.int64),
+                                              kept.view(np.int64))
+        with pytest.raises(ValueError):
+            DifferenceOperator(path_graph(3), 2).apply_adjoint(
+                np.zeros((2, 2)), start=np.zeros((3, 1)))
+
     def test_adjoint_without_scipy_kernels_uses_the_product(self,
                                                             monkeypatch):
         import netlasso.graph as graph_module
@@ -345,6 +371,12 @@ class TestSigmaMin:
         oracle = float(np.linalg.eigvalsh(D @ D.T)[0])
         assert oracle > 0
         assert sigma_min_DDt(g) == pytest.approx(oracle, rel=1e-10)
+
+    def test_star_above_the_dense_limit_uses_shift_invert(self):
+        # K_{1,1600}: D D^T = I + J, whose smallest eigenvalue is 1
+        m = 1600
+        g = WeightedGraph(m + 1, [(0, i) for i in range(1, m + 1)])
+        assert sigma_min_DDt(g) == pytest.approx(1.0, rel=1e-10)
 
     def test_random_forests_match_dense_eig(self):
         rng = np.random.default_rng(23)

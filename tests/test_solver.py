@@ -555,9 +555,7 @@ class TestOperatorProducts:
     ITERS = 40
 
     def count_products(self, monkeypatch, run):
-        # ``apply`` checks its input and calls ``_diff``, which the loop
-        # calls directly: counting ``_diff`` counts every D product
-        counts = {"_diff": 0, "apply_adjoint": 0}
+        counts = {"apply": 0, "apply_adjoint": 0}
         for name in counts:
             orig = getattr(DifferenceOperator, name)
 
@@ -582,7 +580,7 @@ class TestOperatorProducts:
                               eps_abs=0.0, eps_rel=0.0)
         counts = self.count_products(
             monkeypatch, lambda: solve_ntl(losses, g, config))
-        assert counts["_diff"] <= self.ITERS + 2
+        assert counts["apply"] <= self.ITERS + 2
         assert counts["apply_adjoint"] <= self.ITERS + 2
 
     @pytest.mark.parametrize("x_update", ["exact", "linearized"])
@@ -592,7 +590,7 @@ class TestOperatorProducts:
             monkeypatch, lambda: solve_nl(
                 losses, g, 0.3, rho=10.0, x_update=x_update,
                 max_iters=self.ITERS, eps_abs=0.0, eps_rel=0.0))
-        assert counts["_diff"] <= 2 * self.ITERS + 2
+        assert counts["apply"] <= 2 * self.ITERS + 2
         assert counts["apply_adjoint"] <= self.ITERS + 2
 
 
@@ -1130,6 +1128,33 @@ class TestConvergenceValidation:
         assert params.zeta == 1.0
         assert params.f_inf == pytest.approx(0.0, abs=1e-12)
         assert params.boundedness_ok
+
+    @pytest.mark.parametrize("above", [True, False])
+    def test_boundedness_at_rho_min(self, above):
+        # exact step: r_star is 1 and rho_min only the limit of the
+        # threshold there, so any rho above rho_min has an admissible r
+        losses, g = SquaredDistance(np.zeros((4, 1))), path_graph(4)
+        rho_min = validate_convergence_params(
+            losses, g, SolverConfig(gamma=1.0, cardinality=1)).rho_min
+        rho = rho_min * (1.0 + 1e-12) if above else rho_min
+        params = validate_convergence_params(
+            losses, g, SolverConfig(gamma=1.0, cardinality=1, rho=rho))
+        assert params.boundedness_ok == above == params.rho_ok
+
+    @pytest.mark.parametrize("above", [True, False])
+    def test_boundedness_above_r_star(self, above):
+        # step constant L = 0.1 and zeta = L_f = 1: the threshold is
+        # B(r) = (2 L / sigma) / (r (1 - r)), and rho = B(r_lo) at
+        # r_lo = 1 / (sigma rho) = 1 - 2 L, above r_star = 1/2, where B
+        # rises; so rho must exceed B(r_lo), and 1.25 / sigma is the edge
+        losses, g = SquaredDistance(np.zeros((4, 1))), path_graph(4)
+        sigma = 2.0 * (1.0 - math.cos(math.pi / 4))
+        rho = 1.25 / sigma * (1.0 + 1e-9 if above else 1.0 - 1e-9)
+        params = validate_convergence_params(losses, g, SolverConfig(
+            gamma=1.0, cardinality=1, rho=rho, x_update="linearized",
+            smoothness=0.1))
+        assert params.r_star < params.zeta / (params.sigma * rho) < 1.0
+        assert params.rho_ok and params.boundedness_ok == above
 
     def test_f_inf_is_sum_of_node_minima(self):
         rng = np.random.default_rng(22)

@@ -17,12 +17,9 @@ code did not change the artifacts, with:
 which prints each file whose digest changed, was added or was removed.
 """
 
-import hashlib
 import json
-import os
-from pathlib import Path
 
-from test_demo_digests import CONFIGS, ROOT, library_versions, regenerate
+from test_demo_digests import ROOT, library_versions, regenerate, run_digests
 
 MANIFEST = ROOT / "demos" / "task_digests.json"
 RUNS = (("gen-data", "moons_gen.json"),
@@ -42,22 +39,7 @@ REGENERATE = "PYTHONPATH=src python tests/test_task_digests.py"
 
 def task_digests(workdir):
     """Run ``RUNS`` in order inside ``workdir``; sha256 per file."""
-    from netlasso.cli import main
-
-    cwd = os.getcwd()
-    os.chdir(workdir)
-    try:
-        for task, name in RUNS:
-            code = main([task, "--config", str(CONFIGS / name)])
-            if code != 0:
-                raise RuntimeError(f"{task} on {name} exited {code}")
-    finally:
-        os.chdir(cwd)
-    out = Path(workdir)
-    return {p.relative_to(out).as_posix():
-            hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in sorted((out / "demos" / "out").rglob("*"))
-            if p.is_file()}
+    return run_digests(workdir, RUNS)
 
 
 def test_task_artifacts_match_golden_digests(tmp_path):
