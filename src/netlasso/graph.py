@@ -24,7 +24,7 @@ import math
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components as _cc
-from scipy.sparse.linalg import eigsh
+from scipy.sparse.linalg import LinearOperator, eigsh, factorized
 
 from .penalty import row_norms
 
@@ -320,7 +320,9 @@ def sigma_min_DDt(graph):
     The value does not depend on the block dimension.  Returns 0.0 when D
     is not surjective, which happens exactly when the graph contains a
     cycle.  Chain graphs use the closed form ``2 (1 - cos(pi / n))``; other
-    acyclic graphs fall back to an eigensolve of the m-by-m Gram matrix.
+    acyclic graphs fall back to a dense eigensolve of the m-by-m Gram
+    matrix up to ``_DENSE_EIG_LIMIT`` edges, and above it to a sparse
+    one of the n-by-n Laplacian.
     """
     n, m = graph.num_nodes, graph.num_edges
     if m == 0:
@@ -332,18 +334,42 @@ def sigma_min_DDt(graph):
     E = graph.incidence()
     adj = sp.csr_matrix(
         (np.ones(m), (graph.edges[:, 0], graph.edges[:, 1])), shape=(n, n))
-    ncomp = _cc(adj, directed=False)[0]
+    ncomp, comp = _cc(adj, directed=False)
     if m > n - ncomp:
         return 0.0
-    gram = (E @ E.T).tocsc()
     if m <= _DENSE_EIG_LIMIT:
-        lo = float(np.linalg.eigvalsh(gram.toarray())[0])
+        lo = float(np.linalg.eigvalsh((E @ E.T).toarray())[0])
     else:
-        # acyclic, so the Gram matrix is positive definite and
-        # shift-invert about zero targets the smallest eigenvalue
-        lo = float(eigsh(gram, k=1, sigma=0.0, which="LM",
-                         return_eigenvectors=False)[0])
+        lo = _smallest_forest_eigenvalue(E, comp)
     return max(lo, 0.0)
+
+
+def _smallest_forest_eigenvalue(E, comp):
+    """Smallest eigenvalue of E E^T for the incidence E of a forest.
+
+    It is the smallest nonzero eigenvalue of the sparse Laplacian
+    L = E^T E, whose null space holds the constants on each component
+    ``comp``.  The Gram matrix E E^T is dense on a high-degree node, L
+    never is.  Shift-invert about zero runs on L's pseudo-inverse: the
+    solve of L grounded at one node per component, with each
+    component's mean removed before and after it.
+    """
+    n = E.shape[1]
+    lap = (E.T @ E).tocsc()
+    sizes = np.bincount(comp)
+    ground = np.zeros(n)
+    ground[np.unique(comp, return_index=True)[1]] = 1.0
+    solve = factorized((lap + sp.diags(ground)).tocsc())
+
+    def center(v):
+        v = np.ravel(v)
+        return v - (np.bincount(comp, weights=v) / sizes)[comp]
+
+    pinv = LinearOperator((n, n), matvec=lambda v: center(solve(center(v))),
+                          dtype=np.float64)
+    v0 = center(np.random.default_rng(0).standard_normal(n))
+    return float(eigsh(lap, k=1, sigma=0.0, which="LM", OPinv=pinv, v0=v0,
+                       return_eigenvectors=False)[0])
 
 
 def save_edge_list(graph, path):

@@ -246,17 +246,36 @@ def k_path(losses, graph, gamma, k_sequence, x0=None, merge_tol=1e-6,
     return PathResult(kind="cardinality", steps=steps, merge_tol=merge_tol)
 
 
+# Largest ratio of strength steps at which gamma_path extrapolates its
+# warm start.  The path is piecewise linear in gamma between merges,
+# but a long step crosses merges the secant cannot see: on the
+# README's two-line gamma-path (grid 0.01, 3, 5, ratio about 4.2) an
+# unguarded secant sends the third step to max_iters at eps 1e-8 (940
+# path iterations become 1,485).
+_SECANT_MAX_RATIO = 2.0
+
+
 def gamma_path(losses, graph, gamma_sequence, x0=None, warm_start=True,
                stop_on_full_merge=False, merge_tol=1e-6, **solver_options):
     """Increasing-strength sweep of the convex solver.
 
     With ``warm_start`` each step starts from the previous step's
     centroids, dual variable and final rho; a dual feasible at a smaller
-    strength stays feasible at a larger one.  Without it every step
-    starts from ``x0`` (or the per-node minimizers), a zero dual and the
-    configured rho.  Each step's partition is read from the solver's
-    final z, whose merged blocks the z-step sets to exactly zero, by the
-    rule of :func:`netlasso.graph.merged_components`.  With
+    strength stays feasible at a larger one.  From the third step on,
+    the start is the secant through the last two steps instead,
+    ``x_{k-1} + t (x_{k-1} - x_{k-2})`` and ``y`` likewise, with
+    ``t = (g_k - g_{k-1}) / (g_{k-1} - g_{k-2})``: between merge events
+    the solution and its dual are linear in the strength for squared
+    distances on a chain (Hoefling 2010; Tibshirani & Taylor 2011), so
+    the secant lands on the next solution until a merge.  It is taken
+    only when ``t <= 2``; a longer step crosses merges the secant cannot
+    see and can start farther off than the previous step itself.  rho
+    is carried either way, and every step still passes the solver's own
+    stopping test.  Without ``warm_start`` every step starts from ``x0``
+    (or the per-node minimizers), a zero dual and the configured rho.
+    Each step's partition is read from the solver's final z, whose
+    merged blocks the z-step sets to exactly zero, by the rule of
+    :func:`netlasso.graph.merged_components`.  With
     ``stop_on_full_merge`` the sweep ends at the first step whose
     partition is a single cluster (that step is kept).  As in
     :func:`k_path`, each x-system is factorized once: once per distinct
@@ -276,12 +295,19 @@ def gamma_path(losses, graph, gamma_sequence, x0=None, warm_start=True,
     y = None
     options = solver_options
     factors = _Factors(losses, graph)
-    for gamma in gammas:
+    last = None  # the previous step's state, once warm starts chain
+    for k, gamma in enumerate(gammas):
         state, _ = solve_nl(losses, graph, gamma, x0=x, y0=y,
                             _factors=factors, _histories=False, **options)
         if warm_start:
             x, y = state.x, state.y
             options = {**solver_options, "rho": state.rho}
+            if last is not None and k + 1 < len(gammas):
+                t = (gammas[k + 1] - gamma) / (gamma - gammas[k - 1])
+                if t <= _SECANT_MAX_RATIO:
+                    x = state.x + t * (state.x - last.x)
+                    y = state.y + t * (state.y - last.y)
+            last = state
         steps.append(_path_step(gamma, state, graph, merge_tol, state.z))
         if stop_on_full_merge and steps[-1].partition.num_clusters == 1:
             break

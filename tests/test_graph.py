@@ -378,6 +378,21 @@ class TestSigmaMin:
         g = WeightedGraph(m + 1, [(0, i) for i in range(1, m + 1)])
         assert sigma_min_DDt(g) == pytest.approx(1.0, rel=1e-10)
 
+    def test_forest_above_the_dense_limit(self):
+        import netlasso.graph as graph_module
+
+        # a 1,199-leaf star (nonzero eigenvalues 1 and 1,200), a 601-node
+        # chain, one lone edge (2) and three isolated nodes, 1,800 edges
+        # with the node ids shuffled: the chain's value is the smallest
+        edges = [(0, i) for i in range(1, 1200)]
+        edges += [(i, i + 1) for i in range(1200, 1800)]
+        edges += [(1801, 1802)]
+        perm = np.random.default_rng(5).permutation(1806)
+        g = WeightedGraph(1806, perm[np.array(edges)])
+        assert g.num_edges > graph_module._DENSE_EIG_LIMIT
+        assert sigma_min_DDt(g) == pytest.approx(
+            2.0 * (1.0 - math.cos(math.pi / 601)), rel=1e-10)
+
     def test_random_forests_match_dense_eig(self):
         rng = np.random.default_rng(23)
         for _ in range(5):

@@ -5,8 +5,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import dense_table_ari, pair_count_ari
+from oracles import dense_table_ari, pair_count_ari, tv1d_exact
 
+from netlasso.datasets import gen_piecewise_signal
 from netlasso.graph import (WeightedGraph, complete_graph, merged_components,
                             path_graph)
 from netlasso.losses import SquaredDistance
@@ -382,16 +383,48 @@ class TestGammaPath:
         monkeypatch.setattr(path_module, "solve_nl", recorded)
         losses, g = split_instance()
         x0 = losses.points + 0.01
-        gamma_path(losses, g, [0.01, 0.1, 1.0], x0=x0,
-                   warm_start=warm_start, max_iters=60)
-        assert len(starts) == 3
-        assert starts[0][0] is not None and starts[0][1] is None
-        for (x, y), prev in zip(starts[1:], states):
-            if warm_start:
-                assert x is prev.x and y is prev.y
-            else:
-                np.testing.assert_array_equal(x, x0)
-                assert y is None
+        for gammas, secant_steps in [
+                ([0.01, 0.1, 1.0], ()),
+                # step ratios 1, 1.5, then 10: secant starts at 2 and 3
+                ([0.01, 0.02, 0.03, 0.045, 0.45], (2, 3))]:
+            starts.clear()
+            states.clear()
+            gamma_path(losses, g, gammas, x0=x0, warm_start=warm_start,
+                       max_iters=60)
+            assert len(starts) == len(gammas)
+            assert starts[0][0] is not None and starts[0][1] is None
+            for k in range(1, len(gammas)):
+                (x, y), prev = starts[k], states[k - 1]
+                if not warm_start:
+                    np.testing.assert_array_equal(x, x0)
+                    assert y is None
+                elif k in secant_steps:
+                    before = states[k - 2]
+                    t = (gammas[k] - gammas[k - 1]) \
+                        / (gammas[k - 1] - gammas[k - 2])
+                    assert same_bits(x, prev.x + t * (prev.x - before.x))
+                    assert same_bits(y, prev.y + t * (prev.y - before.y))
+                else:
+                    assert x is prev.x and y is prev.y
+
+    def test_secant_start_is_exact_inside_one_linear_piece(self):
+        # 1-D total variation on a chain: between merges the solution
+        # and its dual are linear in gamma, so the secant through two
+        # converged steps starts the third at its own solution
+        a = gen_piecewise_signal(40, [(20, 0.0), (20, 2.0)], noise_sd=0.2,
+                                 seed=0).noisy
+        g = path_graph(40)
+        gammas = [0.01, 0.012, 0.0144]
+        exact = [tv1d_exact(a, gamma * g.weights) for gamma in gammas]
+        jumps = [np.abs(np.diff(e)) > 1e-12 for e in exact]
+        assert all(np.array_equal(j, jumps[0]) for j in jumps)
+        result = gamma_path(SquaredDistance(a.reshape(-1, 1)), g, gammas,
+                            rho=1.0, eps_abs=1e-10, eps_rel=1e-10)
+        assert [s.stop_reason for s in result.steps] == ["converged"] * 3
+        # started at the second step's state instead, it takes 39
+        assert result.steps[2].iterations <= 2
+        assert np.abs(result.steps[2].centroids[:, 0]
+                      - exact[2]).max() < 1e-8
 
 
 def count_factorizations(monkeypatch):
@@ -460,20 +493,29 @@ class TestSharedFactorization:
     def test_gamma_path_steps_equal_independent_solves(self, options,
                                                        warm_start):
         losses, g = cache_instance()
-        gammas = [0.01, 0.05, 0.2, 0.8, 3.0]
-        result = gamma_path(losses, g, gammas, warm_start=warm_start,
-                            **options)
-        x = y = None
-        rho = options["rho"]
-        for gamma, step in zip(gammas, result.steps):
-            state, reason = solve_nl(losses, g, gamma, x0=x, y0=y,
-                                     **{**options, "rho": rho})
-            assert_step_equals_solve(step, state, reason)
-            # the partition comes from the final z, by the rule of x's
-            assert step.partition.same_as(Partition(
-                merged_components(g, state.x, 1e-6, state.z)[1]))
-            if warm_start:
-                x, y, rho = state.x, state.y, state.rho
+        # step ratios of at least 3.75, then of about 1 (secant starts)
+        for gammas in ([0.01, 0.05, 0.2, 0.8, 3.0],
+                       [0.01, 0.02, 0.03, 0.04, 0.05, 0.2]):
+            result = gamma_path(losses, g, gammas, warm_start=warm_start,
+                                **options)
+            x = y = last = None
+            rho = options["rho"]
+            for k, (gamma, step) in enumerate(zip(gammas, result.steps)):
+                state, reason = solve_nl(losses, g, gamma, x0=x, y0=y,
+                                         **{**options, "rho": rho})
+                assert_step_equals_solve(step, state, reason)
+                # the partition comes from the final z, by the rule of x's
+                assert step.partition.same_as(Partition(
+                    merged_components(g, state.x, 1e-6, state.z)[1]))
+                if warm_start:
+                    x, y, rho = state.x, state.y, state.rho
+                    if last is not None and k + 1 < len(gammas):
+                        t = (gammas[k + 1] - gamma) \
+                            / (gamma - gammas[k - 1])
+                        if t <= 2:
+                            x = state.x + t * (state.x - last.x)
+                            y = state.y + t * (state.y - last.y)
+                    last = state
 
     @pytest.mark.parametrize("x_update", ["exact", "linearized"])
     def test_constant_rho_path_factorizes_once(self, monkeypatch, x_update):
