@@ -23,15 +23,11 @@ import math
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools  # the kernels behind E @ z
 from scipy.sparse.csgraph import connected_components as _cc
 from scipy.sparse.linalg import LinearOperator, eigsh, factorized
 
 from .penalty import row_norms
-
-try:  # the C++ kernels behind ``csr_matrix @ ndarray``
-    from scipy.sparse import _sparsetools
-except ImportError:  # pragma: no cover - a scipy without the private module
-    _sparsetools = None
 
 __all__ = [
     "WeightedGraph",
@@ -45,8 +41,6 @@ __all__ = [
     "load_edge_list",
 ]
 
-# Dense eigensolves are used below this edge count; iterative above.
-_DENSE_EIG_LIMIT = 1500
 # Rows of the distance matrix that knn_gaussian_graph holds at once.
 _KNN_BLOCK = 32
 
@@ -267,11 +261,7 @@ class DifferenceOperator:
         # which is edge order.  Scatter-adds by np.bincount or np.add.at
         # are several times slower.
         Et, p = self._Et, self.block_dim
-        kernel = getattr(_sparsetools, "csr_matvecs" if p > 1
-                         else "csr_matvec", None)
-        if kernel is None:
-            out += Et @ z
-            return out
+        kernel = _sparsetools.csr_matvecs if p > 1 else _sparsetools.csr_matvec
         dims = Et.shape + (p,) if p > 1 else Et.shape
         kernel(*dims, Et.indptr, Et.indices, Et.data,
                np.ascontiguousarray(z).ravel(), out.ravel())
@@ -319,10 +309,9 @@ def sigma_min_DDt(graph):
 
     The value does not depend on the block dimension.  Returns 0.0 when D
     is not surjective, which happens exactly when the graph contains a
-    cycle.  Chain graphs use the closed form ``2 (1 - cos(pi / n))``; other
-    acyclic graphs fall back to a dense eigensolve of the m-by-m Gram
-    matrix up to ``_DENSE_EIG_LIMIT`` edges, and above it to a sparse
-    one of the n-by-n Laplacian.
+    cycle.  Chain graphs use the closed form ``2 (1 - cos(pi / n))``;
+    every other forest a sparse shift-invert eigensolve of its n-by-n
+    Laplacian (:func:`_smallest_forest_eigenvalue`).
     """
     n, m = graph.num_nodes, graph.num_edges
     if m == 0:
@@ -331,17 +320,12 @@ def sigma_min_DDt(graph):
     if m == n - 1 and np.array_equal(graph.edges,
                                      np.column_stack((idx, idx + 1))):
         return 2.0 * (1.0 - math.cos(math.pi / n))
-    E = graph.incidence()
     adj = sp.csr_matrix(
         (np.ones(m), (graph.edges[:, 0], graph.edges[:, 1])), shape=(n, n))
     ncomp, comp = _cc(adj, directed=False)
     if m > n - ncomp:
         return 0.0
-    if m <= _DENSE_EIG_LIMIT:
-        lo = float(np.linalg.eigvalsh((E @ E.T).toarray())[0])
-    else:
-        lo = _smallest_forest_eigenvalue(E, comp)
-    return max(lo, 0.0)
+    return max(_smallest_forest_eigenvalue(graph.incidence(), comp), 0.0)
 
 
 def _smallest_forest_eigenvalue(E, comp):

@@ -19,7 +19,8 @@ import numpy as np
 
 from .datasets import _write_rows
 from .graph import merged_components
-from .solver import SolverConfig, _Factors, _is_int, solve_nl, solve_ntl
+from .penalty import _is_int
+from .solver import SolverConfig, _Factors, solve_nl, solve_ntl
 
 __all__ = [
     "Partition",
@@ -55,8 +56,8 @@ class Partition:
             raise ValueError("labels must be a non-empty 1-D sequence")
         if labels.min() < 0:
             raise ValueError("labels must be non-negative")
-        counts = np.bincount(labels)
-        if np.any(counts == 0):
+        # the size test first: bincount allocates up to the largest id
+        if labels.max() >= labels.size or not np.bincount(labels).all():
             raise ValueError("cluster ids must be dense")
         object.__setattr__(self, "labels", canonical_labels(labels))
 

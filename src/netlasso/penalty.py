@@ -28,12 +28,11 @@ its cost on narrow blocks.
 
 from __future__ import annotations
 
-from functools import cached_property
+import numbers
 
 import numpy as np
 
 __all__ = [
-    "TrimSelection",
     "row_norms",
     "trimmed_norm",
     "prox_trimmed",
@@ -73,32 +72,31 @@ def row_norms(a):
     return np.sqrt(s)
 
 
+def _is_int(value):
+    """An integer, numpy's included, and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _check_k(K, m):
-    K = int(K)
-    if K < 0:
-        raise ValueError("K must be non-negative")
-    return min(K, m)
+    if not _is_int(K) or K < 0:
+        raise ValueError("K must be a non-negative integer")
+    return min(int(K), m)
 
 
-class TrimSelection:
-    """Index split produced by :func:`prox_trimmed`.
+def _keep_mask(norms, K):
+    """Boolean mask of the K largest of ``norms``, ties at the K-th
+    largest going to the lowest indices; K must lie in 0..m.
 
-    ``kept`` holds the (up to K) block indices left unpenalized, sorted
-    ascending; ``trimmed`` holds the rest.  Both are read off the keep
-    mask on first access, so a caller that reads neither pays for
-    neither.
-    """
-
-    def __init__(self, keep):
-        self._keep = keep
-
-    @cached_property
-    def kept(self):
-        return np.flatnonzero(self._keep)
-
-    @cached_property
-    def trimmed(self):
-        return np.flatnonzero(~self._keep)
+    The one selection rule of the trimmed norm: :func:`prox_trimmed`
+    leaves these blocks unpenalized and
+    :func:`netlasso.solver.stationarity_check` penalizes the rest."""
+    m = len(norms)
+    if not K:
+        return np.zeros(m, dtype=bool)
+    kth = np.partition(norms, m - K)[m - K]  # K-th largest norm
+    keep = norms > kth
+    keep[np.flatnonzero(norms == kth)[:K - keep.sum()]] = True
+    return keep
 
 
 def trimmed_norm(z, K):
@@ -189,7 +187,8 @@ def prox_trimmed(a, K, lam):
     Returns
     -------
     z : ndarray, shape (m, p)
-    selection : TrimSelection
+    keep : ndarray of bool, shape (m,)
+        True on the blocks left unchanged.
     """
     a = _as_blocks(a)
     m = len(a)
@@ -197,16 +196,11 @@ def prox_trimmed(a, K, lam):
     if lam < 0:
         raise ValueError("lam must be non-negative")
     norms = row_norms(a)
-    keep = np.zeros(m, dtype=bool)
-    if K:
-        kth = np.partition(norms, m - K)[m - K]  # K-th largest norm
-        keep = norms > kth
-        # ties at the K-th norm go to the lowest indices
-        keep[np.flatnonzero(norms == kth)[:K - keep.sum()]] = True
+    keep = _keep_mask(norms, K)
     # one pass over all rows: kept rows times 1.0 are copied exactly
     scale = _shrink_factors(norms, lam)
     np.putmask(scale, keep, 1.0)
-    return _scale_rows(a, scale), TrimSelection(keep)
+    return _scale_rows(a, scale), keep
 
 
 def directional_derivative(z, v, K, tie_tol=0.0):

@@ -29,7 +29,6 @@ on their subgraph.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass, field
 
@@ -39,8 +38,8 @@ from scipy.sparse.linalg import eigsh, factorized, splu
 
 from .graph import (DifferenceOperator, WeightedGraph, merged_components,
                     sigma_min_DDt)
-from .penalty import (_check_k, _scale_rows, group_shrink, prox_trimmed,
-                      row_norms, trimmed_norm)
+from .penalty import (_check_k, _is_int, _keep_mask, _scale_rows,
+                      group_shrink, prox_trimmed, row_norms, trimmed_norm)
 
 __all__ = [
     "SolverConfig",
@@ -65,11 +64,6 @@ __all__ = [
 CONVERGED = "converged"
 MAX_ITERS = "max-iters"
 DIVERGED = "diverged"
-
-
-def _is_int(value):
-    """An integer, numpy's included, and not a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass
@@ -954,10 +948,10 @@ def stationarity_check(x, losses, graph, gamma, cardinality, merge_tol=1e-6):
     Otherwise the convex objective of S lies above the trimmed one near
     x and equals it at x, so a failing certificate still proves that x
     is not stationary, and a passing one proves nothing.  With fewer than
-    K nonzero blocks (``slack``) S is every zero block; at a tie of
-    positive norms (``tie``) S is the m - K smallest with ties broken
-    toward the higher block index, as :func:`netlasso.penalty.prox_trimmed`
-    keeps the lower ones.
+    K nonzero blocks (``slack``) S is every zero block.  Otherwise S is
+    the complement of the keep mask of
+    :func:`netlasso.penalty.prox_trimmed`, which at a tie of positive
+    norms (``tie``) keeps the tied blocks of lowest index.
     """
     x = np.asarray(x, dtype=np.float64)
     m = graph.num_edges
@@ -965,12 +959,11 @@ def stationarity_check(x, losses, graph, gamma, cardinality, merge_tol=1e-6):
     blocks = DifferenceOperator(graph, losses.dim).apply(x)
     norms = row_norms(blocks)
     norms[merged_components(graph, x, merge_tol, blocks)[0]] = 0.0
-    order = np.argsort(-norms, kind="stable")
-    S = np.ones(m, dtype=bool)
-    S[order[:K]] = False
+    keep = _keep_mask(norms, K)
+    S = ~keep
     selection = "unique"
-    if 0 < K < m and norms[order[K - 1]] == norms[order[K]]:
-        selection = "tie" if norms[order[K]] > 0 else "slack"
+    if 0 < K < m and norms[keep].min() == norms[S].max():
+        selection = "tie" if norms[S].max() > 0 else "slack"
     if selection == "slack":
         S = norms == 0
     report = nl_certificate(x, losses, WeightedGraph(graph.num_nodes,

@@ -1161,6 +1161,17 @@ class TestRunTimeChecks:
                 in err
             assert "inhomogeneous" not in err
 
+    def test_huge_label_is_config_error(self, tmp_path, capsys):
+        # a label of 1e15 is not dense; counting labels up to it would
+        # raise MemoryError, a traceback with exit 1
+        a = tmp_path / "a.json"
+        a.write_text(json.dumps({"labels": [0, 1]}))
+        b = tmp_path / "b.csv"
+        b.write_text("0\n1000000000000000\n")
+        assert main(["metrics", "--predicted", str(a), "--reference",
+                     str(b), "--out-dir", str(tmp_path / "out")]) == 2
+        assert "dense" in capsys.readouterr().err
+
     @pytest.mark.parametrize("labels",[["a", "b"], [[0], [1, 0]]])
     def test_malformed_json_labels_are_config_error(self, tmp_path, capsys,
                                                     labels):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -281,18 +282,6 @@ class TestDifferenceOperator:
             DifferenceOperator(path_graph(3), 2).apply_adjoint(
                 np.zeros((2, 2)), start=np.zeros((3, 1)))
 
-    def test_adjoint_without_scipy_kernels_uses_the_product(self,
-                                                            monkeypatch):
-        import netlasso.graph as graph_module
-
-        monkeypatch.setattr(graph_module, "_sparsetools", None)
-        rng = np.random.default_rng(14)
-        for g, p, z in self.adjoint_cases(rng):
-            got = DifferenceOperator(g, p).apply_adjoint(z)
-            want = g.incidence().T @ z
-            np.testing.assert_array_equal(got.view(np.int64),
-                                          want.view(np.int64))
-
     def test_apply_signed_zero_difference_is_positive_zero(self):
         # (-0.0) - (+0.0) is -0.0 in plain arithmetic; E @ x gives +0.0
         g = path_graph(3)
@@ -379,8 +368,6 @@ class TestSigmaMin:
         assert sigma_min_DDt(g) == pytest.approx(1.0, rel=1e-10)
 
     def test_forest_above_the_dense_limit(self):
-        import netlasso.graph as graph_module
-
         # a 1,199-leaf star (nonzero eigenvalues 1 and 1,200), a 601-node
         # chain, one lone edge (2) and three isolated nodes, 1,800 edges
         # with the node ids shuffled: the chain's value is the smallest
@@ -389,7 +376,6 @@ class TestSigmaMin:
         edges += [(1801, 1802)]
         perm = np.random.default_rng(5).permutation(1806)
         g = WeightedGraph(1806, perm[np.array(edges)])
-        assert g.num_edges > graph_module._DENSE_EIG_LIMIT
         assert sigma_min_DDt(g) == pytest.approx(
             2.0 * (1.0 - math.cos(math.pi / 601)), rel=1e-10)
 
@@ -400,6 +386,20 @@ class TestSigmaMin:
             D = dense_difference_matrix(g, 1)
             oracle = float(np.linalg.eigvalsh(D @ D.T)[0])
             assert sigma_min_DDt(g) == pytest.approx(oracle, rel=1e-9)
+
+    def test_every_small_forest_matches_dense_eig(self):
+        # each forest on 3 or 4 nodes (chains in node order take the
+        # closed form, every other one the shift-invert solve)
+        for n in (3, 4):
+            pairs = list(itertools.combinations(range(n), 2))
+            for mask in range(1, 2 ** len(pairs)):
+                edges = [e for b, e in enumerate(pairs) if mask >> b & 1]
+                g = WeightedGraph(n, edges)
+                D = dense_difference_matrix(g, 1)
+                if np.linalg.matrix_rank(D) < len(edges):
+                    continue  # a cycle
+                oracle = float(np.linalg.eigvalsh(D @ D.T)[0])
+                assert sigma_min_DDt(g) == pytest.approx(oracle, rel=1e-9)
 
     def test_edgeless_graph_raises(self):
         with pytest.raises(ValueError):

@@ -49,6 +49,12 @@ class TestPartition:
         with pytest.raises(ValueError):
             Partition(np.array([0, 2]))
 
+    def test_huge_id_rejected_without_counting(self):
+        # a bincount over the ids would allocate one slot per id up to
+        # the largest, 7.11 PiB here, and raise MemoryError
+        with pytest.raises(ValueError, match="dense"):
+            Partition(np.array([0, 10**15]))
+
     def test_rejects_negative_and_empty(self):
         with pytest.raises(ValueError):
             Partition(np.array([0, -1]))

@@ -14,6 +14,7 @@ from oracles import (
 )
 
 from netlasso.penalty import (
+    _keep_mask,
     _shrink_factors,
     directional_derivative,
     group_shrink,
@@ -111,6 +112,22 @@ class TestTrimmedNorm:
         with pytest.raises(ValueError):
             trimmed_norm(np.ones((2, 1)), -1)
 
+    @pytest.mark.parametrize("K", [2.5, 2.0, True, "2"])
+    def test_non_integer_k_rejected(self, K):
+        # int(K) would keep 2 blocks at K = 2.5 and count True as 1
+        z = np.arange(4.0)[:, None]
+        for call in (lambda: trimmed_norm(z, K),
+                     lambda: prox_trimmed(z, K, 1.0),
+                     lambda: directional_derivative(z, z, K)):
+            with pytest.raises(ValueError, match="integer"):
+                call()
+
+    def test_numpy_integer_k_accepted(self):
+        z = np.arange(4.0)[:, None]
+        assert trimmed_norm(z, np.int64(2)) == trimmed_norm(z, 2) == 1.0
+        _, keep = prox_trimmed(z, np.int32(2), 1.0)
+        assert np.flatnonzero(keep).tolist() == [2, 3]
+
     def test_matches_slow_oracle(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
@@ -207,33 +224,33 @@ class TestPhiEnvelope:
 class TestProxTrimmed:
     def test_hand_example(self):
         a = np.array([[3.0], [1.0], [0.5]])
-        z, sel = prox_trimmed(a, K=1, lam=1.0)
+        z, keep = prox_trimmed(a, K=1, lam=1.0)
         np.testing.assert_allclose(z, [[3.0], [0.0], [0.0]])
-        np.testing.assert_array_equal(sel.kept, [0])
-        np.testing.assert_array_equal(sel.trimmed, [1, 2])
+        np.testing.assert_array_equal(np.flatnonzero(keep), [0])
+        np.testing.assert_array_equal(np.flatnonzero(~keep), [1, 2])
 
     def test_k_equal_m_is_identity(self):
         rng = np.random.default_rng(4)
         a = rng.normal(size=(4, 2))
-        z, sel = prox_trimmed(a, K=4, lam=5.0)
+        z, keep = prox_trimmed(a, K=4, lam=5.0)
         np.testing.assert_array_equal(z, a)
-        assert len(sel.trimmed) == 0
+        assert len(np.flatnonzero(~keep)) == 0
         z2, _ = prox_trimmed(a, K=9, lam=5.0)
         np.testing.assert_array_equal(z2, a)
 
     def test_k_zero_is_blockwise_shrinkage(self):
         rng = np.random.default_rng(5)
         a = rng.normal(size=(5, 3))
-        z, sel = prox_trimmed(a, K=0, lam=0.4)
+        z, keep = prox_trimmed(a, K=0, lam=0.4)
         for k in range(5):
             np.testing.assert_allclose(z[k], group_shrink(a[k][None], 0.4)[0])
-        assert len(sel.kept) == 0
+        assert len(np.flatnonzero(keep)) == 0
 
     def test_tie_breaks_to_lowest_index(self):
         a = np.array([[1.0], [1.0]])
-        z, sel = prox_trimmed(a, K=1, lam=0.5)
+        z, keep = prox_trimmed(a, K=1, lam=0.5)
         np.testing.assert_allclose(z, [[1.0], [0.5]])
-        np.testing.assert_array_equal(sel.kept, [0])
+        np.testing.assert_array_equal(np.flatnonzero(keep), [0])
         # both selections attain the same objective value
         alt = np.array([[0.5], [1.0]])
         ours = prox_trimmed_objective(z, a, 1, 0.5)
@@ -256,11 +273,12 @@ class TestProxTrimmed:
     def test_selection_partitions_indices(self):
         rng = np.random.default_rng(7)
         a = rng.normal(size=(7, 2))
-        z, sel = prox_trimmed(a, K=3, lam=0.2)
-        merged = np.sort(np.concatenate([sel.kept, sel.trimmed]))
+        z, keep = prox_trimmed(a, K=3, lam=0.2)
+        merged = np.sort(np.concatenate([np.flatnonzero(keep),
+                                         np.flatnonzero(~keep)]))
         np.testing.assert_array_equal(merged, np.arange(7))
-        kept_norms = np.linalg.norm(a[sel.kept], axis=1)
-        trimmed_norms = np.linalg.norm(a[sel.trimmed], axis=1)
+        kept_norms = np.linalg.norm(a[np.flatnonzero(keep)], axis=1)
+        trimmed_norms = np.linalg.norm(a[np.flatnonzero(~keep)], axis=1)
         assert kept_norms.min() >= trimmed_norms.max() - 1e-12
 
     def test_tie_group_straddling_k_goes_to_lowest_indices(self):
@@ -274,11 +292,27 @@ class TestProxTrimmed:
             for K in range(1, m):
                 if norms[order[K - 1]] != norms[order[K]]:
                     continue  # no tie group straddles position K
-                _, sel = prox_trimmed(a, K, 0.3)
-                assert sel.kept.tolist() == sorted(order[:K])
-                assert sel.trimmed.tolist() == sorted(order[K:])
+                _, keep = prox_trimmed(a, K, 0.3)
+                assert np.flatnonzero(keep).tolist() == sorted(order[:K])
+                assert np.flatnonzero(~keep).tolist() == sorted(order[K:])
                 checked += 1
         assert checked >= 100
+
+    def test_keep_mask_is_the_stable_argsort_rule(self):
+        # the same selection stated independently: the first K entries
+        # of a stable descending argsort of the norms
+        rng = np.random.default_rng(22)
+        for _ in range(100):
+            m = int(rng.integers(1, 15))
+            a = make_tied_instance(rng, m, int(rng.integers(1, 4)), 0)
+            norms = row_norms(a)
+            order = np.argsort(-norms, kind="stable")
+            for K in range(m + 1):
+                want = np.zeros(m, dtype=bool)
+                want[order[:K]] = True
+                np.testing.assert_array_equal(_keep_mask(norms, K), want)
+                np.testing.assert_array_equal(prox_trimmed(a, K, 0.3)[1],
+                                              want)
 
     def test_lam_zero_is_identity(self):
         rng = np.random.default_rng(8)
@@ -325,23 +359,11 @@ class TestKernelOracles:
             lam = float(rng.choice([0.0, 0.05, 0.5, 3.0]))
             # every K from 0 past m, so tie groups straddle the K-th norm
             for K in range(m + 2):
-                z, sel = prox_trimmed(a, K, lam)
+                z, keep = prox_trimmed(a, K, lam)
                 z_ref, kept, trimmed = prox_trimmed_reference(a, K, lam)
                 assert_bitwise_equal(z, z_ref)
-                np.testing.assert_array_equal(sel.kept, kept)
-                np.testing.assert_array_equal(sel.trimmed, trimmed)
-
-    def test_selection_indices_taken_on_first_access(self):
-        # the solver reads only z: the index split costs nothing unread
-        rng = np.random.default_rng(199)
-        a = rng.normal(size=(30, 2))
-        _, sel = prox_trimmed(a, 7, 0.3)
-        assert "kept" not in vars(sel) and "trimmed" not in vars(sel)
-        _, kept, trimmed = prox_trimmed_reference(a, 7, 0.3)
-        np.testing.assert_array_equal(sel.trimmed, trimmed)
-        assert "kept" not in vars(sel)
-        np.testing.assert_array_equal(sel.kept, kept)
-        assert sel.kept is sel.kept and sel.trimmed is sel.trimmed
+                np.testing.assert_array_equal(np.flatnonzero(keep), kept)
+                np.testing.assert_array_equal(np.flatnonzero(~keep), trimmed)
 
     @pytest.mark.parametrize("p", [1, 2, 3, 9])
     def test_group_shrink_matches_reference(self, p):

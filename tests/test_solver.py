@@ -1288,6 +1288,15 @@ class TestStationarity:
         assert reports[0].max_rel_residual == pytest.approx(
             reports[1].max_rel_residual, rel=1e-6)
 
+    @pytest.mark.parametrize("K", [2.5, True])
+    def test_non_integer_cardinality_rejected(self, K):
+        losses, g = four_node_split_instance()
+        x = losses.all_minimizers()
+        with pytest.raises(ValueError, match="integer"):
+            stationarity_check(x, losses, g, 1.0, K)
+        assert stationarity_check(x, losses, g, 1.0, np.int64(1)) \
+            == stationarity_check(x, losses, g, 1.0, 1)
+
     def test_values_match_objective_finite_differences(self):
         rng = np.random.default_rng(25)
         pts = rng.normal(size=(5, 1))
@@ -1306,6 +1315,36 @@ class TestStationarity:
             fd = (objective_trimmed(losses, op, x + eta * v, gamma, K)
                   - objective_trimmed(losses, op, x, gamma, K)) / eta
             assert dd == pytest.approx(fd, abs=1e-5)
+
+
+class TestCustomLossSolves:
+    """A CustomLoss runs the per-node loops of ``Loss.total_value`` and
+    ``total_gradient``; with the callbacks of 0.5 ||x - a_i||^2 both
+    solvers must follow SquaredDistance's vectorized run."""
+
+    @pytest.mark.parametrize("trimmed", [False, True])
+    def test_matches_squared_distance(self, trimmed):
+        rng = np.random.default_rng(32)
+        pts = rng.normal(size=(15, 2))
+        custom = CustomLoss(
+            15, 2, lambda i, x: 0.5 * float((x - pts[i]) @ (x - pts[i])),
+            lambda i, x: x - pts[i], smoothness=1.0, strong_convexity=1.0,
+            minimizer_fn=lambda i: pts[i])
+        g = knn_gaussian_graph(pts, 4, alpha=1.0)
+        states = []
+        for losses in (custom, SquaredDistance(pts)):
+            if trimmed:
+                cfg = SolverConfig(gamma=0.5, cardinality=6, rho=10.0,
+                                   x_update="linearized", max_iters=3000)
+                states.append(solve_ntl(losses, g, cfg)[0])
+            else:
+                states.append(solve_nl(losses, g, 0.3, x_update="linearized",
+                                       max_iters=3000)[0])
+        ours, ref = states
+        assert ref.stop_reason == CONVERGED and ref.iterations > 10
+        assert ours.stop_reason == ref.stop_reason
+        assert ours.iterations == ref.iterations
+        np.testing.assert_allclose(ours.x, ref.x, rtol=0, atol=1e-12)
 
 
 class TestCertificate:
