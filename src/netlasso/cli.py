@@ -20,7 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .datasets import (_floats, _read_rows, _write_rows, gen_half_moons,
+from .datasets import (_change_positions, _floats, _int_labels, _json_text,
+                       _jsonify, _read_rows, _write_rows, gen_half_moons,
                        gen_piecewise_signal, gen_two_line_regression,
                        load_csv, load_signal_csv, save_csv, save_signal_csv)
 from .graph import (complete_graph, knn_gaussian_graph, load_edge_list,
@@ -32,7 +33,7 @@ from .path import (Partition, adjusted_rand_index, extract_partition,
 from .solver import (DIVERGED, MAX_ITERS, RhoSchedule, SingularSystemError,
                      SolverConfig, nl_certificate, solve_nl, solve_ntl,
                      stationarity_check)
-from .thresholds import (_jsonify, bound_C_clustering, bound_C_quadratic,
+from .thresholds import (bound_C_clustering, bound_C_quadratic,
                          clustering_threshold, exact_penalty_threshold,
                          recovery_interval, recovery_interval_cc)
 
@@ -321,7 +322,7 @@ def normalize_config(raw):
 
 def serialize_config(config):
     """Render a normalized config back to its canonical JSON text."""
-    return json.dumps(config, sort_keys=True, indent=2) + "\n"
+    return _json_text(config)
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +537,7 @@ def _check_path(path):
 
 
 def _write_json(path, payload):
-    Path(path).write_text(serialize_config(_jsonify(payload)))
+    Path(path).write_text(_json_text(_jsonify(payload)))
 
 
 def _write_solve(out, config, state, reason, part, kind, report, **extra):
@@ -694,10 +695,7 @@ def _load_labels(path):
             raise ValueError("no labels list")
     else:
         labels = [float(row[-1]) for row in _read_rows(path)]
-    arr = np.asarray(labels, dtype=np.float64)
-    if not np.all(arr == np.round(arr)):
-        raise ValueError("labels must be integral")
-    return Partition(arr.astype(np.int64))
+    return Partition(_int_labels(labels))
 
 
 def cmd_metrics(config, out):
@@ -720,7 +718,7 @@ def _fit(gamma, x, part, signal):
 
     On the chain every cluster is a run of samples, so the jumps are
     where the partition labels change."""
-    jumps = [int(i) + 1 for i in np.flatnonzero(np.diff(part.labels))]
+    jumps = _change_positions(part.labels).tolist()
     return {"gamma": float(gamma),
             "error": float(np.linalg.norm(x[:, 0] - signal.original)),
             "jumps": jumps, "num_jumps": len(jumps)}
@@ -755,7 +753,7 @@ def cmd_piecewise(config, out):
     best = min(range(len(fits)), key=lambda i: fits[i]["error"])
     sparse = next((i for i, fit in enumerate(fits)
                    if fit["num_jumps"] <= K), None)
-    true_jumps = [int(j) for j in signal.jumps]
+    true_jumps = signal.jumps.tolist()
     _write_json(out / "piecewise.json", {
         "n": n,
         "noise_sd": signal.noise_sd,

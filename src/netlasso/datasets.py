@@ -7,12 +7,15 @@ seeded Generator, so a fixed seed reproduces the data byte for byte.
 """
 
 import csv
+import json
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .penalty import _as_blocks
 
 __all__ = [
     "LabeledPoints",
@@ -30,22 +33,20 @@ __all__ = [
 
 @dataclass
 class LabeledPoints:
-    """Point cloud with optional ground-truth labels and responses."""
+    """Point cloud with optional ground-truth labels and responses.
+
+    Labels go through the one label cast of the package: each must be
+    an integer below 2**63 in magnitude."""
 
     points: np.ndarray
     labels: np.ndarray = None
     responses: np.ndarray = None
-    seed: int = None
 
     def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=np.float64)
-        if self.points.ndim == 1:
-            self.points = self.points[:, None]
-        if self.points.ndim != 2:
-            raise ValueError("points must be a 2-D array")
+        self.points = _as_blocks(self.points, "points")
         n = len(self.points)
         if self.labels is not None:
-            self.labels = np.asarray(self.labels, dtype=np.int64)
+            self.labels = _int_labels(self.labels)
             if self.labels.shape != (n,):
                 raise ValueError("need one label per point")
         if self.responses is not None:
@@ -57,9 +58,11 @@ class LabeledPoints:
     def num_points(self):
         return len(self.points)
 
-    @property
-    def dim(self):
-        return self.points.shape[1]
+
+def _change_positions(values):
+    """The indices i >= 1 where ``values[i]`` differs from
+    ``values[i - 1]``: the jumps of a signal or of a chain's labels."""
+    return np.flatnonzero(np.diff(values) != 0) + 1
 
 
 @dataclass
@@ -69,19 +72,17 @@ class SignalInstance:
     original: np.ndarray
     noisy: np.ndarray
     noise_sd: float
-    jumps: np.ndarray
-    seed: int = None
 
     def __post_init__(self):
         self.original = np.asarray(self.original, dtype=np.float64)
         self.noisy = np.asarray(self.noisy, dtype=np.float64)
         if self.original.shape != self.noisy.shape:
             raise ValueError("original and noisy lengths differ")
-        self.jumps = np.asarray(self.jumps, dtype=np.int64)
-        # the jump list must be exactly the set of level changes
-        changes = np.flatnonzero(np.diff(self.original) != 0.0) + 1
-        if not np.array_equal(np.sort(self.jumps), changes):
-            raise ValueError("jump positions do not match the signal")
+
+    @property
+    def jumps(self):
+        """The indices where the clean signal changes value."""
+        return _change_positions(self.original)
 
     @property
     def num_jumps(self):
@@ -115,8 +116,7 @@ def gen_two_line_regression(n, slopes=(1.0, -1.0), intercepts=(0.0, 0.0),
         b[mask] = intercepts[c] + slopes[c] * a[mask]
     if noise_sd > 0:
         b = b + rng.normal(0.0, noise_sd, size=n)
-    return LabeledPoints(points=a[:, None], labels=labels, responses=b,
-                         seed=seed)
+    return LabeledPoints(points=a[:, None], labels=labels, responses=b)
 
 
 def gen_half_moons(n, noise_sd=0.0, seed=0):
@@ -140,7 +140,7 @@ def gen_half_moons(n, noise_sd=0.0, seed=0):
                              np.ones(n_bot, dtype=np.int64)])
     if noise_sd > 0:
         pts = pts + rng.normal(0.0, noise_sd, size=pts.shape)
-    return LabeledPoints(points=pts, labels=labels, seed=seed)
+    return LabeledPoints(points=pts, labels=labels)
 
 
 def gen_piecewise_signal(n, levels, noise_sd=0.2, seed=0):
@@ -160,9 +160,8 @@ def gen_piecewise_signal(n, levels, noise_sd=0.2, seed=0):
     rng = np.random.default_rng(seed)
     noise = rng.normal(0.0, noise_sd, size=n) if noise_sd > 0 \
         else np.zeros(n)
-    jumps = np.flatnonzero(np.diff(original) != 0.0) + 1
     return SignalInstance(original=original, noisy=original + noise,
-                          noise_sd=float(noise_sd), jumps=jumps, seed=seed)
+                          noise_sd=float(noise_sd))
 
 
 def _opened(target, mode):
@@ -212,6 +211,44 @@ def _write_rows(target, header, rows, start=None):
             stream.write(",".join(cells) + "\n")
 
 
+def _jsonify(value):
+    """Make a value JSON-friendly, containers included; infinities
+    become strings."""
+    if isinstance(value, float):
+        if math.isinf(value):
+            return "inf" if value > 0 else "-inf"
+        return value
+    if isinstance(value, np.ndarray):
+        return [_jsonify(v) for v in value.tolist()]
+    if isinstance(value, (list, tuple)):
+        return [_jsonify(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _jsonify(v) for k, v in value.items()}
+    return value
+
+
+def _json_text(doc):
+    """The canonical JSON text of ``doc``: sorted keys, two-space
+    indents and a final newline.  Every JSON artifact is this text."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def _int_labels(values):
+    """``values`` as int64 labels.  A value that is not an integer, or
+    whose magnitude is 2**63 or more, is a ValueError: the cast would
+    wrap it to another integer."""
+    out_of_range = "labels must be integers below 2**63 in magnitude"
+    try:
+        values = np.asarray(values, dtype=np.float64)
+    except OverflowError:  # a Python int beyond the float range
+        raise ValueError(out_of_range) from None
+    if not np.all(values == np.round(values)):
+        raise ValueError("labels must be integral")
+    if not np.all(np.abs(values) < 2.0 ** 63):
+        raise ValueError(out_of_range)
+    return values.astype(np.int64)
+
+
 def save_csv(data, target):
     """Write a LabeledPoints as CSV with full float precision.
 
@@ -248,10 +285,7 @@ def load_csv(source, has_labels=False, has_responses=False):
     responses = None
     end = width
     if has_labels:
-        col = values[:, end - 1]
-        if np.any(col != np.round(col)):
-            raise ValueError("label column must be integral")
-        labels = col.astype(np.int64)
+        labels = values[:, end - 1]
         end -= 1
     if has_responses:
         responses = values[:, end - 1]
@@ -269,8 +303,7 @@ def resample(data, n, seed=0):
     return LabeledPoints(
         points=data.points[idx],
         labels=None if data.labels is None else data.labels[idx],
-        responses=None if data.responses is None else data.responses[idx],
-        seed=seed)
+        responses=None if data.responses is None else data.responses[idx])
 
 
 def save_signal_csv(signal, target):
@@ -285,6 +318,5 @@ def load_signal_csv(source, noise_sd=0.0):
     if rows and len(rows[0]) != 2:
         raise ValueError("signal CSV must have exactly two columns")
     original, noisy = values.reshape(-1, 2).T
-    jumps = np.flatnonzero(np.diff(original) != 0.0) + 1
     return SignalInstance(original=original, noisy=noisy,
-                          noise_sd=float(noise_sd), jumps=jumps)
+                          noise_sd=float(noise_sd))

@@ -27,7 +27,7 @@ from scipy.sparse import _sparsetools  # the kernels behind E @ z
 from scipy.sparse.csgraph import connected_components as _cc
 from scipy.sparse.linalg import LinearOperator, eigsh, factorized
 
-from .penalty import row_norms
+from .penalty import _as_blocks, row_norms
 
 __all__ = [
     "WeightedGraph",
@@ -120,9 +120,7 @@ class WeightedGraph:
 def _points(points):
     """``points`` as an (n, p) float array, (n,) read as p = 1; a point
     with a non-finite coordinate is a ValueError naming it."""
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim == 1:
-        points = points[:, None]
+    points = _as_blocks(points, "points")
     bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
     if len(bad):
         raise ValueError(f"non-finite points at nodes {bad.tolist()}")
@@ -149,8 +147,6 @@ def complete_graph(num_nodes, points=None, alpha=0.5):
     (shape ``(n, p)``), edge {i, j} gets the Gaussian kernel weight
     ``exp(-alpha * ||a_i - a_j||^2)``.
     """
-    if num_nodes is None and points is not None:
-        num_nodes = len(points)
     n = int(num_nodes)
     edges = np.column_stack(np.triu_indices(n, k=1))
     return WeightedGraph(n, edges, _gaussian_weights(points, n, edges, alpha))

@@ -28,6 +28,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .penalty import _as_blocks
+
 __all__ = [
     "Loss",
     "SquaredDistance",
@@ -118,10 +120,8 @@ class SquaredDistance(Loss):
     """
 
     def __init__(self, points):
-        points = np.asarray(points, dtype=np.float64)
-        if points.ndim == 1:
-            points = points[:, None]
-        if points.ndim != 2 or len(points) == 0:
+        points = _as_blocks(points, "points")
+        if len(points) == 0:
             raise ValueError("points must be a non-empty (n, p) array")
         self.points = points
         self.num_nodes, self.dim = points.shape

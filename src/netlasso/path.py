@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datasets import _write_rows
+from .datasets import _json_text, _write_rows
 from .graph import merged_components
-from .penalty import _is_int
+from .penalty import _as_blocks, _is_int
 from .solver import SolverConfig, _Factors, solve_nl, solve_ntl
 
 __all__ = [
@@ -90,9 +90,7 @@ def extract_partition(x, graph, merge_tol=1e-6):
     :func:`netlasso.graph.merged_components`.
     """
     _check_merge_tol(merge_tol)
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
+    x = _as_blocks(x, "x")
     if len(x) != graph.num_nodes:
         raise ValueError("centroid count does not match the graph")
     return Partition(merged_components(graph, x, merge_tol)[1])
@@ -330,10 +328,7 @@ def midpoint_init(path):
 
 def save_path_json(path, stream):
     """Write a PathResult as deterministic JSON (sorted keys)."""
-    import json
-
-    json.dump(path.to_json_dict(), stream, sort_keys=True, indent=2)
-    stream.write("\n")
+    stream.write(_json_text(path.to_json_dict()))
 
 
 def save_centroids_csv(path, stream):

@@ -42,12 +42,16 @@ __all__ = [
 ]
 
 
-def _as_blocks(z):
+def _as_blocks(z, name):
+    """``z`` as a float64 (m, p) array, a 1-D array read as one column;
+    any other rank is a ValueError that names the argument ``name``.
+
+    The one reading of a point or block array in the package."""
     z = np.asarray(z, dtype=np.float64)
     if z.ndim == 1:
-        z = z[:, None]
+        return z[:, None]
     if z.ndim != 2:
-        raise ValueError("block vectors must be (m, p) arrays")
+        raise ValueError(f"{name} must be a 1-D or 2-D array")
     return z
 
 
@@ -104,7 +108,7 @@ def trimmed_norm(z, K):
 
     K beyond the number of blocks is treated as m, giving 0.
     """
-    z = _as_blocks(z)
+    z = _as_blocks(z, "z")
     m = len(z)
     K = _check_k(K, m)
     norms = row_norms(z)
@@ -190,7 +194,7 @@ def prox_trimmed(a, K, lam):
     keep : ndarray of bool, shape (m,)
         True on the blocks left unchanged.
     """
-    a = _as_blocks(a)
+    a = _as_blocks(a, "a")
     m = len(a)
     K = _check_k(K, m)
     if lam < 0:
@@ -226,8 +230,8 @@ def directional_derivative(z, v, K, tie_tol=0.0):
     float
         lim_{t -> 0+} [trimmed_norm(z + t v, K) - trimmed_norm(z, K)] / t.
     """
-    z = _as_blocks(z)
-    v = _as_blocks(v)
+    z = _as_blocks(z, "z")
+    v = _as_blocks(v, "v")
     if z.shape != v.shape:
         raise ValueError("z and v must have the same shape")
     m = len(z)

@@ -20,9 +20,21 @@ from dataclasses import asdict, dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from .datasets import _jsonify
 from .losses import SquaredDistance, sum_loss_minimizer
 from .path import Partition
-from .penalty import row_norms
+from .penalty import _as_blocks, row_norms
+
+
+def _anchors(points):
+    """The anchor points of a SquaredDistance loss, or ``points`` read
+    as an (n, p) array; another loss family is a TypeError."""
+    if isinstance(points, SquaredDistance):
+        return points.points
+    if hasattr(points, "num_nodes"):
+        raise TypeError("squared-distance losses required; got a "
+                        "different loss family")
+    return _as_blocks(points, "points")
 
 
 def _ratio(num, den):
@@ -40,27 +52,6 @@ def _norms(d):
     # penalty.row_norms: that one is the axis= reduction, whose sum of
     # squares rounds differently from the dot product on some rows
     return np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0])
-
-
-def _jsonify(value):
-    """Make a value JSON-friendly, containers included; infinities
-    become strings."""
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        return value
-    if isinstance(value, np.ndarray):
-        return [_jsonify(v) for v in value.tolist()]
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonify(v) for k, v in value.items()}
-    if isinstance(value, (np.floating, np.integer)):
-        return _jsonify(float(value)) if isinstance(value, np.floating) \
-            else int(value)
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    return value
 
 
 @dataclass
@@ -285,20 +276,13 @@ def recovery_interval(losses, graph, labels, aggregate_curvature=None):
 def recovery_interval_cc(points, graph, labels):
     """Specialized (wider) interval for squared-distance clustering.
 
-    Accepts the data matrix directly, or a SquaredDistance loss.  The
-    general interval from :func:`recovery_interval` is contained in this
-    one: the lower thresholds satisfy general >= specialized and the
-    upper thresholds coincide for these losses.
+    Accepts the anchor points directly, a 1-D array read as one column,
+    or a SquaredDistance loss.  The general interval from
+    :func:`recovery_interval` is contained in this one: the lower
+    thresholds satisfy general >= specialized and the upper thresholds
+    coincide for these losses.
     """
-    if isinstance(points, SquaredDistance):
-        points = points.points
-    elif hasattr(points, "num_nodes"):
-        raise TypeError("squared-distance losses required; got a "
-                        "different loss family")
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2:
-        raise TypeError("squared-distance data required: a 2-D array "
-                        "of anchor points (or a SquaredDistance loss)")
+    points = _anchors(points)
     n = len(points)
     if graph.num_nodes != n:
         raise ValueError("graph and data disagree on the node count")
@@ -352,10 +336,11 @@ def exact_penalty_threshold(losses, bound, method="supplied-C"):
 
 
 def bound_C_clustering(points):
-    """Norm bound for squared-distance solutions: the largest anchor."""
-    if isinstance(points, SquaredDistance):
-        points = points.points
-    points = np.asarray(points, dtype=np.float64)
+    """Norm bound for squared-distance solutions: the largest anchor.
+
+    Takes the anchor points, a 1-D array read as one column, or a
+    SquaredDistance loss."""
+    points = _anchors(points)
     if points.size == 0:
         return 0.0
     return float(row_norms(points).max())
@@ -413,7 +398,7 @@ def clustering_threshold(points):
     An upper bound on :func:`exact_penalty_threshold` evaluated with the
     clustering solution bound, convenient because it needs no loss
     object.  Strengths strictly above it keep the exactness guarantee.
+    ``points`` is read as in :func:`bound_C_clustering`.
     """
-    if isinstance(points, SquaredDistance):
-        points = points.points
+    points = _anchors(points)
     return 3.0 * len(points) * bound_C_clustering(points)

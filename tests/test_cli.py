@@ -139,6 +139,12 @@ class TestConfigHandling:
         assert exc.value.code == 2
         assert "--seed" in capsys.readouterr().err
 
+    def test_grid_flag_needs_three_entries(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gamma-path", "--gamma-grid", "1,2", "--out-dir", "o"])
+        assert exc.value.code == 2
+        assert "expected start,factor,count" in capsys.readouterr().err
+
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
             normalize_config({"task": "gen-data", "bogus": 1,
@@ -482,6 +488,14 @@ class TestInstanceChecks:
         assert code == 0
         for name in ("centroids.csv", "partition.json", "optimality.json"):
             assert (listed / name).read_bytes() == (chain / name).read_bytes()
+
+    def test_auto_rho_cap_needs_surjective_differences(self, tmp_path,
+                                                       capsys):
+        code, _ = self.run(tmp_path, graph={"kind": "complete"},
+                           solver={"rho_schedule": {}})
+        assert code == 2
+        assert 'rho cap "auto" needs a connected graph' \
+            in capsys.readouterr().err
 
     def test_knn_k_must_be_below_the_node_count(self, tmp_path, capsys):
         code, _ = self.run(tmp_path, graph={"kind": "knn", "k": 4})
@@ -1172,7 +1186,33 @@ class TestRunTimeChecks:
                      str(b), "--out-dir", str(tmp_path / "out")]) == 2
         assert "dense" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("labels",[["a", "b"], [[0], [1, 0]]])
+    @pytest.mark.parametrize("task", ["metrics", "thresholds"])
+    def test_label_beyond_int64_is_config_error(self, tmp_path, capsys,
+                                                task):
+        # unchecked, the int64 cast wraps 1e20 to -2**63 with a
+        # RuntimeWarning, and the label reads as negative
+        big = tmp_path / "big.csv"
+        big.write_text("0.0,0\n5.0,1e20\n")
+        a = tmp_path / "a.json"
+        a.write_text(json.dumps({"labels": [0, 1]}))
+        args = {"metrics": ["--predicted", str(a), "--reference", str(big)],
+                "thresholds": ["--data-file", str(big), "--has-labels"]}
+        assert main([task, *args[task], "--out-dir",
+                     str(tmp_path / "out")]) == 2
+        assert "labels must be integers below 2**63 in magnitude" \
+            in capsys.readouterr().err
+
+    def test_json_label_beyond_float_range_is_config_error(self, tmp_path,
+                                                           capsys):
+        a = tmp_path / "a.json"
+        a.write_text(json.dumps({"labels": [0, 1]}))
+        b = tmp_path / "b.json"
+        b.write_text(json.dumps({"labels": [0, 10**400]}))
+        assert main(["metrics", "--predicted", str(a), "--reference",
+                     str(b), "--out-dir", str(tmp_path / "out")]) == 2
+        assert "below 2**63 in magnitude" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("labels",[["a", "b"], [[0], [1, 0]], 3])
     def test_malformed_json_labels_are_config_error(self, tmp_path, capsys,
                                                     labels):
         a = tmp_path / "a.json"

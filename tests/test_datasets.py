@@ -112,11 +112,34 @@ class TestPiecewiseSignal:
         with pytest.raises(ValueError):
             gen_piecewise_signal(4, [(4, 1.0), (0, 2.0)])
 
-    def test_instance_validates_jumps(self):
-        with pytest.raises(ValueError):
-            SignalInstance(original=np.array([0.0, 1.0]),
-                           noisy=np.array([0.0, 1.0]),
-                           noise_sd=0.0, jumps=np.array([]))
+    def test_instance_rejects_unequal_lengths(self):
+        with pytest.raises(ValueError, match="lengths differ"):
+            SignalInstance(original=[0.0, 1.0], noisy=[0.0], noise_sd=0.0)
+
+    def test_jumps_follow_the_clean_signal(self):
+        sig = SignalInstance(original=[1.0, 1.0, 2.0, 2.0, 0.5],
+                             noisy=np.zeros(5), noise_sd=0.0)
+        assert sig.jumps.tolist() == [2, 4]
+        sig.original = np.zeros(5)
+        assert sig.num_jumps == 0
+
+
+class TestLabeledPoints:
+    def test_rejects_count_mismatch(self):
+        with pytest.raises(ValueError, match="one label per point"):
+            LabeledPoints(points=np.zeros((3, 2)), labels=[0, 1])
+        with pytest.raises(ValueError, match="one response per point"):
+            LabeledPoints(points=np.zeros((3, 2)), responses=[0.0])
+
+    def test_labels_must_be_integers(self):
+        # a cast to int64 alone would truncate 0.5 to 0
+        with pytest.raises(ValueError, match="integral"):
+            LabeledPoints(points=np.zeros((2, 1)), labels=[0.5, 1.0])
+
+    def test_points_read_as_one_column_or_rejected(self):
+        assert LabeledPoints(points=[1.0, 2.0]).points.shape == (2, 1)
+        with pytest.raises(ValueError, match="^points must be a 1-D or 2-D"):
+            LabeledPoints(points=np.zeros((2, 1, 1)))
 
 
 class TestCsvIO:
@@ -162,6 +185,17 @@ class TestCsvIO:
             load_csv(io.StringIO(f"1,2\n3,{cell}\n"))
         with pytest.raises(ValueError, match="non-finite"):
             load_csv(io.StringIO(f"1,2\n3,{cell}\n"), has_responses=True)
+
+    @pytest.mark.parametrize("cell", ["1e20", "-1e19", "9.3e18"])
+    def test_labels_beyond_int64_rejected(self, cell):
+        # the int64 cast would wrap them, with a RuntimeWarning
+        with pytest.raises(ValueError, match=r"below 2\*\*63 in magnitude"):
+            load_csv(io.StringIO(f"1,0\n2,{cell}\n"), has_labels=True)
+
+    def test_largest_label_below_int64_range_is_exact(self):
+        data = load_csv(io.StringIO("1,0\n2,9223372036854774784\n"),
+                        has_labels=True)
+        assert data.labels.tolist() == [0, 2**63 - 1024]
 
     def test_non_integer_labels_rejected(self):
         with pytest.raises(ValueError, match="integral"):

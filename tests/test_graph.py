@@ -65,6 +65,17 @@ class TestWeightedGraph:
         assert g.num_edges == 2
         assert g.weights[0] == 0.0
 
+    def test_rejects_no_nodes(self):
+        with pytest.raises(ValueError, match="num_nodes must be at least 1"):
+            WeightedGraph(0, [])
+
+    def test_rejects_weight_count_mismatch(self):
+        with pytest.raises(ValueError, match="disagree in length"):
+            WeightedGraph(3, [(0, 1)], [1.0, 2.0])
+
+    def test_repr(self):
+        assert repr(path_graph(3)) == "WeightedGraph(num_nodes=3, num_edges=2)"
+
 
 class TestBuilders:
     def test_complete_uniform_n3(self):
@@ -82,6 +93,22 @@ class TestBuilders:
         # ||a0 - a1||^2 = 5, so w_01 = exp(-2.5)
         assert g.weights[0] == pytest.approx(math.exp(-2.5), rel=1e-15)
         assert g.weights[1] == pytest.approx(math.exp(-4.5), rel=1e-15)
+
+    def test_points_must_match_the_node_count(self):
+        with pytest.raises(ValueError, match="points and num_nodes disagree"):
+            complete_graph(3, points=np.zeros((4, 2)))
+
+    def test_points_of_another_rank_rejected(self):
+        with pytest.raises(ValueError, match="^points must be a 1-D or 2-D"):
+            complete_graph(2, points=np.zeros((2, 1, 1)))
+
+    def test_knn_rejects_k_below_one(self):
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            knn_gaussian_graph(np.zeros((3, 2)), k=0)
+
+    def test_knn_on_one_point_is_edgeless(self):
+        g = knn_gaussian_graph([[1.0, 2.0]], k=3)
+        assert (g.num_nodes, g.num_edges) == (1, 0)
 
     def test_knn_collinear_k1(self):
         pts = np.array([0.0, 1.0, 10.0])
@@ -325,6 +352,10 @@ class TestDifferenceOperator:
         with pytest.raises(ValueError):
             op.to_dense()
 
+    def test_rejects_block_dim_below_one(self):
+        with pytest.raises(ValueError, match="block_dim must be at least 1"):
+            DifferenceOperator(path_graph(3), 0)
+
     def test_shape_validation(self):
         op = DifferenceOperator(path_graph(3), 2)
         with pytest.raises(ValueError):
@@ -421,6 +452,13 @@ class TestEdgeListIO:
         f = tmp_path / "bad.txt"
         f.write_text("# nodes 3\n0 0 1.0\n")
         with pytest.raises(ValueError):
+            load_edge_list(f)
+
+    def test_loader_rejects_malformed_line(self, tmp_path):
+        # blank lines and comments other than the header are skipped
+        f = tmp_path / "bad.txt"
+        f.write_text("# nodes 3\n\n# written by hand\n0 1\n")
+        with pytest.raises(ValueError, match="malformed edge line: '0 1'"):
             load_edge_list(f)
 
     def test_loader_requires_header(self, tmp_path):

@@ -256,6 +256,32 @@ class TestValidation:
         with pytest.raises(ValueError):
             RidgeRegression([1.0, 2.0], [1.0])
 
+    def test_ridge_rejects_negative_epsilon(self):
+        with pytest.raises(ValueError, match="epsilon must be non-negative"):
+            RidgeRegression([1.0, 2.0], [1.0, 0.0], epsilon=-1)
+
+    def test_quadratic_shapes(self):
+        with pytest.raises(ValueError, match="A must have shape"):
+            Quadratic(np.eye(2), np.zeros((1, 2)))
+        with pytest.raises(ValueError, match="B must have shape"):
+            Quadratic(np.eye(2)[None], np.zeros((1, 3)))
+
+    def test_squared_distance_points(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            SquaredDistance(np.zeros((0, 2)))
+        with pytest.raises(ValueError, match="^points must be a 1-D or 2-D"):
+            SquaredDistance(np.zeros((2, 1, 1)))
+        assert SquaredDistance([3.0, -4.0]).points.shape == (2, 1)
+
+    def test_missing_minimizers(self):
+        with pytest.raises(ValueError, match="no minimizer"):
+            RidgeRegression([1.0, 2.0], [1.0, 0.0],
+                            epsilon=0).all_minimizers()
+        assert Quadratic(np.zeros((1, 1, 1)), np.zeros((1, 1))) \
+            .minimizer(0) is None
+        assert CustomLoss(1, 1, lambda i, x: 0.0, lambda i, x: 0 * x,
+                          smoothness=1.0).minimizer(0) is None
+
     def test_node_index_range(self):
         loss = SquaredDistance(np.zeros((3, 1)))
         with pytest.raises(IndexError):

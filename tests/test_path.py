@@ -96,6 +96,15 @@ class TestExtractPartition:
         p = extract_partition(x, path_graph(3))
         assert p.num_clusters == 3
 
+    def test_centroid_count_must_match_the_graph(self):
+        with pytest.raises(ValueError, match="centroid count"):
+            extract_partition(np.zeros((3, 1)), path_graph(4))
+
+    def test_one_dimensional_centroids_are_one_column(self):
+        x = np.array([0.0, 0.0, 1.0, 1.0])
+        assert extract_partition(x, path_graph(4)).same_as(
+            extract_partition(x[:, None], path_graph(4)))
+
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(0)
         for _ in range(10):
@@ -658,6 +667,12 @@ class TestPathResultValidationAndExport:
                        steps=list(reversed(result.steps)))
         with pytest.raises(ValueError):
             PathResult(kind="bogus", steps=[])
+
+    def test_strength_steps_must_increase(self):
+        losses, g = split_instance()
+        result = gamma_path(losses, g, [0.1, 1.0], max_iters=200)
+        with pytest.raises(ValueError, match="strength sequence"):
+            PathResult(kind="strength", steps=list(reversed(result.steps)))
 
     def test_json_export(self):
         losses, g = split_instance()

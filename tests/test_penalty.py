@@ -14,6 +14,7 @@ from oracles import (
 )
 
 from netlasso.penalty import (
+    _as_blocks,
     _keep_mask,
     _shrink_factors,
     directional_derivative,
@@ -220,8 +221,30 @@ class TestPhiEnvelope:
         vals = phi_envelope(t, 1.3)
         assert np.all(np.diff(vals) >= -1e-15)
 
+    def test_rejects_negative_lam(self):
+        with pytest.raises(ValueError, match="lam must be non-negative"):
+            phi_envelope(1.0, -0.5)
+
+
+class TestAsBlocks:
+    def test_one_dimensional_array_is_one_column(self):
+        z = _as_blocks([3, -4, 1], "z")
+        assert z.dtype == np.float64 and z.shape == (3, 1)
+        np.testing.assert_array_equal(z[:, 0], [3.0, -4.0, 1.0])
+
+    @pytest.mark.parametrize("shape", [(), (2, 2, 1)])
+    def test_other_ranks_name_the_argument(self, shape):
+        with pytest.raises(ValueError, match="^z must be a 1-D or 2-D array"):
+            _as_blocks(np.zeros(shape), "z")
+        with pytest.raises(ValueError, match="^a must be a 1-D or 2-D array"):
+            prox_trimmed(np.zeros(shape), 1, 0.5)
+
 
 class TestProxTrimmed:
+    def test_rejects_negative_lam(self):
+        with pytest.raises(ValueError, match="lam must be non-negative"):
+            prox_trimmed(np.ones((2, 1)), 1, -0.5)
+
     def test_hand_example(self):
         a = np.array([[3.0], [1.0], [0.5]])
         z, keep = prox_trimmed(a, K=1, lam=1.0)

@@ -1045,6 +1045,25 @@ class TestSettingsValidation:
         with pytest.raises(ValueError):
             RhoSchedule(**bad)
 
+    def test_bad_starts_rejected(self):
+        losses, g = SquaredDistance(np.array([0.0, 1.0, 3.0])), path_graph(3)
+        config = SolverConfig(gamma=0.5, cardinality=1)
+        with pytest.raises(ValueError, match="x0 has the wrong shape"):
+            solve_ntl(losses, g, config, x0=np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="y0 has the wrong shape"):
+            solve_ntl(losses, g, config, y0=np.zeros((3, 1)))
+
+    def test_bad_x_steps_rejected(self):
+        custom = CustomLoss(3, 1, lambda i, x: float(x @ x),
+                            lambda i, x: 2 * x, smoothness=2.0)
+        with pytest.raises(ValueError, match="requires quadratic losses"):
+            solve_nl(custom, path_graph(3), 0.5, x0=np.zeros((3, 1)),
+                     x_update="exact")
+        with pytest.raises(ValueError, match="smoothness constant must be"):
+            solve_nl(SquaredDistance(np.array([0.0, 1.0, 3.0])),
+                     path_graph(3), 0.5, x_update="linearized",
+                     smoothness=-1.0)
+
     def test_boundary_values_accepted(self):
         config = SolverConfig(gamma=0.0, cardinality=0, eps_abs=0.0,
                               eps_rel=0.0, divergence_factor=math.inf,
@@ -1078,6 +1097,16 @@ class TestConvergenceValidation:
             2.0 / (sigma * 0.9), rel=1e-12)
         assert params.rho_min == pytest.approx(2.0 / sigma, rel=1e-12)
         assert params.passed
+
+    def test_rho_lower_bound_split_and_cyclic_graph(self):
+        losses = SquaredDistance(np.zeros((3, 1)))
+        cfg = SolverConfig(gamma=1.0, cardinality=1, x_update="exact")
+        params = validate_convergence_params(losses, path_graph(3), cfg)
+        with pytest.raises(ValueError, match="strictly between 0 and 1"):
+            params.rho_lower_bound(1.5)
+        # no surjective differences on a cycle: no admissible rho
+        params = validate_convergence_params(losses, complete_graph(3), cfg)
+        assert params.rho_lower_bound(0.5) == math.inf
 
     def test_linearized_mode_constants(self):
         losses = SquaredDistance(np.zeros((4, 1)))

@@ -186,6 +186,19 @@ class TestRecoveryInterval:
         with pytest.raises(ValueError):
             recovery_interval(losses, complete_graph(3), [0, 1])
 
+    def test_rejects_node_count_mismatch(self):
+        losses = SquaredDistance(np.zeros((3, 1)))
+        with pytest.raises(ValueError, match="node count"):
+            recovery_interval(losses, complete_graph(4), [0, 0, 1, 1])
+
+    def test_rejects_bad_supplied_curvature(self):
+        losses, graph, labels, _ = two_pair_instance(0.1)
+        with pytest.raises(ValueError, match="one aggregate curvature per"):
+            recovery_interval(losses, graph, labels, aggregate_curvature=[2.0])
+        with pytest.raises(ValueError, match="must be positive"):
+            recovery_interval(losses, graph, labels,
+                              aggregate_curvature=[2.0, 0.0])
+
     def test_supplied_curvature_for_custom_loss(self):
         pts = np.array([[0.0, 0.0], [0.0, 1.0], [10.0, 0.0], [10.0, 1.0]])
 
@@ -347,12 +360,39 @@ class TestRecoveryIntervalCC:
         with pytest.raises(TypeError):
             recovery_interval_cc(losses, complete_graph(2), [0, 1])
 
+    def test_rejects_node_count_mismatch(self):
+        with pytest.raises(ValueError, match="node count"):
+            recovery_interval_cc(np.zeros((3, 1)), complete_graph(4),
+                                 [0, 0, 1, 1])
+
     def test_accepts_raw_points(self):
         pts = np.array([[0.0, 0.0], [0.0, 1.0], [10.0, 0.0], [10.0, 1.0]])
         _, graph, labels, _ = two_pair_instance(0.1)
         lo_a, hi_a = recovery_interval_cc(pts, graph, labels)
         lo_b, hi_b = recovery_interval_cc(SquaredDistance(pts), graph, labels)
         assert (lo_a, hi_a) == (lo_b, hi_b)
+
+
+class TestAnchorForms:
+    """A 1-D anchor array is one column, as SquaredDistance reads it."""
+
+    FORMS = pytest.mark.parametrize(
+        "form", [lambda a: a, lambda a: a[:, None], SquaredDistance],
+        ids=["vector", "column", "loss"])
+
+    @FORMS
+    def test_bounds(self, form):
+        a = np.array([3.0, -4.0, 1.0])
+        assert bound_C_clustering(form(a)) == 4.0
+        assert clustering_threshold(form(a)) == 36.0
+
+    @FORMS
+    def test_cc_interval(self, form):
+        a = np.array([0.0, 0.1, 5.0, 5.1])
+        lo, hi = recovery_interval_cc(form(a), complete_graph(4),
+                                      [0, 0, 1, 1])
+        assert lo == pytest.approx(0.05, rel=1e-12)
+        assert hi == pytest.approx(1.25, rel=1e-12)
 
 
 class TestExactPenaltyThreshold:
@@ -416,6 +456,9 @@ class TestSolutionBounds:
     def test_clustering_bound_hand_values(self):
         assert bound_C_clustering(np.array([[3.0, 4.0]])) == 5.0
         assert bound_C_clustering(np.zeros((4, 2))) == 0.0
+
+    def test_clustering_bound_of_no_anchors(self):
+        assert bound_C_clustering(np.zeros((0, 2))) == 0.0
 
     def test_strongly_convex_bound_on_clustering(self):
         rng = np.random.default_rng(10)
