@@ -29,7 +29,6 @@ on their subgraph.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,13 +95,17 @@ class RhoSchedule:
 # residuals its stopping test reads (Wohlberg 2017, "ADMM penalty
 # parameter selection by residual balancing", arXiv:1704.06209; Boyd et
 # al. 2011, section 3.4.1, balance the absolute ones): every
-# _BALANCE_PERIOD iterations rho doubles when the relative primal
-# residual exceeds _BALANCE_RATIO times the relative dual residual, and
-# halves in the opposite case, within rho0 * 2^[-_BALANCE_STEPS,
-# _BALANCE_STEPS].  Powers of two keep a path's rho values few, and
-# each is factorized once.
-_BALANCE_PERIOD = 50
-_BALANCE_RATIO = 10.0
+# _BALANCE_PERIOD iterations, when the relative primal and dual
+# residuals are more than _BALANCE_RATIO apart, rho rises (the primal
+# one the larger) or falls by 2^k, k the nearest integer to (1/2) log2
+# of their ratio r, clamped to [1, 2].  sqrt(r) is Wohlberg's adaptive
+# multiplier; the spectral rule of Xu, Figueiredo & Goldstein (AISTATS
+# 2017) sizes its step the same way.  rho stays on the grid
+# rho0 * 2^j, |j| <= _BALANCE_STEPS, of normal floats, clamped to its
+# ends.  Powers of two keep a path's rho values few, and each is
+# factorized once.
+_BALANCE_PERIOD = 30
+_BALANCE_RATIO = 2.0
 _BALANCE_STEPS = 30
 
 
@@ -115,22 +118,30 @@ class _Balance:
     period = _BALANCE_PERIOD
 
     def __init__(self, rho0):
-        # normal floats only: doubling and halving them is exact, so
-        # rho / rho0 stays exactly a power of two
-        self.lo = max(rho0 / 2.0 ** _BALANCE_STEPS, sys.float_info.min)
-        self.hi = min(rho0 * 2.0 ** _BALANCE_STEPS, sys.float_info.max)
+        # the grid's ends among the normal floats (rho0 itself when it
+        # is subnormal): scaling by powers of two is exact between them,
+        # so rho / rho0 stays exactly a power of two
+        e = math.frexp(rho0)[1]  # 2^(e-1) <= rho0 < 2^e
+        self.lo = math.ldexp(rho0, min(0, max(-_BALANCE_STEPS, -1021 - e)))
+        self.hi = math.ldexp(rho0, min(_BALANCE_STEPS, 1024 - e))
 
     def next(self, rho, primal, primal_scale, dual):
         s, s_scale = dual()
         # primal / primal_scale against s / s_scale, cross-multiplied so
-        # that a zero scale divides nothing; NaN fails both tests
-        if primal * s_scale > _BALANCE_RATIO * s * primal_scale:
-            new = 2.0 * rho
-        elif s * primal_scale > _BALANCE_RATIO * primal * s_scale:
-            new = 0.5 * rho
+        # that a zero scale divides nothing; NaN fails every test
+        a, b = primal * s_scale, s * primal_scale
+        if a > _BALANCE_RATIO * b:
+            move = 2.0
+        elif b > _BALANCE_RATIO * a:
+            a, b, move = b, a, 0.5
         else:
             return rho
-        return new if self.lo <= new <= self.hi else rho
+        # k is 1 below r = 8 = 2^(2 * 1.5) and when a residual is zero,
+        # and 2 from there on
+        if b > 0 and a >= 8.0 * b:
+            move *= move
+        # a product past the top is inf, which the clamp takes to hi
+        return min(max(move * rho, self.lo), self.hi)
 
 
 @dataclass
@@ -289,21 +300,24 @@ def _factorize(matrix, rho):
             " lower rho") from exc
 
 
-def _x_step(mode, losses, op, rho, smoothness=None):
-    """Factorize the x-subproblem of ``mode`` once and return the step
-    as a function of (x, z, y).
+def _x_system(mode, losses, op):
+    """Build the rho-independent pieces of the x-subproblem of ``mode``
+    once, and return ``step(rho, smoothness)``, which factorizes the
+    system at rho and returns the x-step as a function of (x, z, y).
 
     "exact" solves (blockdiag(H) + rho * Laplacian kron I_p) x
-    = g + D^T (y + rho z).  When every block is H_i = h_i I_p (always for
-    ``SquaredDistance``, and for a ``Quadratic`` with scalar A_i) that
-    system is p copies of one n x n system, so it factorizes
+    = g + D^T (y + rho z); its pieces are blockdiag(H) and
+    Laplacian kron I_p in CSC.  When every block is H_i = h_i I_p
+    (always for ``SquaredDistance``, and for a ``Quadratic`` with scalar
+    A_i) that system is p copies of one n x n system, so it factorizes
     diag(h) + rho * Laplacian and solves the (n, p) right-hand side in
     one call; for p = 1 this is the same matrix as the general form.
     "linearized" solves (I + (rho/L) Laplacian) x
     = x - grad f(x)/L + D^T (y + rho z)/L with L = ``smoothness``, by
-    default the largest per-node smoothness constant.  Raises
-    :class:`SingularSystemError` when the system is singular in floating
-    point, which a very large rho causes.
+    default the largest per-node smoothness constant; its pieces are I
+    and the Laplacian.  ``step`` raises :class:`SingularSystemError`
+    when the system is singular in floating point, which a very large
+    rho causes.
     """
     n, p = losses.num_nodes, losses.dim
     if mode == "exact":
@@ -316,43 +330,53 @@ def _x_step(mode, losses, op, rho, smoothness=None):
             H, p = h, 1
         # block row i holds H[i] at block column i: no per-node loop
         blocks = sp.bsr_matrix((H, np.arange(n), np.arange(n + 1)),
-                               shape=(n * p, n * p))
-        lu = _factorize(blocks.tocsc() + rho * sp.kron(
-            op.laplacian(), sp.eye(p), format="csc"), rho)
+                               shape=(n * p, n * p)).tocsc()
+        coupling = sp.kron(op.laplacian(), sp.eye(p), format="csc")
         # a vector where the system is not split: SuperLU solves a
         # one-column 2-D right-hand side more slowly
         shape = (n * p,) if p == g.shape[1] else g.shape
+
+        def step(rho, smoothness=None):
+            lu = _factorize(blocks + rho * coupling, rho)
+            return lambda x, z, y: lu.solve(
+                (g + op.apply_adjoint(y + rho * z)).reshape(shape)
+            ).reshape(g.shape)
+        return step
+    eye, lap = sp.eye(n, format="csc"), op.laplacian().tocsc()
+
+    def step(rho, smoothness=None):
+        L = smoothness if smoothness is not None else losses.max_smoothness()
+        if L <= 0:
+            raise ValueError("smoothness constant must be positive")
+        lu = _factorize(eye + (rho / L) * lap, rho)
         return lambda x, z, y: lu.solve(
-            (g + op.apply_adjoint(y + rho * z)).reshape(shape)
-        ).reshape(g.shape)
-    L = smoothness if smoothness is not None else losses.max_smoothness()
-    if L <= 0:
-        raise ValueError("smoothness constant must be positive")
-    lu = _factorize(sp.eye(n, format="csc")
-                    + (rho / L) * op.laplacian().tocsc(), rho)
-    return lambda x, z, y: lu.solve(
-        x - losses.total_gradient(x) / L + op.apply_adjoint(y + rho * z) / L)
+            x - losses.total_gradient(x) / L
+            + op.apply_adjoint(y + rho * z) / L)
+    return step
 
 
 class _Factors:
     """The difference operator and the x-steps of one (losses, graph)
     pair, kept across the solves of a path so that each x-system is
-    factorized once.
+    built once per mode and factorized once per rho.
 
     x-steps are keyed by (mode, rho, smoothness): a new rho, as a rho
-    schedule makes, or another mode or step constant builds a new one.
+    schedule or residual balancing makes, or another step constant
+    factorizes anew from the pieces of its mode; another mode builds
+    its pieces first.
     """
 
     def __init__(self, losses, graph):
         self.losses, self.graph = losses, graph
         self.op = DifferenceOperator(graph, losses.dim)
-        self._steps = {}
+        self._systems, self._steps = {}, {}
 
     def x_step(self, mode, rho, smoothness):
         key = (mode, rho, smoothness)
         if key not in self._steps:
-            self._steps[key] = _x_step(mode, self.losses, self.op, rho,
-                                       smoothness)
+            if mode not in self._systems:
+                self._systems[mode] = _x_system(mode, self.losses, self.op)
+            self._steps[key] = self._systems[mode](rho, smoothness)
         return self._steps[key]
 
 
@@ -595,15 +619,17 @@ def solve_nl(losses, graph, gamma, x0=None, y0=None, rho=1.0,
     validated as a :class:`SolverConfig` with cardinality 0, and
     ``_factors`` and ``_histories`` are private, as in :func:`solve_ntl`.
 
-    ``rho`` is the starting penalty.  Every 50 iterations that do not
-    stop the solve, rho doubles when the relative primal residual
-    ||z - D x|| / max(||z||, ||D x||) is more than 10 times the relative
-    dual residual rho ||D (x_t - x_{t-1})|| / ||y||, and halves in the
-    opposite case: residual balancing (Boyd et al. 2011, section 3.4.1)
-    on the relative residuals that the stopping test reads (Wohlberg
-    2017).  rho therefore stays on the grid ``rho * 2^j``, |j| <= 30,
-    and ``state.rhos`` records it.  ``y0`` warm-starts the dual: a dual
-    of the solve at a smaller gamma is a good start at a larger one.
+    ``rho`` is the starting penalty, which residual balancing (Boyd et
+    al. 2011, section 3.4.1) moves on the relative residuals that the
+    stopping test reads (Wohlberg 2017): every 30 iterations that do not
+    stop the solve, when ||z - D x|| / max(||z||, ||D x||) and
+    rho ||D (x_t - x_{t-1})|| / ||y|| differ by more than a factor 2,
+    rho rises (the first the larger) or falls by 2^k, k the nearest
+    integer to (1/2) log2 of their ratio within [1, 2] (1 when either is
+    zero).  rho therefore stays on the grid ``rho * 2^j``, |j| <= 30,
+    clamped to its ends, and ``state.rhos`` records it.  ``y0``
+    warm-starts the dual: a dual of the solve at a smaller gamma is a
+    good start at a larger one.
     :func:`netlasso.path.gamma_path` chains its steps so, and starts
     each at the previous step's final rho, ``state.rho``.
 

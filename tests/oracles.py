@@ -553,19 +553,22 @@ def admm_reference(losses, graph, config, x0, y0, prox, penalty,
     histories), the histories as a dict of lists named as the fields
     of ``SolverState``.
 
-    The x-step is the library's ``_x_step``, factorized anew whenever
+    The x-step is the library's ``_x_system``, built anew whenever
     rho changes.  ``config.rho_schedule`` raises rho at the start of
     every period's first iteration.  With ``balance``, after the
-    stopping test of every 50th iteration but the last, rho doubles
-    when the relative primal residual ||z - E x|| / max(||z||, ||E x||)
-    exceeds 10 times the relative dual residual
-    rho ||E (x_t - x_{t-1})|| / ||y||, and halves in the opposite case,
-    unless that leaves the grid config.rho * 2^j, |j| <= 30, or the
-    normal floats.  A zero denominator makes its ratio inf (NaN for
-    0 / 0), and a NaN ratio moves nothing.
+    stopping test of every 30th iteration but the last, the relative
+    primal residual ||z - E x|| / max(||z||, ||E x||) and the relative
+    dual residual rho ||E (x_t - x_{t-1})|| / ||y|| are divided, the
+    larger by the smaller, into r.  When r > 2, rho = config.rho * 2^j
+    moves to j + k when the primal one is the larger and to j - k
+    otherwise, k = floor(log2(r) / 2 + 1/2) within [1, 2] (k = 1 for
+    r = inf, a zero residual), and then back towards j until it lies in
+    |j| <= 30 among the finite floats at least min(config.rho, the
+    smallest normal float).  A zero denominator makes its ratio inf
+    (NaN for 0 / 0), and a NaN ratio moves nothing.
     """
     from netlasso.graph import DifferenceOperator
-    from netlasso.solver import _resolve_mode, _x_step
+    from netlasso.solver import _resolve_mode, _x_system
 
     p, m = losses.dim, graph.num_edges
     x = (losses.all_minimizers() if x0 is None
@@ -574,7 +577,11 @@ def admm_reference(losses, graph, config, x0, y0, prox, penalty,
     op = DifferenceOperator(graph, p)
     gamma, rho, schedule = config.gamma, config.rho, config.rho_schedule
     mode = _resolve_mode(losses, config.x_update)
-    xstep = _x_step(mode, losses, op, rho, config.smoothness)
+
+    def xstep_at(rho):  # the system built and factorized anew
+        return _x_system(mode, losses, op)(rho, config.smoothness)
+
+    xstep = xstep_at(rho)
     hist = {name: [] for name in ("objectives", "aug_lagrangians",
                                   "primal_residuals", "x_changes",
                                   "lyapunov", "rhos")}
@@ -591,7 +598,7 @@ def admm_reference(losses, graph, config, x0, y0, prox, penalty,
             new_rho = schedule.apply(rho)
             if new_rho != rho:
                 rho = new_rho
-                xstep = _x_step(mode, losses, op, rho, config.smoothness)
+                xstep = xstep_at(rho)
         z = prox(Dx - y / rho, rho)
         x_new = xstep(x, z, y)
         Dx_new = incidence_apply(graph, x_new)
@@ -621,23 +628,27 @@ def admm_reference(losses, graph, config, x0, y0, prox, penalty,
         if primal_ok and small_step(config, graph, x_old, x, y, rho, dx):
             reason = "converged"
             break
-        if balance and t % 50 == 0 and t < config.max_iters:
+        if balance and t % 30 == 0 and t < config.max_iters:
             dual = rho * float(np.linalg.norm(incidence_apply(graph,
                                                               x - x_old)))
             with np.errstate(divide="ignore", invalid="ignore"):
                 rel_primal = np.float64(primal) / max(np.linalg.norm(z),
                                                       np.linalg.norm(Dx))
                 rel_dual = np.float64(dual) / np.linalg.norm(y)
-            new = rho
-            if rel_primal > 10.0 * rel_dual:
-                new = rho * 2.0
-            elif rel_dual > 10.0 * rel_primal:
-                new = rho / 2.0
-            mantissa, exponent = math.frexp(new / config.rho)
-            if (new != rho and mantissa == 0.5 and abs(exponent - 1) <= 30
-                    and sys.float_info.min <= new <= sys.float_info.max):
-                rho = new
-                xstep = _x_step(mode, losses, op, rho, config.smoothness)
+                sign = 1 if rel_primal > rel_dual else -1
+                r = max(rel_primal, rel_dual) / min(rel_primal, rel_dual)
+            if r > 2.0:
+                k = 1 if r == np.inf else min(max(
+                    math.floor(0.5 * math.log2(r) + 0.5), 1), 2)
+                j = math.frexp(rho / config.rho)[1] - 1
+                lo = min(config.rho, sys.float_info.min)
+                new_j = max(-30, min(30, j + sign * k))
+                while not (new_j == j or lo <= config.rho * 2.0 ** new_j
+                           <= sys.float_info.max):
+                    new_j -= sign
+                if new_j != j:
+                    rho = config.rho * 2.0 ** new_j
+                    xstep = xstep_at(rho)
     return x, z, y, rho, iterations, reason, hist
 
 

@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -604,6 +605,26 @@ class TestPathCommands:
             "warning: 2 of 2 path steps stopped at max-iters"
             " (strength 0.01, 0.1)\n")
 
+    def test_two_line_gamma_path_balances_rho_early(self, tmp_path):
+        # README's two-line gamma-path at eps 1e-7: with rho doubled or
+        # halved only beyond a 10x residual ratio, the third step
+        # (gamma 0.09) sat at rho 1 for 500 iterations and the path took
+        # 1,085
+        gen = tmp_path / "gen"
+        assert main(["gen-data", "--config", str(Path(__file__).resolve()
+                     .parents[1] / "demos" / "configs" / "two_line_gen.json"),
+                     "--out-dir", str(gen)]) == 0
+        out = tmp_path / "out"
+        assert main(["gamma-path", "--data-file", str(gen / "data.csv"),
+                     "--has-labels", "--graph", "knn", "--knn-k", "5",
+                     "--alpha", "1.0", "--gamma-grid", "0.01,3,5",
+                     "--eps-abs", "1e-7", "--eps-rel", "1e-7",
+                     "--out-dir", str(out)]) == 0
+        steps = json.loads((out / "path.json").read_text())["steps"]
+        assert [s["num_clusters"] for s in steps] == [98, 74, 32, 15, 9]
+        assert {s["stop_reason"] for s in steps} == {"converged"}
+        assert sum(s["iterations"] for s in steps) < 700
+
     def test_converged_path_prints_nothing(self, tmp_path, capsys):
         data = tmp_path / "four.csv"
         write_points_csv(data, FOUR_POINTS)
@@ -1174,6 +1195,48 @@ class TestRunTimeChecks:
             assert f"config error: bad {bad.stem} file {bad}: ragged row" \
                 in err
             assert "inhomogeneous" not in err
+
+    def test_non_finite_rho_is_config_error(self, tmp_path, capsys):
+        data = tmp_path / "four.csv"
+        write_points_csv(data, FOUR_POINTS)
+        out = str(tmp_path / "out")
+        assert main(["solve-nl", "--data-file", str(data), "--gamma", "1.0",
+                     "--rho", "inf", "--out-dir", out]) == 2
+        assert "solver.rho must be finite" in capsys.readouterr().err
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(minimal_config(  # writes Infinity
+            "solve-nl", data={"file": str(data)},
+            solver={"rho": math.inf}, output={"dir": out})))
+        assert "Infinity" in cfg.read_text()
+        assert main(["solve-nl", "--config", str(cfg)]) == 2
+        assert "solver.rho must be finite" in capsys.readouterr().err
+
+    def test_flag_onto_a_non_object_is_config_error(self, tmp_path, capsys):
+        data = tmp_path / "four.csv"
+        write_points_csv(data, FOUR_POINTS)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(minimal_config(
+            "solve-nl", data={"file": str(data)}, solver=5,
+            output={"dir": str(tmp_path / "out")})))
+        assert main(["solve-nl", "--config", str(cfg), "--rho", "1"]) == 2
+        assert "config entry solver must be an object to accept the --rho" \
+            " flag" in capsys.readouterr().err
+
+    def test_fully_merged_nl_midpoint_is_numerical_error(self, tmp_path,
+                                                         capsys):
+        # the grid's only step merges every node, so no step is left to
+        # start from
+        data = tmp_path / "four.csv"
+        write_points_csv(data, FOUR_POINTS)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(minimal_config(
+            "solve-ntl", data={"file": str(data)}, graph={"kind": "path"},
+            init={"kind": "nl-midpoint", "grid": {"values": [1000.0]}},
+            solver={"max_iters": 3000, "eps_abs": 1e-8, "eps_rel": 1e-8},
+            output={"dir": str(tmp_path / "out")})))
+        assert main(["solve-ntl", "--config", str(cfg)]) == 3
+        assert "nl-midpoint init failed: every path step is fully merged" \
+            in capsys.readouterr().err
 
     def test_huge_label_is_config_error(self, tmp_path, capsys):
         # a label of 1e15 is not dense; counting labels up to it would

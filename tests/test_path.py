@@ -5,12 +5,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 from oracles import dense_table_ari, pair_count_ari, tv1d_exact
 
 from netlasso.datasets import gen_piecewise_signal
-from netlasso.graph import (WeightedGraph, complete_graph, merged_components,
-                            path_graph)
-from netlasso.losses import SquaredDistance
+from netlasso.graph import (DifferenceOperator, WeightedGraph, complete_graph,
+                            merged_components, path_graph)
+from netlasso.losses import Quadratic, SquaredDistance
 from netlasso.path import (
     Partition,
     PathResult,
@@ -556,6 +557,46 @@ class TestSharedFactorization:
         gamma_path(losses, g, gammas, rho=2.0, max_iters=100,
                    x_update=x_update)
         assert len(calls) == len(visited)
+
+    @pytest.mark.parametrize("kind", ["split", "kron", "linearized"])
+    def test_x_system_pieces_built_once_per_path(self, monkeypatch, kind):
+        # the Laplacian and L kron I_p are built once along a path; every
+        # rho it visits factorizes their sum with the Hessian blocks (or
+        # the identity), the same matrix as a fresh build, bit for bit
+        losses, g = cache_instance()
+        if kind == "kron":  # unequal diagonal entries keep the kron system
+            A = np.tile(np.diag([1.0, 2.0]), (10, 1, 1))
+            losses = Quadratic(A, np.einsum("ipq,iq->ip", A, losses.points))
+        x_update = "linearized" if kind == "linearized" else "exact"
+        built = {"laplacian": 0, "kron": 0}
+
+        def counted(name, orig):
+            def call(*args, **kwargs):
+                built[name] += 1
+                return orig(*args, **kwargs)
+            return call
+        monkeypatch.setattr(DifferenceOperator, "laplacian", counted(
+            "laplacian", DifferenceOperator.laplacian))
+        monkeypatch.setattr(solver.sp, "kron", counted("kron", solver.sp.kron))
+        factored = []
+        factorize = solver._factorize
+        monkeypatch.setattr(solver, "_factorize", lambda matrix, rho: (
+            factored.append((matrix, rho)), factorize(matrix, rho))[1])
+        gamma_path(losses, g, [0.01, 0.1, 1.0], rho=2.0, max_iters=100,
+                   x_update=x_update)
+        assert len({rho for _, rho in factored}) == len(factored) >= 3
+        assert built == {"laplacian": 1, "kron": int(x_update == "exact")}
+        E = g.incidence().toarray()
+        lap = E.T @ E
+        H = losses.quadratic_terms()[0]
+        for matrix, rho in factored:
+            if kind == "split":
+                fresh = np.diag(H[:, 0, 0]) + rho * lap
+            elif kind == "kron":
+                fresh = block_diag(*H) + rho * np.kron(lap, np.eye(2))
+            else:
+                fresh = np.eye(10) + (rho / losses.max_smoothness()) * lap
+            assert same_bits(matrix.toarray(), fresh)
 
     def test_rho_schedule_factorizes_once_per_distinct_rho(self,
                                                           monkeypatch):

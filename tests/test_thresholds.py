@@ -480,6 +480,18 @@ class TestSolutionBounds:
         with pytest.raises(ValueError):
             bound_C_strongly_convex(losses)
 
+    def test_custom_loss_node_checks(self):
+        # a node without a finite smoothness constant has no exact-penalty
+        # threshold, one without a minimizer no strong-convexity bound
+        def custom(**kwargs):
+            return CustomLoss(2, 1, lambda i, x: float(x @ x),
+                              lambda i, x: 2 * x, **kwargs)
+        with pytest.raises(ValueError, match="node 1 has no finite"):
+            exact_penalty_threshold(custom(smoothness=[2.0, math.inf]), 1.0)
+        with pytest.raises(ValueError, match="node 0 exposes no minimizer"):
+            bound_C_strongly_convex(custom(smoothness=2.0,
+                                           strong_convexity=2.0))
+
     def test_quadratic_identity_terms(self):
         rng = np.random.default_rng(11)
         B = rng.normal(size=(4, 2))

@@ -32,6 +32,11 @@ the per-pair ratio change/parent and a verdict:
   the parent;
 * ``within_bound`` otherwise.
 
+Each run also holds ``layers``: per ``per_layer`` metric of
+``BENCHMARK.json``, its value in the two traced runs (None where a side
+does not report it) and their ratio change/parent (None where the
+parent reads 0 or a value is missing).
+
 The file is rewritten after every workload and seed, so a stopped run
 keeps what it finished.
 """
@@ -140,6 +145,20 @@ def summarize(pairs, end_to_end):
     return out
 
 
+def layers(traced, per_layer):
+    """Per ``per_layer`` metric: the parent's and the change's value in
+    their traced runs, and the ratio change/parent."""
+    out = {}
+    for spec in per_layer:
+        name = spec["name"]
+        old, new = (traced[side]["metrics"].get(name, {}).get("value")
+                    for side in ("parent", "change"))
+        out[name] = {"unit": spec["unit"], "parent": old, "change": new,
+                     "ratio": new / old if old and new is not None
+                     else None}
+    return out
+
+
 def parse_args(argv):
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--pr", type=int, required=True,
@@ -205,6 +224,7 @@ def main(argv=None):
                     "workload": workload, "seed": seed, "pairs": pairs,
                     "summary": summarize(pairs, spec["end_to_end"]),
                     "traced": traced,
+                    "layers": layers(traced, spec["per_layer"]),
                 })
                 out_file.write_text(json.dumps(report, indent=1,
                                                sort_keys=True) + "\n")
