@@ -281,6 +281,11 @@ class DifferenceOperator:
         return np.kron(E, np.eye(self.block_dim))
 
 
+def _check_merge_tol(merge_tol):
+    if not 0 <= merge_tol < math.inf:  # NaN fails every comparison
+        raise ValueError("merge_tol must be finite and non-negative")
+
+
 def merged_components(graph, x, merge_tol, blocks=None):
     """Merged edges of node centroids ``x`` (n, p) and their clusters.
 
@@ -289,6 +294,7 @@ def merged_components(graph, x, merge_tol, blocks=None):
     Returns the boolean mask over edges and, per node, the id of its
     connected component in the merged subgraph.
     """
+    _check_merge_tol(merge_tol)
     n = graph.num_nodes
     i, j = graph.edges[:, 0], graph.edges[:, 1]
     scale = 1.0 + float(row_norms(x).max())

@@ -18,10 +18,14 @@ supplied gradient before it is trusted.
 
 A family supplies only its formulas: ``_value(i, x)``, ``_gradient(i, x)``
 and ``_minimizer(i)`` (None when f_i has no minimizer), and the per-node
-arrays ``_L`` and ``_alpha``.  It overrides ``total_value``,
-``total_gradient`` and ``quadratic_terms`` where it has a vectorized or
-quadratic form.  The public per-node methods of :class:`Loss` check the
-node index and take ``x`` as a float64 array before calling them.
+arrays ``_L`` and ``_alpha``.  ``_gradient`` is its one gradient formula:
+with ``i = slice(None)`` and ``x`` of shape (n, p) it is
+``total_gradient``.  A family overrides ``total_value`` and
+``quadratic_terms`` where it has a vectorized or quadratic form.  The
+public per-node methods of :class:`Loss` check the node index and take
+``x`` as a float64 array before calling them; the solvers and the
+threshold calculators read a family whole, through the aggregates and
+the arrays.
 """
 
 from __future__ import annotations
@@ -90,15 +94,13 @@ class Loss:
         return float(sum(self.value(i, X[i]) for i in range(self.num_nodes)))
 
     def total_gradient(self, X):
-        X = np.asarray(X, dtype=np.float64)
-        return np.stack([self.gradient(i, X[i])
-                         for i in range(self.num_nodes)])
+        return self._gradient(slice(None), np.asarray(X, dtype=np.float64))
 
     def max_smoothness(self):
-        return max(self.smoothness(i) for i in range(self.num_nodes))
+        return float(self._L.max())
 
     def min_strong_convexity(self):
-        return min(self.strong_convexity(i) for i in range(self.num_nodes))
+        return float(self._alpha.min())
 
     def all_minimizers(self):
         """Stacked per-node minimizers, the solver's default start."""
@@ -120,7 +122,7 @@ class SquaredDistance(Loss):
     """
 
     def __init__(self, points):
-        points = _as_blocks(points, "points")
+        points = _as_blocks(_finite(points, "points"), "points")
         if len(points) == 0:
             raise ValueError("points must be a non-empty (n, p) array")
         self.points = points
@@ -146,9 +148,6 @@ class SquaredDistance(Loss):
         d = np.asarray(X, dtype=np.float64) - self.points
         return 0.5 * float((d * d).sum())
 
-    def total_gradient(self, X):
-        return np.asarray(X, dtype=np.float64) - self.points
-
 
 class RidgeRegression(Loss):
     """Per-node scalar regression with a ridge term on the slope.
@@ -165,23 +164,20 @@ class RidgeRegression(Loss):
     dim = 2
 
     def __init__(self, inputs, responses, epsilon=1e-2):
-        inputs = np.asarray(inputs, dtype=np.float64).reshape(-1)
-        responses = np.asarray(responses, dtype=np.float64).reshape(-1)
+        inputs = _finite(inputs, "inputs").reshape(-1)
+        responses = _finite(responses, "responses").reshape(-1)
         if len(inputs) != len(responses) or len(inputs) == 0:
             raise ValueError("inputs and responses must be equal, non-empty")
-        if epsilon < 0:
-            raise ValueError("epsilon must be non-negative")
+        if not 0 <= epsilon < np.inf:  # NaN fails every comparison
+            raise ValueError("epsilon must be non-negative and finite")
         self.inputs = inputs
         self.responses = responses
         self.epsilon = float(epsilon)
         self.num_nodes = len(inputs)
         # per-node 2x2 Hessian [[1, a], [a, a^2 + eps]]
         a = inputs
-        self._H = np.empty((self.num_nodes, 2, 2))
-        self._H[:, 0, 0] = 1.0
-        self._H[:, 0, 1] = a
-        self._H[:, 1, 0] = a
-        self._H[:, 1, 1] = a * a + self.epsilon
+        self._H = np.stack((np.ones_like(a), a, a, a * a + self.epsilon),
+                           axis=1).reshape(-1, 2, 2)
         eigs = np.linalg.eigvalsh(self._H)
         self._L, self._alpha = eigs[:, 1], np.maximum(0.0, eigs[:, 0])
 
@@ -190,8 +186,9 @@ class RidgeRegression(Loss):
         return 0.5 * r * r + 0.5 * self.epsilon * x[1] ** 2
 
     def _gradient(self, i, x):
-        r = self.responses[i] - x[0] - self.inputs[i] * x[1]
-        return np.array([-r, -self.inputs[i] * r + self.epsilon * x[1]])
+        r = self.responses[i] - x[..., 0] - self.inputs[i] * x[..., 1]
+        return np.stack((-r, -self.inputs[i] * r + self.epsilon * x[..., 1]),
+                        axis=-1)
 
     def _minimizer(self, i):
         if self.epsilon == 0.0:
@@ -208,11 +205,6 @@ class RidgeRegression(Loss):
         r = self.responses - X[:, 0] - self.inputs * X[:, 1]
         return 0.5 * float(r @ r) + 0.5 * self.epsilon * float(X[:, 1] @ X[:, 1])
 
-    def total_gradient(self, X):
-        X = np.asarray(X, dtype=np.float64)
-        r = self.responses - X[:, 0] - self.inputs * X[:, 1]
-        return np.column_stack((-r, -self.inputs * r + self.epsilon * X[:, 1]))
-
 
 class Quadratic(Loss):
     """General quadratic node losses f_i(x) = 0.5 x^T A_i x - B_i^T x.
@@ -225,8 +217,8 @@ class Quadratic(Loss):
     """
 
     def __init__(self, A, B):
-        A = np.asarray(A, dtype=np.float64)
-        B = np.asarray(B, dtype=np.float64)
+        A = _finite(A, "A")
+        B = _finite(B, "B")
         if A.ndim != 3 or A.shape[1] != A.shape[2]:
             raise ValueError("A must have shape (n, p, p)")
         if B.shape != A.shape[:2]:
@@ -245,7 +237,9 @@ class Quadratic(Loss):
         return 0.5 * float(x @ self.A[i] @ x) - float(self.B[i] @ x)
 
     def _gradient(self, i, x):
-        return self.A[i] @ x - self.B[i]
+        # a matrix-vector product per node; an einsum contraction would
+        # round differently at p > 1
+        return (self.A[i] @ x[..., None])[..., 0] - self.B[i]
 
     def _minimizer(self, i):
         if self._alpha[i] <= 1e-12 * max(1.0, self._L[i]):
@@ -259,10 +253,6 @@ class Quadratic(Loss):
         X = np.asarray(X, dtype=np.float64)
         quad = np.einsum("ij,ijk,ik->", X, self.A, X)
         return 0.5 * float(quad) - float((self.B * X).sum())
-
-    def total_gradient(self, X):
-        X = np.asarray(X, dtype=np.float64)
-        return np.einsum("ijk,ik->ij", self.A, X) - self.B
 
 
 class CustomLoss(Loss):
@@ -288,12 +278,20 @@ class CustomLoss(Loss):
         self.dim = int(dim)
         self._value_fn = value_fn
         self._gradient_fn = gradient_fn
-        self._L = np.broadcast_to(
-            np.asarray(smoothness, dtype=np.float64), (self.num_nodes,))
-        self._alpha = np.broadcast_to(
-            np.asarray(strong_convexity, dtype=np.float64), (self.num_nodes,))
+        self._L = self._constants(smoothness, "smoothness")
+        self._alpha = self._constants(strong_convexity, "strong_convexity")
         self._minimizer_fn = minimizer_fn
         self.is_convex = bool(convex)
+
+    def _constants(self, value, name):
+        """One non-negative value per node; +inf passes, NaN does not."""
+        value = np.asarray(value, dtype=np.float64)
+        if value.shape not in ((), (1,), (self.num_nodes,)):
+            raise ValueError(f"{name} must be a scalar or hold one value "
+                             f"per node ({self.num_nodes})")
+        if not (value >= 0).all():  # NaN fails every comparison
+            raise ValueError(f"{name} must be non-negative")
+        return np.broadcast_to(value, (self.num_nodes,))
 
     def _value(self, i, x):
         return float(self._value_fn(i, x))
@@ -301,6 +299,12 @@ class CustomLoss(Loss):
     def _gradient(self, i, x):
         g = np.asarray(self._gradient_fn(i, x), dtype=np.float64)
         return g.reshape(self.dim)
+
+    def total_gradient(self, X):
+        # the callbacks take one node at a time
+        X = np.asarray(X, dtype=np.float64)
+        return np.stack([self.gradient(i, X[i])
+                         for i in range(self.num_nodes)])
 
     def _minimizer(self, i):
         if self._minimizer_fn is None:
@@ -319,18 +323,22 @@ class CustomLoss(Loss):
             for _ in range(num_points):
                 x = rng.normal(size=self.dim)
                 g = self.gradient(i, x)
-                fd = np.empty(self.dim)
-                for c in range(self.dim):
-                    e = np.zeros(self.dim)
-                    e[c] = step
-                    fd[c] = (self.value(i, x + e)
-                             - self.value(i, x - e)) / (2 * step)
-                scale = 1.0 + float(np.linalg.norm(g))
-                if np.linalg.norm(fd - g) > tol * scale:
+                fd = np.array([self.value(i, x + e) - self.value(i, x - e)
+                               for e in step * np.eye(self.dim)]) / (2 * step)
+                err = np.linalg.norm(fd - g)
+                if err > tol * (1.0 + float(np.linalg.norm(g))):
                     raise ValueError(
                         f"gradient of node {i} fails the finite-difference "
-                        f"check (|fd - grad| = {np.linalg.norm(fd - g):.3e})")
+                        f"check (|fd - grad| = {err:.3e})")
         return True
+
+
+def _finite(a, name):
+    """``a`` as a float64 array, every entry finite, or a ValueError."""
+    a = np.asarray(a, dtype=np.float64)
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} must be finite")
+    return a
 
 
 def sum_loss_minimizer(loss, nodes):
@@ -346,8 +354,9 @@ def sum_loss_minimizer(loss, nodes):
         raise ValueError("nodes must be non-empty")
     if len(np.unique(nodes)) != len(nodes):
         raise ValueError("nodes must be distinct")
-    for i in nodes:
-        loss._check_node(i)
+    outside = nodes[(nodes < 0) | (nodes >= loss.num_nodes)]
+    if len(outside):
+        raise IndexError(f"node index {outside[0]} out of range")
     terms = loss.quadratic_terms()
     if terms is not None:
         H, g = terms
@@ -361,14 +370,10 @@ def sum_loss_minimizer(loss, nodes):
 
     from scipy.optimize import minimize
 
-    def agg(xflat):
-        return sum(loss.value(i, xflat) for i in nodes)
-
-    def agg_grad(xflat):
-        return sum(loss.gradient(i, xflat) for i in nodes)
-
-    res = minimize(agg, np.zeros(loss.dim), jac=agg_grad, method="BFGS",
-                   options={"gtol": 1e-12, "maxiter": 1000})
+    res = minimize(lambda x: sum(loss.value(i, x) for i in nodes),
+                   np.zeros(loss.dim),
+                   jac=lambda x: sum(loss.gradient(i, x) for i in nodes),
+                   method="BFGS", options={"gtol": 1e-12, "maxiter": 1000})
     if not res.success and np.linalg.norm(res.jac) > 1e-6:
         raise ValueError(f"numeric aggregate minimization failed: "
                          f"{res.message}")

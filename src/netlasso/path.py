@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datasets import _json_text, _write_rows
-from .graph import merged_components
+from .graph import _check_merge_tol, merged_components
 from .penalty import _as_blocks, _is_int
 from .solver import SolverConfig, _Factors, solve_nl, solve_ntl
 
@@ -78,18 +78,12 @@ class Partition:
             and bool(np.array_equal(self.labels, other.labels))
 
 
-def _check_merge_tol(merge_tol):
-    if not 0 <= merge_tol < math.inf:  # NaN fails every comparison
-        raise ValueError("merge_tol must be finite and non-negative")
-
-
 def extract_partition(x, graph, merge_tol=1e-6):
     """Clusters = connected components over edges with merged endpoints.
 
     Which edges count as merged is decided by
     :func:`netlasso.graph.merged_components`.
     """
-    _check_merge_tol(merge_tol)
     x = _as_blocks(x, "x")
     if len(x) != graph.num_nodes:
         raise ValueError("centroid count does not match the graph")

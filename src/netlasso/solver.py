@@ -858,11 +858,13 @@ def nl_certificate(x, losses, graph, gamma, merge_tol=1e-6,
     rejected whatever the polish does, and the report holds the
     projected start.
     """
+    if not 0 <= gamma < math.inf:  # NaN fails every comparison
+        raise ValueError("gamma must be finite and non-negative")
     op = DifferenceOperator(graph, losses.dim)
     x = np.asarray(x, dtype=np.float64)
     n, p, m = losses.num_nodes, losses.dim, graph.num_edges
+    d = op.apply(x)  # checks the shape of x
     grad = losses.total_gradient(x)
-    d = op.apply(x)
     merged, labels = merged_components(graph, x, merge_tol, d)
     free = ~merged
     g_edges = np.zeros((m, p))

@@ -217,15 +217,15 @@ def recovery_interval(losses, graph, labels, aggregate_curvature=None):
     if graph.num_nodes != n:
         raise ValueError("graph and losses disagree on the node count")
     N, members = _clusters_from_labels(labels, n)
+    labels = np.asarray(labels, dtype=np.int64)
 
-    L = [float(losses.smoothness(i)) for i in range(n)]
     if aggregate_curvature is None:
-        node_alpha = [float(losses.strong_convexity(i)) for i in range(n)]
-        if min(node_alpha) <= 0.0:
+        if losses.min_strong_convexity() <= 0.0:
             raise ValueError(
                 "recovery interval needs strictly convex node losses; "
                 "pass aggregate_curvature to assert cluster constants")
-        alpha = [float(sum(node_alpha[i] for i in mem)) for mem in members]
+        # bincount adds each cluster's constants in node order
+        alpha = np.bincount(labels, losses._alpha, N).tolist()
         curvature_assumed = False
     else:
         alpha = [float(a) for a in aggregate_curvature]
@@ -239,11 +239,10 @@ def recovery_interval(losses, graph, labels, aggregate_curvature=None):
     grand = sum_loss_minimizer(losses, range(n))
 
     W, node_cluster, cross, cross_out = _cluster_weights(graph, labels, N)
-    grads = [np.stack([losses.gradient(i, xbar[k]) for i in mem])
-             for k, mem in enumerate(members)]
+    grads = losses.total_gradient(xbar[labels])
     gamma_min, gamma_max, failing, gaps = _interval(
-        W, node_cluster, cross_out, members, grads, xbar, np.asarray(alpha),
-        smoothness=np.asarray(L))
+        W, node_cluster, cross_out, members, [grads[mem] for mem in members],
+        xbar, np.asarray(alpha), smoothness=losses._L)
 
     iu, ju = np.triu_indices(N, k=1)
     norms = _norms(xbar)
@@ -251,7 +250,7 @@ def recovery_interval(losses, graph, labels, aggregate_curvature=None):
     separated[iu, ju] = separated[ju, iu] = \
         gaps > 1e-9 * (1.0 + norms[iu] + norms[ju])
 
-    at_grand = np.stack([losses.gradient(i, grand) for i in range(n)])
+    at_grand = losses.total_gradient(np.tile(grand, (n, 1)))
     pull = _norms(np.stack([np.sum(at_grand[mem], axis=0)
                             for mem in members]))
     coarsening = _ratio(pull, cross_out).max(initial=0.0)
@@ -262,7 +261,7 @@ def recovery_interval(losses, graph, labels, aggregate_curvature=None):
         cluster_sizes=[len(mem) for mem in members],
         cluster_minimizers=xbar,
         aggregate_curvatures=alpha,
-        smoothness=L,
+        smoothness=losses._L.tolist(),
         node_cluster_weights=node_cluster,
         cross_weights=cross,
         failing_pairs=failing,
@@ -323,16 +322,16 @@ def exact_penalty_threshold(losses, bound, method="supplied-C"):
     bound = float(bound)
     if bound < 0.0:
         raise ValueError("solution bound must be non-negative")
-    zero = np.zeros(losses.dim)
-    total = 0.0
-    for i in range(losses.num_nodes):
-        L_i = float(losses.smoothness(i))
-        if not math.isfinite(L_i):
-            raise ValueError(f"node {i} has no finite smoothness constant")
-        total += float(np.linalg.norm(losses.gradient(i, zero)))
-        total += 2.0 * L_i * bound
-    return PenaltyThreshold(bound_C=bound, gamma_star=float(total),
-                            method=method)
+    infinite = np.flatnonzero(~np.isfinite(losses._L))
+    if len(infinite):
+        raise ValueError(f"node {infinite[0]} has no finite smoothness "
+                         "constant")
+    grads = losses.total_gradient(np.zeros((losses.num_nodes, losses.dim)))
+    # ||grad f_i(0)||, 2 L_i C, node by node, added left to right by
+    # cumsum (np.sum would add pairwise)
+    terms = np.column_stack((_norms(grads), 2.0 * losses._L * bound))
+    return PenaltyThreshold(bound_C=bound, method=method, gamma_star=float(
+        np.cumsum(np.r_[0.0, terms.ravel()])[-1]))
 
 
 def bound_C_clustering(points):
@@ -352,22 +351,19 @@ def bound_C_strongly_convex(losses):
     Looser than the clustering bound where both apply, but valid for
     any strongly convex family with known minimizers.
     """
-    alphas = [float(losses.strong_convexity(i))
-              for i in range(losses.num_nodes)]
-    if min(alphas) <= 0.0:
+    alpha = losses.min_strong_convexity()
+    if alpha <= 0.0:
         raise ValueError("every node loss must be strongly convex")
-    mins = []
+    zero = np.zeros(losses.dim)
+    gap, norm = 0, 0.0
     for i in range(losses.num_nodes):
         m = losses.minimizer(i)
         if m is None:
             raise ValueError(f"node {i} exposes no minimizer")
-        mins.append(np.asarray(m, dtype=np.float64))
-    zero = np.zeros(losses.dim)
-    gap = sum(float(losses.value(i, zero)) - float(losses.value(i, mins[i]))
-              for i in range(losses.num_nodes))
-    gap = max(gap, 0.0)  # roundoff can push the sum a hair negative
-    radius = math.sqrt(2.0 * gap / min(alphas))
-    return radius + max(float(np.linalg.norm(m)) for m in mins)
+        gap += float(losses.value(i, zero)) - float(losses.value(i, m))
+        norm = max(norm, float(np.linalg.norm(m)))
+    # roundoff can push the gap a hair negative
+    return math.sqrt(2.0 * max(gap, 0.0) / alpha) + norm
 
 
 def bound_C_quadratic(losses):
@@ -376,19 +372,15 @@ def bound_C_quadratic(losses):
     if terms is None:
         raise ValueError("quadratic losses required")
     H, g = terms
-    n = H.shape[0]
-    alpha = math.inf
-    sols = np.zeros_like(g)
-    quad = 0.0
-    for i in range(n):
-        evals = np.linalg.eigvalsh(H[i])
-        if evals[0] <= 1e-12 * max(evals[-1], 1.0):
-            raise ValueError(f"node {i} quadratic term is not positive "
-                             "definite")
-        alpha = min(alpha, float(evals[0]))
-        sols[i] = np.linalg.solve(H[i], g[i])
-        quad += float(g[i] @ sols[i])
-    radius = math.sqrt(max(quad, 0.0) / alpha)
+    evals = np.linalg.eigvalsh(H)
+    flat = np.flatnonzero(evals[:, 0] <= 1e-12 * np.maximum(evals[:, -1], 1.0))
+    if len(flat):
+        raise ValueError(f"node {flat[0]} quadratic term is not positive "
+                         "definite")
+    sols = np.linalg.solve(H, g[..., None])[..., 0]
+    # the g_i . sol_i added left to right, as in exact_penalty_threshold
+    quad = np.cumsum(np.r_[0.0, (g[:, None, :] @ sols[..., None])[:, 0, 0]])
+    radius = math.sqrt(max(float(quad[-1]), 0.0) / float(evals[:, 0].min()))
     return radius + float(row_norms(sols).max())
 
 

@@ -77,28 +77,34 @@ def test_unresolved_when_the_parent_spreads_wider_than_the_bound():
 
 def test_layers_table_pairs_the_traced_runs():
     per_layer = [{"name": "solver.iters", "unit": "count"},
+                 {"name": "graph.D_calls_per_iter", "unit": "ratio"},
                  {"name": "solver.factorize_s", "unit": "s"},
-                 {"name": "cli.write_s", "unit": "s"},
-                 {"name": "graph.new_s", "unit": "s"}]
+                 {"name": "path.steps", "unit": "count"},
+                 {"name": "cli.artifact_bytes", "unit": "B"}]
     traced = {
         "parent": {"metrics": {"solver.iters": {"value": 4240},
+                               "graph.D_calls_per_iter": {"value": 2.0},
                                "solver.factorize_s": {"value": 0.004},
-                               "cli.write_s": {"value": 0.0}}},
+                               "path.steps": {"value": 0}}},
         "change": {"metrics": {"solver.iters": {"value": 3035},
+                               "graph.D_calls_per_iter": {"value": 1.0},
                                "solver.factorize_s": {"value": 0.001},
-                               "cli.write_s": {"value": 0.0},
-                               "graph.new_s": {"value": 0.5}}}}
+                               "path.steps": {"value": 0},
+                               "cli.artifact_bytes": {"value": 512}}}}
     table = bench_ab.layers(traced, per_layer)
     assert list(table) == [s["name"] for s in per_layer]
     assert table["solver.iters"] == {"unit": "count", "parent": 4240,
                                      "change": 3035,
                                      "ratio": pytest.approx(3035 / 4240)}
-    assert table["solver.factorize_s"]["ratio"] == pytest.approx(0.25)
+    assert table["graph.D_calls_per_iter"]["ratio"] == 0.5
+    # a time from one traced run is listed without a ratio
+    assert table["solver.factorize_s"] == {"unit": "s", "parent": 0.004,
+                                           "change": 0.001, "ratio": None}
     # no ratio over a parent reading 0 or a metric one side lacks
-    assert table["cli.write_s"] == {"unit": "s", "parent": 0.0,
-                                    "change": 0.0, "ratio": None}
-    assert table["graph.new_s"] == {"unit": "s", "parent": None,
-                                    "change": 0.5, "ratio": None}
+    assert table["path.steps"] == {"unit": "count", "parent": 0,
+                                   "change": 0, "ratio": None}
+    assert table["cli.artifact_bytes"] == {"unit": "B", "parent": None,
+                                           "change": 512, "ratio": None}
 
 
 def test_sides_sit_at_equal_length_roots(tmp_path):

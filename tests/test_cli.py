@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -369,6 +370,16 @@ class TestSolveCommands:
                      "--out-dir", str(tmp_path / "out")]) == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_non_finite_solution_is_numerical_failure(self):
+        # a solve that stops without diverging can still leave a NaN or
+        # an infinity in x; no partition is read from such a solution
+        def solve(losses, graph, strength, **options):
+            x = np.array([[0.0], [math.nan], [5.0], [math.inf]])
+            return SimpleNamespace(x=x), solver.CONVERGED
+
+        with pytest.raises(cli.NumericalError, match="non-finite"):
+            cli._solve(solve, None, path_graph(4), 1.0, 1e-6)
+
     def test_singular_x_system_is_numerical_failure(self, tmp_path, capsys):
         # at rho 1e200 the unit loss curvature vanishes against
         # rho * Laplacian, and the x-step's factor is singular
@@ -519,6 +530,19 @@ class TestInstanceChecks:
 
 
 class TestPathCommands:
+    def test_diverged_step_is_numerical_failure(self, tmp_path, capsys):
+        # a declared smoothness 100 times too small makes the linearized
+        # steps diverge, as in the solve-nl case
+        data = tmp_path / "four.csv"
+        write_points_csv(data, FOUR_POINTS)
+        out = tmp_path / "out"
+        assert main(["k-path", "--data-file", str(data), "--graph", "path",
+                     "--gamma", "1.0", "--k-values", "2,1",
+                     "--x-update", "linearized", "--smoothness", "0.01",
+                     "--out-dir", str(out)]) == 3
+        assert "a path step diverged" in capsys.readouterr().err
+        assert not (out / "path.json").exists()
+
     def test_cardinality_path_staircase(self, tmp_path):
         data = tmp_path / "four.csv"
         write_points_csv(data, FOUR_POINTS)
@@ -657,6 +681,12 @@ class TestPathCommands:
 
 
 class TestThresholdCommands:
+    @pytest.mark.parametrize("lo, hi, gamma", [
+        (math.inf, 3.0, 1.5), (math.inf, math.inf, 1.0), (1.0, 3.0, 2.0),
+        (2.5, math.inf, 5.0), (0.0, math.inf, 1.0)])
+    def test_midpoint_gamma_of_open_intervals(self, lo, hi, gamma):
+        assert cli._midpoint_gamma(lo, hi) == gamma
+
     def labeled_pairs(self, tmp_path):
         data = tmp_path / "pairs.csv"
         write_points_csv(data, FOUR_POINTS, labels=[0, 0, 1, 1])

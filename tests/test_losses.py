@@ -1,13 +1,19 @@
+import math
+
 import numpy as np
 import pytest
 
+from netlasso.graph import knn_gaussian_graph
 from netlasso.losses import (
     CustomLoss,
+    Loss,
     Quadratic,
     RidgeRegression,
     SquaredDistance,
     sum_loss_minimizer,
 )
+from netlasso.thresholds import (bound_C_quadratic, exact_penalty_threshold,
+                                 recovery_interval)
 
 
 def fd_gradient(loss, i, x, step=1e-6):
@@ -79,6 +85,22 @@ class TestGradients:
         X = rng.normal(size=(6, 2))
         stacked = np.stack([loss.gradient(i, X[i]) for i in range(6)])
         np.testing.assert_allclose(loss.total_gradient(X), stacked)
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_total_gradient_is_the_per_node_formula_bitwise(self, p):
+        # one gradient formula per family: the einsum this replaced
+        # rounded differently from A_i @ x_i in most cases at p >= 2
+        rng = np.random.default_rng(p)
+        for _ in range(20):
+            n = int(rng.integers(1, 30))
+            for loss in [SquaredDistance(rng.normal(size=(n, p))),
+                         RidgeRegression(rng.normal(size=n),
+                                         rng.normal(size=n)),
+                         random_quadratic(rng, n, p)]:
+                X = rng.normal(size=(n, loss.dim)) * 10.0
+                stacked = np.stack([loss.gradient(i, X[i])
+                                    for i in range(n)])
+                assert loss.total_gradient(X).tobytes() == stacked.tobytes()
 
 
 class TestCurvature:
@@ -210,6 +232,18 @@ class TestSumLossMinimizer:
             sum_loss_minimizer(loss, [])
         with pytest.raises(ValueError):
             sum_loss_minimizer(loss, [1, 1])
+        for outside in (3, -1):
+            with pytest.raises(IndexError, match=f"node index {outside} "):
+                sum_loss_minimizer(loss, [0, outside])
+
+    def test_failed_numeric_minimization_is_reported(self):
+        # BFGS stalls at the kink of a sum of absolute values without a
+        # warning, its gradient still of norm 1
+        loss = CustomLoss(2, 1, lambda i, x: float(np.abs(x - 1.0).sum()),
+                          lambda i, x: np.sign(x - 1.0), smoothness=math.inf)
+        with pytest.raises(ValueError,
+                           match="numeric aggregate minimization failed"):
+            sum_loss_minimizer(loss, [0, 1])
 
     def test_custom_loss_numeric_path(self):
         pts = np.array([[1.0, 0.0], [3.0, 2.0]])
@@ -273,6 +307,48 @@ class TestValidation:
             SquaredDistance(np.zeros((2, 1, 1)))
         assert SquaredDistance([3.0, -4.0]).points.shape == (2, 1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_data_rejected(self, bad):
+        row = np.array([[0.0, 1.0], [bad, 2.0]])
+        A = np.stack([np.eye(2)] * 2)
+        A_bad = A.copy()
+        A_bad[1, 0, 0] = bad
+        for build, name in [
+                (lambda: SquaredDistance(row), "points"),
+                (lambda: RidgeRegression(row[:, 0], [1.0, 2.0]), "inputs"),
+                (lambda: RidgeRegression([1.0, 2.0], row[:, 0]), "responses"),
+                (lambda: Quadratic(A_bad, np.zeros((2, 2))), "A"),
+                (lambda: Quadratic(A, row), "B")]:
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                build()
+
+    @pytest.mark.parametrize("epsilon", [np.nan, np.inf])
+    def test_ridge_rejects_non_finite_epsilon(self, epsilon):
+        # a NaN epsilon used to give _L = [-0.0, 1.41] and _alpha = [0, 0]
+        with pytest.raises(ValueError, match="^epsilon must be"):
+            RidgeRegression([1.0, 2.0], [1.0, 0.0], epsilon=epsilon)
+
+    @pytest.mark.parametrize("name", ["smoothness", "strong_convexity"])
+    def test_custom_loss_constants(self, name):
+        def custom(value):
+            return CustomLoss(3, 1, lambda i, x: float(x @ x),
+                              lambda i, x: 2 * x,
+                              **{"smoothness": 2.0, name: value})
+
+        for bad in (-1.0, np.nan, [2.0, -1.0, 2.0]):
+            with pytest.raises(ValueError, match=f"^{name} must be "
+                                                 "non-negative"):
+                custom(bad)
+        for bad in ([2.0, 2.0], [[2.0, 2.0, 2.0]]):
+            with pytest.raises(ValueError, match=f"^{name} must be a scalar"
+                                                 r" or hold one value per "
+                                                 r"node \(3\)"):
+                custom(bad)
+        for good in (2.0, [2.0], [1.0, 2.0, np.inf]):
+            constants = getattr(custom(good), "_L" if name == "smoothness"
+                                else "_alpha")
+            assert constants.shape == (3,)
+
     def test_missing_minimizers(self):
         with pytest.raises(ValueError, match="no minimizer"):
             RidgeRegression([1.0, 2.0], [1.0, 0.0],
@@ -314,3 +390,32 @@ class TestValidation:
             if args:
                 got = np.asarray(call(i, list(x)))
                 assert got.tobytes() == want.tobytes()
+
+
+class TestReadWhole:
+    """The threshold calculators and the curvature aggregates read a
+    built-in family through its arrays, never node by node."""
+
+    @pytest.mark.parametrize("family", ["squared", "ridge", "quadratic"])
+    def test_no_per_node_calls(self, family, monkeypatch):
+        calls = []
+        for name in ("gradient", "smoothness", "strong_convexity"):
+            def counted(self, i, *args, _name=name, _method=getattr(Loss,
+                                                                     name)):
+                calls.append(_name)
+                return _method(self, i, *args)
+            monkeypatch.setattr(Loss, name, counted)
+        rng = np.random.default_rng(0)
+        n = 30
+        loss = {"squared": lambda: SquaredDistance(rng.normal(size=(n, 2))),
+                "ridge": lambda: RidgeRegression(rng.normal(size=n),
+                                                 rng.normal(size=n)),
+                "quadratic": lambda: random_quadratic(rng, n, 3)}[family]()
+        graph = knn_gaussian_graph(rng.normal(size=(n, 2)), 5, 1.0)
+        recovery_interval(loss, graph, np.arange(n) % 3)
+        exact_penalty_threshold(loss, bound_C_quadratic(loss))
+        loss.max_smoothness()
+        loss.min_strong_convexity()
+        assert calls == []
+        loss.gradient(0, np.zeros(loss.dim))
+        assert calls == ["gradient"]  # the counter is live

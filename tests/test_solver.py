@@ -1512,6 +1512,30 @@ class TestCertificate:
         assert report.passed
         assert report.max_rel_residual <= 1e-12
 
+    @pytest.mark.parametrize("check", ["certificate", "stationarity"])
+    def test_inputs_checked_as_the_solvers_check_them(self, check):
+        # a NaN or negative merge_tol used to merge no edge and report a
+        # large residual at this optimum; a NaN gamma used to warn and a
+        # negative one to give a report
+        losses = SquaredDistance(np.array([[0.0], [1.0], [2.0]]))
+        g, x = complete_graph(3), np.full((3, 1), 1.0)
+
+        def run(x=x, gamma=1.0, **options):
+            if check == "certificate":
+                return nl_certificate(x, losses, g, gamma, **options)
+            return stationarity_check(x, losses, g, gamma, 0, **options)
+
+        report = run()
+        assert report.passed and report.merged_edges == 3
+        for bad in (math.nan, -1.0, math.inf):
+            with pytest.raises(ValueError, match="^merge_tol must be"):
+                run(merge_tol=bad)
+            with pytest.raises(ValueError, match="^gamma must be"):
+                run(gamma=bad)
+        for shape in ((3,), (2, 1), (3, 2)):
+            with pytest.raises(ValueError, match="^x has wrong shape"):
+                run(x=np.ones(shape))
+
     def test_huge_weights_do_not_overflow_the_polish(self):
         # gamma w_e = 1e300 squares to inf in an unscaled A A^T
         g = WeightedGraph(4, [[0, 1], [1, 2], [2, 3]],

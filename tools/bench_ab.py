@@ -34,8 +34,10 @@ the per-pair ratio change/parent and a verdict:
 
 Each run also holds ``layers``: per ``per_layer`` metric of
 ``BENCHMARK.json``, its value in the two traced runs (None where a side
-does not report it) and their ratio change/parent (None where the
-parent reads 0 or a value is missing).
+does not report it) and, for the exact units (``count``, ``B`` and
+``ratio``, a ratio of counts), their ratio change/parent (None where
+the parent reads 0 or a value is missing).  A time from one traced run
+is a single sample of a noisy reading, so it gets no ratio.
 
 The file is rewritten after every workload and seed, so a stopped run
 keeps what it finished.
@@ -145,17 +147,21 @@ def summarize(pairs, end_to_end):
     return out
 
 
+# units whose traced readings repeat exactly on identical code
+EXACT_UNITS = ("count", "B", "ratio")
+
+
 def layers(traced, per_layer):
     """Per ``per_layer`` metric: the parent's and the change's value in
-    their traced runs, and the ratio change/parent."""
+    their traced runs, and for an exact unit the ratio change/parent."""
     out = {}
     for spec in per_layer:
         name = spec["name"]
         old, new = (traced[side]["metrics"].get(name, {}).get("value")
                     for side in ("parent", "change"))
+        exact = spec["unit"] in EXACT_UNITS and old and new is not None
         out[name] = {"unit": spec["unit"], "parent": old, "change": new,
-                     "ratio": new / old if old and new is not None
-                     else None}
+                     "ratio": new / old if exact else None}
     return out
 
 
